@@ -9,12 +9,13 @@ access times) and the energy extension.
 Run:  python examples/cache_study.py  [--fast]
 """
 
+import os
 import sys
 import time
 
 from repro import TABLE1_SESSIONS, collect_table1_session, replay_session, standard_apps
 from repro.analysis import EnergyModel, format_access_times, format_miss_rates
-from repro.cache import RegionMix, subsample_trace, sweep_paper_grid
+from repro.cache import RegionMix, subsample_trace, sweep_parallel
 
 EMULATOR_KW = {"ram_size": 8 << 20, "flash_size": 1 << 20}
 
@@ -48,7 +49,7 @@ def main() -> None:
 
     print("sweeping the 56 cache configurations ...")
     start = time.time()
-    points = sweep_paper_grid(addresses)
+    points = sweep_parallel(addresses, jobs=os.cpu_count() or 1)
     print(f"  done in {time.time() - start:.1f}s\n")
 
     print(format_miss_rates(points))

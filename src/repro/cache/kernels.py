@@ -21,9 +21,9 @@ passes.  The design is *set-major*:
     handful of numpy operations on a dense ``(num_sets, assoc)`` state
     matrix — tag in the high bits, write-back dirty flag in bit 0.
 4.  Waves shrink as short sets run dry.  Once a wave is narrower than
-    ``TAIL_WIDTH`` the numpy call overhead dominates, so the few
-    remaining (hot) sets are drained by a scalar per-set loop over the
-    same packed state.
+    ``TAIL_WIDTH`` the numpy call overhead dominates, so the remaining
+    sets are drained by a scalar per-set loop over unpacked Python
+    lists (a cache with fewer sets than that is drained entirely).
 
 Direct-mapped caches collapse further: every run head is a miss (the
 resident line is by construction a different line of the same set), so
@@ -40,6 +40,7 @@ simulator for byte-for-byte equal statistics.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,8 +54,14 @@ from .cache import (
     WRITE_BACK,
 )
 
-#: Waves narrower than this are drained by the scalar tail loop.
-TAIL_WIDTH = 24
+#: Waves narrower than this are drained by the scalar tail loop.  A
+#: drain step costs ~0.2 us per run head, so a numpy wave (tens of us of
+#: call overhead) pays off only from about this width; measured on
+#: study and gremlins traces (see docs/internals.md).
+TAIL_WIDTH = 192
+
+#: Largest set count whose indices sort as 16-bit (radix) keys.
+SORT16_MAX_SETS = 1 << 15
 
 #: Packed empty way: tag -1, dirty bit clear.
 EMPTY = -2
@@ -118,8 +125,11 @@ def _precollapse(addresses: np.ndarray, writes: Optional[np.ndarray],
     n = len(addresses)
     if n == 0:
         return addresses, writes, 0
-    lines = addresses >> (np.uint32(offset_bits)
-                          if addresses.dtype == np.uint32 else offset_bits)
+    if offset_bits == 0:
+        lines = addresses
+    else:
+        lines = addresses >> (np.uint32(offset_bits)
+                              if addresses.dtype == np.uint32 else offset_bits)
     keep = np.empty(n, dtype=bool)
     keep[0] = True
     np.not_equal(lines[1:], lines[:-1], out=keep[1:])
@@ -139,8 +149,15 @@ def _precollapse(addresses: np.ndarray, writes: Optional[np.ndarray],
 
 
 def _sort_by_set(sets: np.ndarray, tags: np.ndarray,
-                 writes: Optional[np.ndarray]):
-    order = np.argsort(sets, kind="stable")
+                 writes: Optional[np.ndarray], num_sets: int):
+    """Stable partition of the references by set index.
+
+    numpy's stable argsort radix-sorts integers of 16 bits or fewer, so
+    set indices below 2**15 are sorted as ``int16`` keys (several times
+    faster than the ``int32`` timsort); the key order is the same.
+    """
+    keys = sets.astype(np.int16) if num_sets <= SORT16_MAX_SETS else sets
+    order = np.argsort(keys, kind="stable")
     return (sets[order], tags[order],
             None if writes is None else writes[order])
 
@@ -177,105 +194,108 @@ def _collapse_runs(sets: np.ndarray, tags: np.ndarray,
     return sets[idx], tags[idx], run_writes, n - len(idx)
 
 
-def _schedule_waves(sets: np.ndarray):
-    """Order set-sorted run heads into waves.
-
-    Returns ``(order, wave_bounds, group_start, group_len)`` where
-    ``order`` re-indexes the run arrays so wave ``r`` occupies
-    ``order[wave_bounds[r]:wave_bounds[r + 1]]``, and the group arrays
-    describe each set's contiguous block in set-sorted order (for the
-    scalar tail drain).
-    """
+def _set_groups(sets: np.ndarray):
+    """``(group_start, group_len)``: each set's contiguous block of
+    set-sorted run heads."""
     m = len(sets)
     new_group = np.empty(m, dtype=bool)
     new_group[0] = True
     np.not_equal(sets[1:], sets[:-1], out=new_group[1:])
     starts = np.flatnonzero(new_group)
-    lens = np.diff(np.append(starts, m))
+    return starts, np.diff(np.append(starts, m))
+
+
+def _schedule_waves(starts: np.ndarray, lens: np.ndarray):
+    """Order set-sorted run heads into waves.
+
+    Returns ``(order, wave_bounds)`` where ``order`` re-indexes the run
+    arrays so wave ``r`` occupies
+    ``order[wave_bounds[r]:wave_bounds[r + 1]]``.
+    """
+    m = int(lens.sum())
     # Rank of each run within its set.
     rank = np.arange(m, dtype=np.int64) - np.repeat(starts, lens)
     order = np.argsort(rank, kind="stable")
-    wave_sizes = np.bincount(rank.astype(np.int64))
+    wave_sizes = np.bincount(rank)
     bounds = np.concatenate(([0], np.cumsum(wave_sizes)))
-    return order, bounds, starts, lens
+    return order, bounds
 
 
 # ----------------------------------------------------------------------
-# Scalar tail drains (packed state, exact mirror of the wave updates)
+# Scalar tail drains (exact mirror of the wave updates)
 # ----------------------------------------------------------------------
+#
+# Each drain takes one set's remaining run heads (``tags``, ``writes``
+# arrays) and its packed state ``row``, unpacks the row into a list of
+# tags and a parallel list of dirty bits, and repacks ``tag << 1 |
+# dirty`` only on return.  An EMPTY way unpacks to tag -1, which no
+# real tag matches, so ``list.index`` finds hits with one C-level scan.
 
-def _drain_lru(tags, writes, row, assoc, allocate, track_dirty):
+def _unpack(row):
+    packed = row.tolist()
+    return [p >> 1 for p in packed], [p & 1 for p in packed]
+
+
+def _drain_lru(tags, writes, row, allocate, track_dirty):
     """Finish one set's run stream on a packed LRU row (MRU first)."""
     hits = 0
     writebacks = 0
-    row = list(row)
-    for i in range(len(tags)):
-        t = int(tags[i])
-        w = 0 if writes is None else int(writes[i])
-        dirty = w if track_dirty else 0
-        found = -1
-        for depth in range(assoc):
-            if row[depth] >> 1 == t:
-                found = depth
-                break
-        if found >= 0:
+    ways, dirty = _unpack(row)
+    flags = repeat(0) if writes is None else writes.tolist()
+    for t, w in zip(tags.tolist(), flags):
+        if t in ways:
             hits += 1
-            packed = row.pop(found) | dirty
+            d = ways.index(t)
+            del ways[d]
+            bit = dirty.pop(d)
+            if track_dirty and w:
+                bit = 1
+        elif w and not allocate:
+            continue
         else:
-            if w and not allocate:
-                continue
-            victim = row.pop()
-            writebacks += victim & 1
-            packed = (t << 1) | dirty
-        row.insert(0, packed)
-    return hits, writebacks, row
+            ways.pop()
+            writebacks += dirty.pop()
+            bit = 1 if track_dirty and w else 0
+        ways.insert(0, t)
+        dirty.insert(0, bit)
+    return hits, writebacks, [(t << 1) | b for t, b in zip(ways, dirty)]
 
 
 def _drain_fifo(tags, writes, row, ptr, assoc, allocate, track_dirty):
     """Finish one set's run stream on a packed FIFO ring."""
     hits = 0
     writebacks = 0
-    row = list(row)
-    for i in range(len(tags)):
-        t = int(tags[i])
-        w = 0 if writes is None else int(writes[i])
-        dirty = w if track_dirty else 0
-        found = -1
-        for depth in range(assoc):
-            if row[depth] >> 1 == t:
-                found = depth
-                break
-        if found >= 0:
+    ways, dirty = _unpack(row)
+    flags = repeat(0) if writes is None else writes.tolist()
+    for t, w in zip(tags.tolist(), flags):
+        if t in ways:
             hits += 1
-            row[found] |= dirty
+            if track_dirty and w:
+                dirty[ways.index(t)] = 1
         elif allocate or not w:
-            victim = row[ptr]
-            writebacks += victim & 1
-            row[ptr] = (t << 1) | dirty
+            writebacks += dirty[ptr]
+            ways[ptr] = t
+            dirty[ptr] = 1 if track_dirty and w else 0
             ptr = (ptr + 1) % assoc
-    return hits, writebacks, row, ptr
+    return hits, writebacks, [(t << 1) | b for t, b in zip(ways, dirty)], ptr
 
 
 def _drain_depths(tags, row, assoc, hist):
     """Finish one set's run stream recording LRU hit depths."""
     cold = 0
-    row = list(row)
-    for i in range(len(tags)):
-        t = int(tags[i])
-        found = -1
-        for depth in range(assoc):
-            if row[depth] >> 1 == t:
-                found = depth
-                break
-        if found >= 0:
-            hist[found] += 1
-            packed = row.pop(found)
+    ways = [p >> 1 for p in row.tolist()]
+    counts = [0] * assoc
+    for t in tags.tolist():
+        if t in ways:
+            d = ways.index(t)
+            counts[d] += 1
+            del ways[d]
         else:
             cold += 1
-            row.pop()
-            packed = t << 1
-        row.insert(0, packed)
-    return cold, row
+            ways.pop()
+        ways.insert(0, t)
+    hist += counts
+    return cold, [t << 1 for t in ways]
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +319,14 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
     fifo = config.policy == POLICY_FIFO
     track_dirty = writes is not None and config.write_policy == WRITE_BACK
     allocate = config.write_allocate
-    order, bounds, group_start, group_len = _schedule_waves(sets)
+    group_start, group_len = _set_groups(sets)
+    # Wave r holds one run of every set with more than r runs, so the
+    # first wave is the widest: when even it is narrow, every set goes
+    # straight to the scalar drain and no wave schedule is built.
+    if len(group_start) >= tail_width:
+        order, bounds = _schedule_waves(group_start, group_len)
+    else:
+        order, bounds = np.empty(0, dtype=np.intp), [0]
     sets_w = sets[order]
     tags_w = tags[order]
     if writes is not None and (track_dirty or not allocate):
@@ -378,16 +405,15 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
             new_rows = np.take_along_axis(rows, src, axis=1)
             new_rows[:, 0] = packed
             state[s] = new_rows
-    else:
-        return hits, writebacks
 
-    # Scalar drain of the sets still holding runs at stop_wave.
+    # Scalar drain of the sets still holding runs at stop_wave (none
+    # when every wave ran vectorized).
     remaining = np.flatnonzero(group_len > stop_wave)
     for g in remaining:
         start = group_start[g] + stop_wave
         end = group_start[g] + group_len[g]
         t_rest = tags[start:end]
-        w_rest = None if writes_w is None else writes[start:end].astype(int)
+        w_rest = None if writes_w is None else writes[start:end]
         set_index = int(sets[start])
         row = state[set_index]
         if depth_hist is not None:
@@ -401,8 +427,8 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
             writebacks += wb
             ptr[set_index] = p
         else:
-            h, wb, new_row = _drain_lru(t_rest, w_rest, row, assoc,
-                                        allocate, track_dirty)
+            h, wb, new_row = _drain_lru(t_rest, w_rest, row, allocate,
+                                        track_dirty)
             hits += h
             writebacks += wb
         state[set_index] = new_row
@@ -537,7 +563,8 @@ class ChunkedSimulator:
         addresses, writes, collapsed = _precollapse(
             addresses, writes, self._offset_bits, allocate=allocate)
         sets, tags = _set_tag_split(addresses, config)
-        sets, tags, writes = _sort_by_set(sets, tags, writes)
+        sets, tags, writes = _sort_by_set(sets, tags, writes,
+                                       config.num_sets)
         sets, tags, writes, more = _collapse_runs(sets, tags, writes,
                                                   allocate=allocate)
         self._hits += collapsed + more
@@ -578,8 +605,20 @@ class ChunkedSimulator:
         return self.finish()
 
 
+class _DepthPassConfig:  # _run_waves only reads these three fields
+    policy = POLICY_LRU
+    write_policy = "write-through"
+    write_allocate = True
+
+
 class ChunkedDepthPass:
-    """:func:`lru_hit_depths` with stack state carried across chunks."""
+    """One LRU stack pass with ``max_depth`` ways over a stream of
+    line-address chunks, recording the stack depth of every hit (the
+    engine behind :func:`lru_hit_depths`; an in-RAM array is one chunk).
+
+    Stack state persists across :meth:`feed` calls, so any chunking
+    yields the same histogram as the whole trace.
+    """
 
     def __init__(self, num_sets: int, max_depth: int,
                  tail_width: int = TAIL_WIDTH):
@@ -590,12 +629,22 @@ class ChunkedDepthPass:
         self._state: Optional[np.ndarray] = None
         self._total = 0
 
-    def feed(self, line_addrs) -> None:
+    def feed(self, line_addrs, collapsed: Optional[int] = None) -> None:
+        """Stream the next chunk of line addresses.
+
+        A reference to the line the previous reference touched is an
+        exact depth-0 hit, so such repeats are dropped before the set
+        sort.  A caller that already dropped them (the paper-grid sweep
+        shares one precollapsed chunk among every family of a line
+        size) passes how many as ``collapsed``.
+        """
         line_addrs = np.asarray(line_addrs)
-        n = len(line_addrs)
-        if n == 0:
+        if collapsed is None:
+            line_addrs, _, collapsed = _precollapse(line_addrs, None, 0)
+        self._total += len(line_addrs) + collapsed
+        self.hist[0] += collapsed
+        if len(line_addrs) == 0:
             return
-        self._total += n
         num_sets = self.num_sets
         set_bits = num_sets.bit_length() - 1
         if line_addrs.dtype == np.uint32 and set_bits >= 2:
@@ -605,27 +654,30 @@ class ChunkedDepthPass:
             lines = line_addrs.astype(np.int64)
             sets = (lines & (num_sets - 1)).astype(np.int32)
             tags = lines >> set_bits
-        sets, tags, _ = _sort_by_set(sets, tags, None)
-        sets, tags, _, collapsed = _collapse_runs(sets, tags, None)
-        self.hist[0] += collapsed
+        sets, tags, _ = _sort_by_set(sets, tags, None, num_sets)
+        sets, tags, _, more = _collapse_runs(sets, tags, None)
+        self.hist[0] += more
         if self._state is None:
             dtype = (tags.dtype if tags.dtype == np.int32 else np.int64)
             self._state = np.full((num_sets, self.max_depth), EMPTY,
                                   dtype=dtype)
         elif tags.dtype != self._state.dtype:
             tags = tags.astype(self._state.dtype)
-
-        class _DepthPass:  # _run_waves only reads these three fields
-            policy = POLICY_LRU
-            write_policy = "write-through"
-            write_allocate = True
-
-        _run_waves(sets, tags, None, _DepthPass, self._state,
+        _run_waves(sets, tags, None, _DepthPassConfig, self._state,
                    depth_hist=self.hist, tail_width=self.tail_width)
 
     def finish(self) -> Tuple[np.ndarray, int]:
+        """``(hist, cold)``: hits per stack depth, and the references
+        that missed at every depth."""
         cold = self._total - int(self.hist.sum())
         return self.hist, cold
+
+    def misses(self, associativities: Sequence[int]) -> Dict[int, int]:
+        """The miss count of every LRU associativity up to
+        ``max_depth`` with this set count (the stack property)."""
+        cumulative = np.cumsum(self.hist)
+        return {assoc: int(self._total - cumulative[assoc - 1])
+                for assoc in associativities}
 
 
 # ----------------------------------------------------------------------
@@ -681,7 +733,8 @@ def simulate(addresses, config: CacheConfig, writes=None,
     addresses, writes, collapsed = _precollapse(
         addresses, writes, offset_bits, allocate=allocate)
     sets, tags = _set_tag_split(addresses, config)
-    sets, tags, writes = _sort_by_set(sets, tags, writes)
+    sets, tags, writes = _sort_by_set(sets, tags, writes,
+                                       config.num_sets)
 
     if config.associativity == 1 and allocate:
         dm = _direct_mapped(sets, tags, writes, config, flush)
@@ -745,41 +798,19 @@ def lru_hit_depths(line_addrs: np.ndarray, num_sets: int, max_depth: int,
     ``line_addrs`` may be a chunk iterator of line-address arrays (the
     out-of-core family pass), streamed with persistent stack state.
     """
+    return _depth_pass(line_addrs, num_sets, max_depth,
+                       tail_width).finish()
+
+
+def _depth_pass(line_addrs, num_sets: int, max_depth: int,
+                tail_width: int = TAIL_WIDTH) -> ChunkedDepthPass:
+    """A :class:`ChunkedDepthPass` fed every chunk of ``line_addrs`` (a
+    chunk iterator, or an in-RAM array as its one chunk)."""
     chunk_iter = as_chunk_iter(line_addrs)
-    if chunk_iter is not None:
-        depth_pass = ChunkedDepthPass(num_sets, max_depth,
-                                      tail_width=tail_width)
-        for chunk in chunk_iter:
-            depth_pass.feed(np.asarray(chunk))
-        return depth_pass.finish()
-    line_addrs = np.asarray(line_addrs)
-    hist = np.zeros(max_depth, dtype=np.int64)
-    n = len(line_addrs)
-    if n == 0:
-        return hist, 0
-    set_bits = num_sets.bit_length() - 1
-    if line_addrs.dtype == np.uint32 and set_bits >= 2:
-        sets = (line_addrs & np.uint32(num_sets - 1)).astype(np.int32)
-        tags = (line_addrs >> np.uint32(set_bits)).astype(np.int32)
-    else:
-        lines = line_addrs.astype(np.int64)
-        sets = (lines & (num_sets - 1)).astype(np.int32)
-        tags = lines >> set_bits
-    sets, tags, _ = _sort_by_set(sets, tags, None)
-    sets, tags, _, collapsed = _collapse_runs(sets, tags, None)
-    hist[0] += collapsed
-    state = np.full((num_sets, max_depth), EMPTY,
-                    dtype=tags.dtype if tags.dtype == np.int32 else np.int64)
-
-    class _DepthPass:  # _run_waves only reads these three fields
-        policy = POLICY_LRU
-        write_policy = "write-through"
-        write_allocate = True
-
-    _hits, _ = _run_waves(sets, tags, None, _DepthPass, state,
-                          depth_hist=hist, tail_width=tail_width)
-    cold = n - int(hist.sum())
-    return hist, cold
+    depth_pass = ChunkedDepthPass(num_sets, max_depth, tail_width=tail_width)
+    for chunk in [line_addrs] if chunk_iter is None else chunk_iter:
+        depth_pass.feed(chunk)
+    return depth_pass
 
 
 def kernel_misses_by_associativity(line_addrs: np.ndarray, num_sets: int,
@@ -788,19 +819,5 @@ def kernel_misses_by_associativity(line_addrs: np.ndarray, num_sets: int,
     """Vectorized counterpart of
     :func:`repro.cache.stackdist.misses_by_associativity`.  Accepts
     the same chunk iterators as :func:`lru_hit_depths`."""
-    max_assoc = max(associativities)
-    if as_chunk_iter(line_addrs) is not None:
-        depth_pass = ChunkedDepthPass(num_sets, max_assoc)
-        total = 0
-        for chunk in line_addrs if hasattr(line_addrs, "__next__") \
-                else iter(line_addrs):
-            chunk = np.asarray(chunk)
-            total += len(chunk)
-            depth_pass.feed(chunk)
-        hist, _cold = depth_pass.finish()
-    else:
-        hist, _cold = lru_hit_depths(line_addrs, num_sets, max_assoc)
-        total = len(np.asarray(line_addrs))
-    cumulative = np.cumsum(hist)
-    return {assoc: int(total - cumulative[assoc - 1])
-            for assoc in associativities}
+    return _depth_pass(line_addrs, num_sets,
+                       max(associativities)).misses(associativities)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -113,14 +114,15 @@ def sweep_paper_grid(addresses: np.ndarray,
 # Parallel sweep engine
 # ----------------------------------------------------------------------
 #
-# The trace is placed in a ``multiprocessing.shared_memory`` segment
-# once; forked workers attach read-only numpy views instead of
-# receiving pickled copies.  Work units are either whole (line size,
-# set count) families of the paper grid (one stack pass each, via the
-# vectorized kernels) or individual ablation configurations.  Results
-# are keyed by unit index, so assembly order — and therefore the
-# returned list — is identical for any job count, including the serial
-# fallback.
+# Workers read the trace as a chunk stream: from a PTRC container on
+# disk, or from a ``multiprocessing.shared_memory`` segment the parent
+# fills once (forked workers attach read-only numpy views, and the
+# array is a single chunk).  Work units are either bundles of (line
+# size, set count) families of the paper grid (one trace stream per
+# bundle, one vectorized stack pass per family) or individual ablation
+# configurations.  Results are keyed by unit index, so assembly order —
+# and therefore the returned list — is identical for any job count,
+# including the serial fallback.
 
 #: Worker-side views of the shared trace, set by :func:`_pool_init`.
 _SHARED: dict = {}
@@ -197,38 +199,63 @@ def _pool_init(shm_name: str, n: int, dtype: str,
                    segments=(shm, wshm))
 
 
-def _family_unit_impl(unit: Tuple[int, int, Tuple[int, ...]]):
-    """Paper-grid unit: one (line size, set count) family, all
-    associativities in a single vectorized stack pass.  In container
-    mode the pass streams chunk by chunk (bounded memory) and returns
-    ``(total_refs, misses)`` — the parent cannot know the post-filter
-    reference count without decoding the trace itself."""
-    from . import kernels
-
-    line, num_sets, assocs = unit
+def _trace_chunks() -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """The worker's trace as ``(addresses, writes)`` chunks: streamed
+    from the PTRC container on disk (one decode window resident), or
+    the shared in-RAM arrays as a single chunk."""
     container = _SHARED.get("container")
-    if container is not None:
-        from ..traces.container import open_chunk_source
+    if container is None:
+        yield _SHARED["addresses"], _SHARED["writes"]
+        return
+    from ..traces.container import open_chunk_source
 
-        src = open_chunk_source(container)
-        total = 0
-        try:
-            def line_chunks():
-                nonlocal total
-                for addrs, _writes in src.cache_chunks(
-                        memory_only=_SHARED["memory_only"]):
-                    total += len(addrs)
-                    yield to_line_addresses(addrs, line)
+    src = open_chunk_source(container)
+    try:
+        yield from src.cache_chunks(memory_only=_SHARED["memory_only"])
+    finally:
+        if hasattr(src, "close"):
+            src.close()
 
-            misses = kernels.kernel_misses_by_associativity(
-                line_chunks(), num_sets, list(assocs))
-        finally:
-            if hasattr(src, "close"):
-                src.close()
-        return (total, misses)
-    line_addrs = to_line_addresses(_SHARED["addresses"], line)
-    return kernels.kernel_misses_by_associativity(line_addrs, num_sets,
-                                                  list(assocs))
+
+class Family(NamedTuple):
+    """One (line size, set count) family of the grid: every requested
+    associativity comes out of a single LRU stack pass."""
+
+    line: int
+    num_sets: int
+    assocs: Tuple[int, ...]
+
+    def __repr__(self) -> str:
+        return f"{self.line}B x {self.num_sets} sets"
+
+
+def _bundle_unit_impl(bundle: Tuple[Family, ...]
+                      ) -> Tuple[int, List[Dict[int, int]]]:
+    """Paper-grid unit: a bundle of families sharing one trace stream.
+
+    The trace is decoded once per bundle, not once per family.  Per
+    chunk and line size, the line addresses and their consecutive
+    same-line precollapse are computed once and fed to every family's
+    :class:`~repro.cache.kernels.ChunkedDepthPass`.  Returns the
+    reference count (the parent cannot know the post-filter count of a
+    container without decoding it) and each family's misses by
+    associativity.
+    """
+    from .kernels import ChunkedDepthPass
+
+    passes = [ChunkedDepthPass(f.num_sets, max(f.assocs)) for f in bundle]
+    lines = sorted({f.line for f in bundle})
+    total = 0
+    for addresses, _writes in _trace_chunks():
+        total += len(addresses)
+        for line in lines:
+            line_addrs, repeats = collapse_consecutive(
+                to_line_addresses(addresses, line))
+            for family, depth_pass in zip(bundle, passes):
+                if family.line == line:
+                    depth_pass.feed(line_addrs, collapsed=repeats)
+    return total, [depth_pass.misses(family.assocs)
+                   for family, depth_pass in zip(bundle, passes)]
 
 
 def _config_unit_impl(config: CacheConfig) -> Tuple[int, int, int, int]:
@@ -236,37 +263,28 @@ def _config_unit_impl(config: CacheConfig) -> Tuple[int, int, int, int]:
     kernels, with the scalar simulator as automatic fallback."""
     from . import kernels
 
-    container = _SHARED.get("container")
-    if container is not None:
-        from ..traces.container import open_chunk_source
-
-        src = open_chunk_source(container)
-        try:
-            stats = kernels.simulate_auto(
-                src.cache_chunks(memory_only=_SHARED["memory_only"]),
-                config)
-        finally:
-            if hasattr(src, "close"):
-                src.close()
-    else:
+    if _SHARED.get("container") is None:
         stats = kernels.simulate_auto(_SHARED["addresses"], config,
                                       writes=_SHARED["writes"])
+    else:
+        stats = kernels.simulate_auto(_trace_chunks(), config)
     return (stats.accesses, stats.misses, stats.writebacks,
             stats.write_throughs)
 
 
-def _family_unit(unit):
-    return _guard(_family_unit_impl, unit)
+def _bundle_unit(bundle):
+    return _guard(_bundle_unit_impl, bundle)
 
 
 def _config_unit(config):
     return _guard(_config_unit_impl, config)
 
 
-def _grid_units(sizes, line_sizes, associativities):
-    """The (line, num_sets) families of the grid, largest first (better
-    load balance: big families take longest), plus the config list each
-    family covers."""
+def _grid_units(sizes, line_sizes, associativities
+                ) -> List[Tuple[Family, List[CacheConfig]]]:
+    """The grid's families, by line size and then ascending set count,
+    each with the configurations it covers.  :func:`_plan_bundles`
+    relies on families of one line size being adjacent."""
     units = []
     for line in line_sizes:
         by_sets: Dict[int, List[CacheConfig]] = {}
@@ -279,8 +297,24 @@ def _grid_units(sizes, line_sizes, associativities):
                 by_sets.setdefault(config.num_sets, []).append(config)
         for num_sets, family in sorted(by_sets.items()):
             assocs = tuple(sorted({c.associativity for c in family}))
-            units.append(((line, num_sets, assocs), family))
+            units.append((Family(line, num_sets, assocs), family))
     return units
+
+
+def _plan_bundles(n: int, jobs: int) -> List[List[int]]:
+    """Cut ``n`` families (ordered by line size, then set count) into
+    ``min(jobs, n)`` contiguous, near-equal bundles of indices, one per
+    worker.
+
+    Every bundle streams the whole trace once.  Keeping each bundle
+    contiguous keeps a line size's families together, so they share the
+    per-chunk line addresses and precollapse; over the paper grid
+    (10 families per line size) ``jobs=2`` gives one bundle per line
+    size.
+    """
+    count = min(max(jobs, 1), n)
+    bounds = [n * k // count for k in range(count + 1)]
+    return [list(range(bounds[k], bounds[k + 1])) for k in range(count)]
 
 
 def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
@@ -307,44 +341,16 @@ def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
     call.
     """
     units = list(units)
-    if container is not None and jobs > 1:
-        try:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(jobs, initializer=_pool_init_container,
-                          initargs=(container, memory_only)) as pool:
-                it = pool.imap(worker, units, chunksize=1)
-                results = []
-                for index, unit in enumerate(units):
-                    try:
-                        if chunk_timeout is not None:
-                            result = it.next(chunk_timeout)
-                        else:
-                            result = next(it)
-                    except multiprocessing.TimeoutError:
-                        raise SweepWorkerError(
-                            f"sweep worker exceeded the {chunk_timeout:g}s "
-                            f"chunk timeout on unit {index} "
-                            f"({unit!r}) — worker killed or wedged"
-                        ) from None
-                    results.append(_check_result(result, unit))
-                return results
-        except (ImportError, OSError, ValueError):
-            pass  # no fork: fall through to serial streaming
-    if container is not None:
-        _SHARED.update(container=container, memory_only=memory_only,
-                       addresses=None, writes=None, segments=())
-        try:
-            return [_check_result(worker(u), u) for u in units]
-        finally:
-            _SHARED.clear()
     if jobs > 1:
         try:
             import multiprocessing
             from multiprocessing import shared_memory
 
             ctx = multiprocessing.get_context("fork")
+            if container is not None:
+                with ctx.Pool(jobs, initializer=_pool_init_container,
+                              initargs=(container, memory_only)) as pool:
+                    return _collect(pool, worker, units, chunk_timeout)
             shm = shared_memory.SharedMemory(create=True,
                                              size=max(1, addresses.nbytes))
             wshm = None
@@ -362,25 +368,7 @@ def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
                         jobs, initializer=_pool_init,
                         initargs=(shm.name, len(addresses),
                                   addresses.dtype.str, writes_name)) as pool:
-                    # imap (not map): per-unit collection makes a
-                    # per-chunk timeout possible at all — map would
-                    # block forever on a unit whose worker was killed.
-                    it = pool.imap(worker, units, chunksize=1)
-                    results = []
-                    for index, unit in enumerate(units):
-                        try:
-                            if chunk_timeout is not None:
-                                result = it.next(chunk_timeout)
-                            else:
-                                result = next(it)
-                        except multiprocessing.TimeoutError:
-                            raise SweepWorkerError(
-                                f"sweep worker exceeded the {chunk_timeout:g}s "
-                                f"chunk timeout on unit {index} "
-                                f"({unit!r}) — worker killed or wedged"
-                            ) from None
-                        results.append(_check_result(result, unit))
-                    return results
+                    return _collect(pool, worker, units, chunk_timeout)
             finally:
                 shm.close()
                 shm.unlink()
@@ -389,11 +377,40 @@ def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
                     wshm.unlink()
         except (ImportError, OSError, ValueError):
             pass  # no fork / no shared memory: fall through to serial
-    _SHARED.update(addresses=addresses, writes=writes, segments=())
+    _SHARED.update(container=container, memory_only=memory_only,
+                   addresses=addresses, writes=writes, segments=())
     try:
         return [_check_result(worker(u), u) for u in units]
     finally:
         _SHARED.clear()
+
+
+def _collect(pool, worker, units: list,
+             chunk_timeout: Optional[float]) -> List:
+    """Map ``worker`` over ``units`` on ``pool``, one unit per task.
+
+    imap (not map): per-unit collection makes a per-chunk timeout
+    possible at all — map would block forever on a unit whose worker
+    was killed.
+    """
+    import multiprocessing
+
+    it = pool.imap(worker, units, chunksize=1)
+    results = []
+    for index, unit in enumerate(units):
+        try:
+            if chunk_timeout is not None:
+                result = it.next(chunk_timeout)
+            else:
+                result = next(it)
+        except multiprocessing.TimeoutError:
+            raise SweepWorkerError(
+                f"sweep worker exceeded the {chunk_timeout:g}s "
+                f"chunk timeout on unit {index} "
+                f"({unit!r}) — worker killed or wedged"
+            ) from None
+        results.append(_check_result(result, unit))
+    return results
 
 
 def sweep_parallel(addresses: Optional[np.ndarray] = None,
@@ -409,10 +426,12 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
                    ) -> List[SweepPoint]:
     """The configuration sweep, fanned out over worker processes.
 
-    Without ``configs`` this runs the paper grid: each (line size,
-    set count) family is one work unit simulated in a single vectorized
-    stack pass (results match :func:`sweep_paper_grid` exactly).  With
-    ``configs`` each configuration is one unit through the batch
+    Without ``configs`` this runs the paper grid: the (line size, set
+    count) families are cut into ``min(jobs, families)`` bundles, each
+    worker streams the trace once for its bundle, and every family is
+    one vectorized stack pass over that stream (results match
+    :func:`sweep_paper_grid` exactly).  With ``configs`` each
+    configuration is one dynamically scheduled unit through the batch
     kernels — any policy/write-mode mix, e.g. the ablation grid — and
     the returned points carry write-back/write-through counts.
 
@@ -458,20 +477,17 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
                 for c, (acc, miss, wb, wt) in zip(configs, results)]
 
     units = _grid_units(sizes, line_sizes, associativities)
-    results = _run_units(_family_unit, [u for u, _ in units], jobs,
-                         addresses, writes, chunk_timeout,
+    bundles = _plan_bundles(len(units), jobs)
+    results = _run_units(_bundle_unit,
+                         [tuple(units[i][0] for i in b) for b in bundles],
+                         jobs, addresses, writes, chunk_timeout,
                          container=container, memory_only=memory_only)
-    if container is not None:
-        # Container-mode family units report (total_refs, misses).
-        total_refs = results[0][0] if results else 0
-        results = [misses for _total, misses in results]
-    else:
-        total_refs = len(addresses)
     points: List[SweepPoint] = []
-    for (_, family), misses in zip(units, results):
-        for config in family:
-            points.append(SweepPoint(config=config, accesses=total_refs,
-                                     misses=misses[config.associativity]))
+    for bundle, (total_refs, misses_list) in zip(bundles, results):
+        for i, misses in zip(bundle, misses_list):
+            for config in units[i][1]:
+                points.append(SweepPoint(config=config, accesses=total_refs,
+                                         misses=misses[config.associativity]))
     points.sort(key=lambda p: (p.config.line_size, p.config.size,
                                p.config.associativity))
     return points

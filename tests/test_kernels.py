@@ -17,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
+    PAPER_ASSOCIATIVITIES,
+    PAPER_LINE_SIZES,
+    PAPER_SIZES,
     Cache,
     CacheConfig,
     KernelUnsupported,
@@ -32,11 +35,16 @@ from repro.cache import (
     misses_by_associativity,
     simulate,
     simulate_auto,
+    SweepWorkerError,
     sweep_paper_grid,
     sweep_parallel,
     to_line_addresses,
 )
+import repro.cache.kernels as kernels
 import repro.cache.sweep as sweep_module
+from repro.device.memmap import KIND_READ, REGION_RAM
+from repro.traces.container import TraceContainer, pack_tokens, write_container
+from tests import cache_oracles as oracle
 
 STAT_FIELDS = ("accesses", "hits", "misses", "writebacks",
                "write_throughs")
@@ -141,6 +149,73 @@ class TestKernelDifferential:
         assert ref == got
 
 
+@st.composite
+def drain_cases(draw):
+    """One set's packed row (distinct tags, some EMPTY ways, dirty bits),
+    the run heads still to drain in it, their write flags and a FIFO
+    insertion pointer.  Tags come from a small range so hits, misses
+    and evictions all occur."""
+    assoc = draw(st.sampled_from([1, 2, 4, 8]))
+    row_tags = draw(st.permutations(range(12)))[:assoc]
+    empty = draw(st.lists(st.booleans(), min_size=assoc, max_size=assoc))
+    dirty = draw(st.lists(st.integers(0, 1), min_size=assoc, max_size=assoc))
+    row = np.array([kernels.EMPTY if e else (t << 1) | d
+                    for t, e, d in zip(row_tags, empty, dirty)],
+                   dtype=np.int32)
+    stream = draw(st.lists(st.tuples(st.integers(0, 14), st.booleans()),
+                           max_size=80))
+    tags = np.array([t for t, _ in stream], dtype=np.int32)
+    writes = np.array([w for _, w in stream], dtype=bool)
+    ptr = draw(st.integers(0, assoc - 1))
+    return assoc, row, tags, writes, ptr
+
+
+class TestScalarDrains:
+    """The unpacked-list tail drains against the list-walking oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=drain_cases(), allocate=st.booleans(),
+           track_dirty=st.booleans(), with_writes=st.booleans())
+    def test_lru_and_fifo_drains_match_oracle(self, case, allocate,
+                                              track_dirty, with_writes):
+        assoc, row, tags, writes, ptr = case
+        if not with_writes:
+            writes = None
+        args = (allocate, track_dirty)
+        assert kernels._drain_lru(tags, writes, row, *args) == \
+            oracle.drain_lru(tags, writes, row, assoc, *args)
+        assert kernels._drain_fifo(tags, writes, row, ptr, assoc, *args) == \
+            oracle.drain_fifo(tags, writes, row, ptr, assoc, *args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=drain_cases())
+    def test_depth_drain_matches_oracle(self, case):
+        assoc, row, tags, _writes, _ptr = case
+        row = row & ~np.int32(1)  # the depth pass never sets dirty bits
+        hist = np.zeros(assoc, dtype=np.int64)
+        hist_ref = np.zeros(assoc, dtype=np.int64)
+        assert kernels._drain_depths(tags, row, assoc, hist) == \
+            oracle.drain_depths(tags, row, assoc, hist_ref)
+        assert np.array_equal(hist, hist_ref)
+
+    @pytest.mark.parametrize("num_sets", [kernels.SORT16_MAX_SETS,
+                                          2 * kernels.SORT16_MAX_SETS])
+    def test_sort_by_set_matches_int32_stable_argsort(self, num_sets):
+        """At the 16-bit boundary the keys are radix-sorted as int16;
+        beyond it they stay int32.  Both must equal the stable int32
+        order (one distinct tag per reference exposes any reordering
+        within a set)."""
+        rng = np.random.default_rng(num_sets)
+        sets = rng.integers(0, num_sets, 20_000).astype(np.int32)
+        sets[:3] = (num_sets - 1, 0, num_sets - 1)
+        tags = np.arange(len(sets), dtype=np.int32)
+        writes = rng.random(len(sets)) < 0.3
+        order = np.argsort(sets, kind="stable")
+        got = kernels._sort_by_set(sets, tags, writes, num_sets)
+        for got_array, array in zip(got, (sets, tags, writes)):
+            assert np.array_equal(got_array, array[order])
+
+
 class TestFamilyStats:
     @settings(max_examples=30, deadline=None)
     @given(trace=traces, num_sets=st.sampled_from([1, 8, 64]))
@@ -171,9 +246,14 @@ def _shm_segments():
     return set(glob.glob("/dev/shm/psm_*"))
 
 
-def _boom(unit):
-    # Module-level so the pool can pickle it by name into workers.
-    raise RuntimeError("injected worker failure")
+def _boom_on_32b_lines(bundle):
+    # Module-level so forked workers resolve it by name.
+    if any(family.line == 32 for family in bundle):
+        raise RuntimeError("injected worker failure")
+    return _real_bundle_unit_impl(bundle)
+
+
+_real_bundle_unit_impl = sweep_module._bundle_unit_impl
 
 
 class TestSweepParallel:
@@ -184,6 +264,66 @@ class TestSweepParallel:
         addrs = (np.repeat(jumps, 8) +
                  2 * np.tile(np.arange(8, dtype=np.uint64), n // 8))
         return addrs.astype(np.uint32)
+
+    def _container(self, tmp_path, addresses):
+        """``addresses`` as RAM reads in a PTRC file of 997-token chunks,
+        so same-line runs straddle chunk boundaries."""
+        kinds = np.full(len(addresses), KIND_READ | (REGION_RAM << 4),
+                        dtype=np.uint8)
+        path = tmp_path / "trace.ptrc"
+        write_container(pack_tokens(addresses, kinds), path,
+                        chunk_tokens=997)
+        return path
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_bundled_grid_matches_serial_reference(self, jobs, tmp_path):
+        addresses = self._trace(16_000)
+        expected = [(p.config, p.accesses, p.misses)
+                    for p in sweep_paper_grid(addresses)]
+        path = self._container(tmp_path, addresses)
+        for points in (sweep_parallel(addresses, jobs=jobs),
+                       sweep_parallel(container=path, jobs=jobs)):
+            assert [(p.config, p.accesses, p.misses)
+                    for p in points] == expected
+
+    def test_container_chunks_decoded_once_per_bundle(self, tmp_path,
+                                                      monkeypatch):
+        path = self._container(tmp_path, self._trace(8_000))
+        with TraceContainer(path) as container:
+            n_chunks = len(container.index)
+        decoded = []
+        decode = TraceContainer.chunk
+
+        def counting_decode(self, i):
+            decoded.append(i)
+            return decode(self, i)
+
+        monkeypatch.setattr(TraceContainer, "chunk", counting_decode)
+        # jobs=1 runs in-process, one bundle holding all 20 families.
+        sweep_parallel(container=path, jobs=1)
+        assert decoded == list(range(n_chunks))
+        # The bundles planned for three workers, run in-process: each
+        # streams the trace once.
+        families = [f for f, _ in sweep_module._grid_units(
+            PAPER_SIZES, PAPER_LINE_SIZES, PAPER_ASSOCIATIVITIES)]
+        bundles = [tuple(families[i] for i in bundle)
+                   for bundle in sweep_module._plan_bundles(len(families), 3)]
+        decoded.clear()
+        sweep_module._run_units(sweep_module._bundle_unit, bundles, 1,
+                                None, None, container=str(path))
+        assert sorted(decoded) == sorted(list(range(n_chunks)) * 3)
+
+    def test_bundle_plan(self):
+        families = [f for f, _ in sweep_module._grid_units(
+            PAPER_SIZES, PAPER_LINE_SIZES, PAPER_ASSOCIATIVITIES)]
+        assert len(families) == 20
+        for jobs in range(1, 25):
+            plan = sweep_module._plan_bundles(len(families), jobs)
+            assert len(plan) == min(jobs, 20)
+            # Contiguous bundles covering every family once, in order.
+            assert [i for bundle in plan for i in bundle] == list(range(20))
+        assert [{families[i].line for i in bundle} for bundle in
+                sweep_module._plan_bundles(len(families), 2)] == [{16}, {32}]
 
     def test_matches_previous_engine(self):
         addresses = self._trace()
@@ -228,14 +368,22 @@ class TestSweepParallel:
         assert _shm_segments() == before
 
     def test_no_leaked_segments_after_worker_raises(self, monkeypatch):
-        """A worker exception propagates and the shared trace segments
-        are still unlinked (workers are forked, so the monkeypatched
-        unit function crosses into them)."""
+        """A worker exception surfaces as a SweepWorkerError naming the
+        failing bundle's families, and the shared trace segments are
+        still unlinked (workers are forked, so the monkeypatched bundle
+        worker crosses into them)."""
 
-        monkeypatch.setattr(sweep_module, "_family_unit", _boom)
+        monkeypatch.setattr(sweep_module, "_bundle_unit_impl",
+                            _boom_on_32b_lines)
         before = _shm_segments()
-        with pytest.raises(RuntimeError, match="injected worker failure"):
+        with pytest.raises(SweepWorkerError,
+                           match="injected worker failure") as info:
             sweep_parallel(self._trace(8_000), jobs=2)
+        message = str(info.value)
+        # jobs=2 gives one bundle per line size; only the 32 B one fails.
+        for num_sets in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048):
+            assert f"32B x {num_sets} sets" in message
+        assert "16B x" not in message
         assert _shm_segments() == before
 
     def test_serial_fallback_used_for_single_job(self, monkeypatch):
