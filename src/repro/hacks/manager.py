@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..m68k.asm import assemble
+from ..m68k.asm import assemble_cached
 from ..palmos import layout as L
 from ..palmos.kernel import EXTENSIONS_DB_NAME
 from ..palmos.rom import _symbols
@@ -60,8 +60,10 @@ class HackManager:
 
     # ------------------------------------------------------------------
     def _assemble_payload(self, spec: HackSpec) -> bytes:
-        program = assemble(spec.source, origin=0, symbols=_symbols())
-        payload = bytearray(program.blob)
+        # Assembly is memoized per source; the header checks below
+        # depend on the spec too, so they run on every call.
+        program = assemble_cached(spec.source, origin=0, symbols=_symbols())
+        payload = program.blob
         # Verify the metadata header matches the spec.
         trap, orig_off = struct.unpack(">HH", payload[:4])
         if trap != int(spec.trap):
@@ -70,7 +72,7 @@ class HackManager:
         horig = program.symbols["horig"]
         if orig_off != horig - 4:  # chain slot offset, relative to the code
             raise ValueError(f"hack {spec.name}: bad chain-slot offset")
-        return bytes(payload)
+        return payload
 
     def install(self, spec: HackSpec) -> InstalledHack:
         if int(spec.trap) in self.installed:

@@ -29,6 +29,7 @@ suffixed ``.s``.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -1062,3 +1063,24 @@ def assemble(source: str, origin: int = 0,
              symbols: Optional[Dict[str, int]] = None) -> Program:
     """Assemble ``source`` at ``origin`` and return the :class:`Program`."""
     return Assembler(symbols).assemble(source, origin)
+
+
+@functools.lru_cache(maxsize=64)
+def _assemble_memo(source: str, origin: int,
+                   symbols: Tuple[Tuple[str, int], ...]) -> Program:
+    return assemble(source, origin, dict(symbols))
+
+
+def assemble_cached(source: str, origin: int = 0,
+                    symbols: Optional[Dict[str, int]] = None) -> Program:
+    """:func:`assemble`, done once per process for each distinct
+    ``(source, origin, symbols)``.
+
+    Every call returns a fresh :class:`Program` (new segment list, new
+    symbol dict; the segments themselves are immutable), so no caller
+    can alter what a later call sees.
+    """
+    key = tuple(sorted((symbols or {}).items()))
+    program = _assemble_memo(source, origin, key)
+    return Program(segments=list(program.segments),
+                   symbols=dict(program.symbols), entry=program.entry)

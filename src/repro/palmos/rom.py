@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..device import constants as C
-from ..m68k.asm import Program, assemble
+from ..m68k.asm import Program, assemble_cached
 from . import layout as L
 from .traps import (
     CALL_APP_RETURNED,
@@ -483,8 +483,9 @@ class RomBuilder:
         return "\n".join(parts)
 
     def build(self) -> Program:
-        program = assemble(self.source(), origin=C.FLASH_BASE,
-                           symbols=_symbols())
+        # Every kernel instance builds the same image; assemble it once.
+        program = assemble_cached(self.source(), origin=C.FLASH_BASE,
+                                  symbols=_symbols())
         self._check(program)
         return program
 
