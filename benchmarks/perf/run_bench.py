@@ -373,7 +373,7 @@ def bench_trace_io(addresses, writes, quick: bool) -> dict:
         "rng = np.random.default_rng(7)\n"
         "tile = (rng.integers(0, 1 << 23, size=1 << 22, dtype=np.uint64)\n"
         "        | (np.uint64(1) << np.uint64(32)))\n"
-        "with ContainerWriter(path, codec='zlib', level=1) as writer:\n"
+        "with ContainerWriter(path, codec='zlib') as writer:\n"
         "    done = 0\n"
         "    while done < refs:\n"
         "        n = min(refs - done, len(tile))\n"

@@ -22,6 +22,13 @@ On-disk layout (all integers little-endian)::
     footer   56 B   offsets/sizes of index + manifest, total tokens,
                     crc32 of the index block, magic "PTRCEND1"
 
+Version 2 (written) stores a compressed chunk as its 8 byte planes —
+plane k holds byte k of every token — so the deflater sees the
+always-zero high bytes and the few kind values as long runs instead
+of 8-byte strides.  Raw-codec payloads are the plain tokens in every
+version.  Version 1 files (compressed plain tokens) still read;
+``palm-repro trace convert`` rewrites them as version 2.
+
 Every chunk frame is self-describing, so a file whose writer died
 before the footer was written (a *torn tail*) is recoverable by
 walking frames from the header — :func:`scan_frames` underlies
@@ -29,9 +36,11 @@ walking frames from the header — :func:`scan_frames` underlies
 24 bytes and payloads are multiples of 8, so raw-codec payloads are
 always 8-byte aligned and the mmap views are true zero-copy arrays.
 
-The digest is computed over the *uncompressed* token bytes: the same
-trace has the same identity no matter which codec stored it.  The
-fleet journal records it per session and verifies it on ``--resume``.
+The CRCs, first/last addresses and digest are computed over the
+*uncompressed* token bytes, never the stored payload: the same trace
+has the same identity no matter which codec or version stored it.
+The fleet journal records the digest per session and verifies it on
+``--resume``.
 """
 
 from __future__ import annotations
@@ -48,7 +57,9 @@ import numpy as np
 from ..device.memmap import KIND_WRITE, REGION_HW
 
 MAGIC = b"PTRC01"
-VERSION = 1
+VERSION = 2
+#: Versions this build reads: 1 (compressed plain tokens) and 2.
+READ_VERSIONS = (1, VERSION)
 FRAME_MAGIC = b"PTCK"
 FOOTER_MAGIC = b"PTRCEND1"
 
@@ -64,6 +75,12 @@ FOOTER_SIZE = _FOOTER.size
 #: amortizes, small enough that a decode window stays far under the
 #: 256 MB out-of-core budget.
 DEFAULT_CHUNK_TOKENS = 1 << 20
+
+#: Compression level per codec.  On the byte planes of a replay trace
+#: zlib level 1 deflates ~2.2x faster than level 6 (20 vs 43 ns/token)
+#: and stores 0.17 vs 0.09 B/token; zstd keeps level 6 (no backend was
+#: available to measure its trade).
+_LEVELS = {"zlib": 1, "zstd": 6}
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 
@@ -122,33 +139,65 @@ def _check_codec(codec: str) -> None:
         f"unknown codec {codec!r} (known: raw, zlib, zstd)")
 
 
-def _encode(codec: str, level: int, raw: bytes) -> bytes:
+def _encode(codec: str, chunk: np.ndarray) -> Union[np.ndarray, bytes]:
+    """The stored payload of a little-endian token chunk: the tokens
+    themselves for ``raw``, else the compressed byte planes."""
+    raw = chunk.view(np.uint8)
     if codec == "raw":
         return raw
+    planes = np.ascontiguousarray(raw.reshape(-1, 8).T)
+    level = _LEVELS[codec]
     if codec == "zlib":
-        return zlib.compress(raw, level)
+        return zlib.compress(planes, level)
     name, mod = _ZSTD  # type: ignore[misc]
     if name == "zstandard":
-        return mod.ZstdCompressor(level=level).compress(raw)
-    return mod.compress(raw, level)
+        return mod.ZstdCompressor(level=level).compress(planes)
+    return mod.compress(planes, level)
 
 
-def _decode(codec: str, payload: bytes, raw_nbytes: int) -> bytes:
-    if codec == "raw":
-        return payload
+def _inflate(codec: str, payload: bytes, nbytes: int) -> bytes:
+    """Decompress a payload into at most ``nbytes`` + 1 bytes (zlib
+    reads a limit of 0 as unbounded), so a frame that lies about its
+    size cannot inflate past it."""
     try:
         if codec == "zlib":
-            return zlib.decompress(payload)
-        name, mod = _ZSTD  # type: ignore[misc]
-        if name == "zstandard":
-            return mod.ZstdDecompressor().decompress(
-                payload, max_output_size=raw_nbytes)
-        return mod.decompress(payload)
+            inflater = zlib.decompressobj()
+            raw = inflater.decompress(payload, nbytes + 1)
+            ended = inflater.eof and not inflater.unconsumed_tail
+        else:
+            name, mod = _ZSTD  # type: ignore[misc]
+            if name == "zstandard":
+                raw = mod.ZstdDecompressor().decompress(
+                    payload, max_output_size=nbytes + 1)
+            else:
+                raw = mod.decompress(payload)
+            ended = True
     except Exception as exc:
         # Corrupt payload bytes surface as codec-specific errors
         # (zlib.error, ZstdError); containers promise one typed error.
         raise TraceContainerError(
             f"undecodable {codec} chunk payload: {exc}") from exc
+    if not ended:
+        raise TraceContainerError(
+            f"{codec} payload does not end within {nbytes} bytes")
+    return raw
+
+
+def _tokens(codec: str, version: int, payload: Union[bytes, memoryview],
+            count: int) -> np.ndarray:
+    """A chunk's ``count`` tokens from its stored payload: inflate,
+    check the length, and put version-2 byte planes back in token
+    order.  Raw payloads come back as zero-copy views."""
+    nbytes = count * 8
+    if codec != "raw":
+        payload = _inflate(codec, payload, nbytes)
+    if len(payload) != nbytes:
+        raise TraceContainerError(
+            f"payload decoded to {len(payload)} bytes, expected {nbytes}")
+    if codec == "raw" or version == 1:
+        return np.frombuffer(payload, dtype="<u8")
+    planes = np.frombuffer(payload, dtype=np.uint8).reshape(8, count)
+    return np.ascontiguousarray(planes.T).view("<u8").reshape(count)
 
 
 # -- token packing --------------------------------------------------------
@@ -220,7 +269,6 @@ class ContainerWriter:
 
     def __init__(self, path, *, codec: str = "zlib",
                  chunk_tokens: int = DEFAULT_CHUNK_TOKENS,
-                 level: int = 6,
                  session: Optional[dict] = None,
                  archive: Optional[dict] = None):
         _check_codec(codec)
@@ -229,7 +277,6 @@ class ContainerWriter:
         self.path = os.fspath(path)
         self.codec = codec
         self.chunk_tokens = int(chunk_tokens)
-        self.level = level
         self.session = dict(session or {})
         self.archive = dict(archive) if archive else None
         self._buf = np.empty(self.chunk_tokens, dtype=np.uint64)
@@ -270,10 +317,10 @@ class ContainerWriter:
         self.append_tokens(pack_tokens(addresses, kinds))
 
     def _emit(self, chunk: np.ndarray) -> None:
-        raw = chunk.astype("<u8", copy=False).tobytes()
-        self._digest.update(raw)
-        crc = zlib.crc32(raw)
-        payload = _encode(self.codec, self.level, raw)
+        chunk = chunk.astype("<u8", copy=False)
+        self._digest.update(chunk)
+        crc = zlib.crc32(chunk)
+        payload = _encode(self.codec, chunk)
         first = int(chunk[0] & _MASK32)
         last = int(chunk[-1] & _MASK32)
         self._fh.write(_FRAME.pack(FRAME_MAGIC, len(payload), len(chunk),
@@ -294,9 +341,8 @@ class ContainerWriter:
         """The sha256 of the raw token stream.  Final once closed."""
         if self._manifest is not None:
             return self._manifest["digest"]
-        tail = self._buf[:self._fill].astype("<u8", copy=False).tobytes()
         d = self._digest.copy()
-        d.update(tail)
+        d.update(self._buf[:self._fill].astype("<u8", copy=False))
         return d.hexdigest()
 
     @property
@@ -387,9 +433,10 @@ class TraceContainer:
             if magic != MAGIC:
                 raise TraceContainerError(
                     f"{self.path}: bad magic {magic!r} (not a PTRC file)")
-            if version != VERSION:
+            if version not in READ_VERSIONS:
                 raise TraceContainerError(
                     f"{self.path}: unsupported PTRC version {version}")
+            self.version = version
             self.codec = codec_raw.rstrip(b"\0").decode("ascii")
             _check_codec(self.codec)
             self.chunk_tokens = chunk_tokens
@@ -421,6 +468,7 @@ class TraceContainer:
                     f"{self.path}: index token total "
                     f"{int(self.index['tokens'].sum())} != footer "
                     f"{self.tokens}")
+            self._check_index(index_offset)
             # Only the raw codec hands out zero-copy views into the
             # file, so only it needs the mapping; compressed chunks
             # are pread() one at a time — touched map pages would
@@ -434,6 +482,22 @@ class TraceContainer:
         except BaseException:
             self._fh.close()
             raise
+
+    def _check_index(self, index_offset: int) -> None:
+        """Every payload must end before the index block, and a raw
+        payload must hold exactly its tokens — so :meth:`chunk` never
+        reads outside the frames region."""
+        offsets = self.index["offset"]
+        nbytes = self.index["nbytes"].astype(np.uint64)
+        limit = np.uint64(index_offset)
+        # Two comparisons, so a huge offset cannot wrap the sum.
+        past = (offsets > limit) | (nbytes > limit - offsets)
+        if self.codec == "raw":
+            past |= nbytes != self.index["tokens"].astype(np.uint64) * 8
+        if past.any():
+            raise TraceContainerError(
+                f"{self.path}: index entry {int(np.flatnonzero(past)[0])} "
+                "lies outside the frames region")
 
     # -- introspection ----------------------------------------------------
     @property
@@ -454,20 +518,15 @@ class TraceContainer:
         offset = int(entry["offset"])
         nbytes = int(entry["nbytes"])
         count = int(entry["tokens"])
-        if self.codec == "raw":
-            return np.frombuffer(self._mmap, dtype="<u8",
-                                 count=count, offset=offset)
-        payload = os.pread(self._fh.fileno(), nbytes, offset)
-        if len(payload) != nbytes:
+        if self._mmap is not None:
+            payload = memoryview(self._mmap)[offset:offset + nbytes]
+        else:
+            payload = os.pread(self._fh.fileno(), nbytes, offset)
+        try:
+            return _tokens(self.codec, self.version, payload, count)
+        except TraceContainerError as exc:
             raise TraceContainerError(
-                f"{self.path}: chunk {i} short read "
-                f"({len(payload)} of {nbytes} bytes)")
-        raw = _decode(self.codec, payload, count * 8)
-        if len(raw) != count * 8:
-            raise TraceContainerError(
-                f"{self.path}: chunk {i} decoded to {len(raw)} bytes, "
-                f"expected {count * 8}")
-        return np.frombuffer(raw, dtype="<u8")
+                f"{self.path}: chunk {i}: {exc}") from exc
 
     def chunks(self, start: int = 0,
                stop: Optional[int] = None) -> Iterator[np.ndarray]:
@@ -509,14 +568,9 @@ class TraceContainer:
     def verify(self, deep: bool = True) -> dict:
         """Check per-chunk crc32s and the manifest digest.  Returns a
         report dict; raises :class:`TraceContainerError` on the first
-        mismatch.  ``deep=False`` checks structure only (offsets and
-        sizes in bounds), without decoding payloads."""
-        size = os.fstat(self._fh.fileno()).st_size
-        for i, entry in enumerate(self.index):
-            end = int(entry["offset"]) + int(entry["nbytes"])
-            if end > size:
-                raise TraceContainerError(
-                    f"{self.path}: chunk {i} extends past end of file")
+        mismatch.  ``deep=False`` returns the structure already checked
+        at open (offsets and sizes in bounds), without decoding
+        payloads."""
         report = {"chunks": len(self.index), "tokens": self.tokens,
                   "codec": self.codec, "deep": bool(deep)}
         if not deep:
@@ -524,8 +578,7 @@ class TraceContainer:
         digest = sha256()
         for i, entry in enumerate(self.index):
             chunk = self.chunk(i)
-            raw = chunk.astype("<u8", copy=False).tobytes()
-            if zlib.crc32(raw) != int(entry["crc32"]):
+            if zlib.crc32(chunk) != int(entry["crc32"]):
                 raise TraceContainerError(
                     f"{self.path}: chunk {i} crc32 mismatch")
             if len(chunk):
@@ -534,7 +587,7 @@ class TraceContainer:
                     raise TraceContainerError(
                         f"{self.path}: chunk {i} first/last address "
                         "mismatch")
-            digest.update(raw)
+            digest.update(chunk)
         if digest.hexdigest() != self.digest:
             raise TraceContainerError(
                 f"{self.path}: digest mismatch — manifest says "
@@ -546,7 +599,12 @@ class TraceContainer:
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
         if self._mmap is not None:
-            self._mmap.close()
+            try:
+                self._mmap.close()
+            except BufferError:
+                # Raw chunk views handed out earlier are still alive;
+                # the mapping is released with the last of them.
+                pass
             self._mmap = None
         self._fh.close()
 
@@ -626,7 +684,7 @@ def scan_frames(path) -> Tuple[List[dict], List[Tuple[str, str]], dict]:
         codec = codec_raw.rstrip(b"\0").decode("ascii", "replace")
         info = {"version": version, "codec": codec,
                 "chunk_tokens": chunk_tokens, "size": size}
-        if version != VERSION:
+        if version not in READ_VERSIONS:
             return [], [("bad-version",
                          f"unsupported version {version}")], info
         try:
@@ -660,17 +718,17 @@ def scan_frames(path) -> Tuple[List[dict], List[Tuple[str, str]], dict]:
                     f"{pos + FRAME_HEADER_SIZE}"))
                 break
             try:
-                raw = _decode(codec, payload, count * 8)
-            except Exception as exc:
+                tokens = _tokens(codec, version, payload, count)
+            except TraceContainerError as exc:
                 problems.append((
                     "undecodable-chunk",
-                    f"chunk {len(entries)}: payload does not decode: "
-                    f"{exc}"))
+                    f"chunk {len(entries)}: payload does not decode "
+                    f"to the header's {count} tokens: {exc}"))
                 break
-            if len(raw) != count * 8 or zlib.crc32(raw) != crc:
+            if zlib.crc32(tokens) != crc:
                 problems.append((
                     "corrupt-chunk",
-                    f"chunk {len(entries)}: crc or length mismatch "
+                    f"chunk {len(entries)}: crc mismatch "
                     f"(header says {count} tokens, crc {crc:#010x})"))
                 break
             entries.append({"offset": pos + FRAME_HEADER_SIZE,
@@ -704,8 +762,8 @@ def recover_container(path, out_path, *,
         for entry in entries:
             src.seek(entry["offset"])
             payload = src.read(entry["nbytes"])
-            raw = _decode(codec, payload, entry["tokens"] * 8)
-            writer.append_tokens(np.frombuffer(raw, dtype="<u8"))
+            writer.append_tokens(_tokens(codec, info["version"], payload,
+                                         entry["tokens"]))
             kept_tokens += entry["tokens"]
     recovery = {
         "chunks_kept": len(entries),

@@ -7,6 +7,11 @@ trace sink, dinero interchange, the fleet's per-session trace archive
 with digest verification on resume, and the CLI surface.
 """
 
+import json
+import tracemalloc
+import zlib
+from hashlib import sha256
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +42,15 @@ from repro.device.memmap import (
 from repro.emulator import ReferenceTrace
 from repro.emulator.profiling import Profiler
 from repro.traces.container import (
+    _FOOTER,
+    _FRAME,
+    _HEADER,
+    _INDEX_DTYPE,
+    FOOTER_MAGIC,
+    FOOTER_SIZE,
+    FRAME_MAGIC,
+    MAGIC,
+    VERSION,
     ContainerWriter,
     TraceArchive,
     TraceContainer,
@@ -140,6 +154,15 @@ class TestContainerRoundTrip:
             assert np.array_equal(back.kinds, kinds)
             counts = container.counts()
         assert counts == trace.counts()
+
+    def test_raw_views_outlive_close(self, tmp_path):
+        tokens = random_tokens(100, seed=11)
+        path = tmp_path / "t.ptrc"
+        write_container(tokens, path, codec="raw", chunk_tokens=64)
+        container = TraceContainer(path)
+        view = container.chunk(1)
+        container.close()
+        assert np.array_equal(view, tokens[64:])
 
     def test_unknown_codec_is_typed_error(self, tmp_path):
         with pytest.raises(TraceContainerError):
@@ -334,6 +357,185 @@ class TestTornSalvage:
         assert result.tokens_kept == 0 and not result.report.ok
         with pytest.raises(TraceContainerError):
             salvage_container(path, tmp_path / "rec2.ptrc", strict=True)
+
+
+# ----------------------------------------------------------------------
+# Format versions, hostile frames and indexes
+# ----------------------------------------------------------------------
+
+def assemble_ptrc(path, frames, *, version=VERSION, codec="zlib",
+                  chunk_tokens=64):
+    """Lay out a PTRC file by hand from ``(payload, tokens)`` pairs:
+    header, frames, index, manifest and footer, with every CRC and the
+    digest taken over the tokens.  Builds what the writer never would
+    (older versions, payloads that contradict their frame)."""
+    out = bytearray(_HEADER.pack(MAGIC, version,
+                                 codec.encode("ascii").ljust(8, b"\0"),
+                                 chunk_tokens, 0))
+    index = np.zeros(len(frames), dtype=_INDEX_DTYPE)
+    digest = sha256()
+    for i, (payload, tokens) in enumerate(frames):
+        raw = tokens.astype("<u8").tobytes()
+        digest.update(raw)
+        first, last = (int(tokens[0] & 0xFFFFFFFF),
+                       int(tokens[-1] & 0xFFFFFFFF))
+        out += _FRAME.pack(FRAME_MAGIC, len(payload), len(tokens),
+                           zlib.crc32(raw), first, last)
+        index[i] = (len(out), len(payload), len(tokens), zlib.crc32(raw),
+                    first, last)
+        out += payload
+    total = int(index["tokens"].sum())
+    manifest = json.dumps({
+        "format": "PTRC", "version": version, "codec": codec,
+        "chunk_tokens": chunk_tokens, "tokens": total,
+        "chunks": len(frames),
+        "payload_bytes": int(index["nbytes"].sum()),
+        "digest": digest.hexdigest(), "session": {}}).encode()
+    index_offset = len(out)
+    out += index.tobytes()
+    manifest_offset = len(out)
+    out += manifest
+    out += _FOOTER.pack(index_offset, index.nbytes, manifest_offset,
+                        len(manifest), total,
+                        zlib.crc32(index.tobytes()), FOOTER_MAGIC)
+    path.write_bytes(bytes(out))
+    return path
+
+
+def v1_container(path, tokens, chunk_tokens=64):
+    """A version-1 file: zlib over the plain token bytes."""
+    frames = [(zlib.compress(block.astype("<u8").tobytes()), block)
+              for block in chunked(tokens, chunk_tokens)]
+    return assemble_ptrc(path, frames, version=1,
+                         chunk_tokens=chunk_tokens)
+
+
+def patch_index(path, i, **fields):
+    """Rewrite index entry ``i`` of a closed container, recomputing
+    the index CRC so that only the entry itself is wrong."""
+    data = bytearray(path.read_bytes())
+    footer = list(_FOOTER.unpack(data[-FOOTER_SIZE:]))
+    index_offset, index_nbytes = footer[0], footer[1]
+    index = np.frombuffer(bytes(data[index_offset:index_offset
+                                     + index_nbytes]),
+                          dtype=_INDEX_DTYPE).copy()
+    for name, value in fields.items():
+        index[name][i] = value
+    data[index_offset:index_offset + index_nbytes] = index.tobytes()
+    footer[5] = zlib.crc32(index.tobytes())
+    data[-FOOTER_SIZE:] = _FOOTER.pack(*footer)
+    path.write_bytes(bytes(data))
+
+
+class TestFormatVersions:
+    def test_v2_zlib_payload_is_byte_planes(self, tmp_path):
+        tokens = random_tokens(100, seed=61)
+        path = tmp_path / "t.ptrc"
+        write_container(tokens, path, chunk_tokens=100)
+        (entry,), problems, info = scan_frames(path)
+        assert not problems and info["version"] == 2
+        payload = path.read_bytes()[entry["offset"]:
+                                    entry["offset"] + entry["nbytes"]]
+        planes = tokens.astype("<u8").view(np.uint8).reshape(-1, 8).T
+        assert zlib.decompress(payload) == planes.tobytes()
+
+    def test_v1_reads_and_matches_v2(self, tmp_path):
+        tokens = random_tokens(300, seed=62)
+        v1 = v1_container(tmp_path / "v1.ptrc", tokens)
+        manifest = write_container(tokens, tmp_path / "v2.ptrc",
+                                   chunk_tokens=64)
+        with TraceContainer(v1) as container:
+            assert container.version == 1
+            assert np.array_equal(container.tokens_array(), tokens)
+            assert container.verify(deep=True)["digest"] == \
+                manifest["digest"]
+
+    def test_torn_v1_recovers_into_v2(self, tmp_path):
+        tokens = random_tokens(400, seed=63)
+        v1 = v1_container(tmp_path / "v1.ptrc", tokens, chunk_tokens=100)
+        entries, problems, info = scan_frames(v1)
+        assert not problems and info["version"] == 1
+        torn = tmp_path / "torn.ptrc"
+        torn.write_bytes(v1.read_bytes()[:entries[-1]["offset"] + 10])
+        out = tmp_path / "rec.ptrc"
+        _, recovery = recover_container(torn, out)
+        assert recovery["chunks_kept"] == 3
+        with TraceContainer(out) as container:
+            assert container.version == VERSION
+            assert np.array_equal(container.tokens_array(), tokens[:300])
+            container.verify(deep=True)
+
+    def test_convert_upgrades_v1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        tokens = random_tokens(500, seed=64)
+        v1 = v1_container(tmp_path / "v1.ptrc", tokens)
+        out = tmp_path / "v2.ptrc"
+        assert main(["trace", "convert", str(v1), str(out)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "info", str(out)]) == 0
+        assert "PTRC v2" in capsys.readouterr().out
+        with TraceContainer(v1) as a, TraceContainer(out) as b:
+            assert a.digest == b.digest
+            b.verify(deep=True)
+
+    def test_future_version_is_typed_error(self, tmp_path):
+        tokens = random_tokens(10, seed=65)
+        path = assemble_ptrc(tmp_path / "v3.ptrc",
+                             [(zlib.compress(tokens.tobytes()), tokens)],
+                             version=3)
+        with pytest.raises(TraceContainerError, match="version 3"):
+            TraceContainer(path)
+        entries, problems, _ = scan_frames(path)
+        assert not entries and problems[0][0] == "bad-version"
+
+
+class TestHostileFrames:
+    def test_oversized_inflation_is_bounded_and_typed(self, tmp_path):
+        # 64 MiB of zeros behind a frame that claims 10 tokens.
+        deflate = zlib.compressobj(9)
+        block = bytes(1 << 20)
+        bomb = b"".join(deflate.compress(block) for _ in range(64))
+        bomb += deflate.flush()
+        tokens = np.zeros(10, dtype=np.uint64)
+        path = assemble_ptrc(tmp_path / "bomb.ptrc", [(bomb, tokens)])
+        with TraceContainer(path) as container:
+            tracemalloc.start()
+            try:
+                with pytest.raises(TraceContainerError,
+                                   match="does not end"):
+                    container.chunk(0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            with pytest.raises(TraceContainerError):
+                container.verify(deep=True)
+        entries, problems, _ = scan_frames(path)
+        assert not entries
+        assert problems[0][0] == "undecodable-chunk"
+
+    def test_short_inflation_is_typed(self, tmp_path):
+        tokens = random_tokens(10, seed=66)
+        path = assemble_ptrc(tmp_path / "short.ptrc",
+                             [(zlib.compress(bytes(40)), tokens)])
+        with TraceContainer(path) as container:
+            with pytest.raises(TraceContainerError, match="expected 80"):
+                container.chunk(0)
+
+    @pytest.mark.parametrize("fields", [
+        {"offset": 1 << 20},            # past the end of the file
+        {"nbytes": 1 << 20},            # runs past the index block
+        {"offset": (1 << 64) - 8},      # offset + nbytes wraps
+        {"nbytes": 8 * 64 - 8},         # raw: fewer bytes than tokens
+    ])
+    def test_index_outside_frames_is_typed_at_open(self, tmp_path, fields):
+        path = tmp_path / "raw.ptrc"
+        write_container(random_tokens(256, seed=67), path, codec="raw",
+                        chunk_tokens=64)
+        patch_index(path, 1, **fields)
+        with pytest.raises(TraceContainerError, match="index entry 1"):
+            TraceContainer(path)
 
 
 # ----------------------------------------------------------------------
@@ -629,6 +831,23 @@ class TestCliTrace:
         din = tmp_path / "t.din"
         assert main(["trace", "convert", str(ptrc), str(din)]) == 0
         assert din.stat().st_size > 0
+
+    def test_convert_between_codecs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ptrc = self.make_container(tmp_path)
+        raw = tmp_path / "raw.ptrc"
+        back = tmp_path / "back.ptrc"
+        assert main(["trace", "convert", str(ptrc), str(raw), "--codec",
+                     "raw", "--chunk-tokens", "100"]) == 0
+        assert main(["trace", "convert", str(raw), str(back)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "info", str(back)]) == 0
+        assert "PTRC v2" in capsys.readouterr().out
+        with TraceContainer(ptrc) as a, TraceContainer(raw) as b, \
+                TraceContainer(back) as c:
+            assert a.digest == b.digest == c.digest
+            assert b.n_chunks == 5 and c.n_chunks == 1
 
     def test_verify_salvage_recovers_prefix(self, tmp_path, capsys):
         from repro.cli import main
