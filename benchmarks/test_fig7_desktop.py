@@ -11,7 +11,7 @@ same trend agreement between the two workloads.
 import numpy as np
 
 from repro.analysis import format_miss_rates
-from repro.cache import PAPER_SIZES, grid_by_config, sweep_paper_grid
+from repro.cache import PAPER_SIZES, grid_by_config, sweep_parallel
 from repro.traces import generate_desktop_trace
 
 from conftest import FULL_SCALE, once
@@ -22,7 +22,7 @@ TRACE_LEN = 2_000_000 if FULL_SCALE else 600_000
 def test_fig7_desktop_trace(case_study_trace, benchmark):
     desktop = once(benchmark,
                    lambda: generate_desktop_trace(TRACE_LEN, seed=2005))
-    points = sweep_paper_grid(desktop)
+    points = sweep_parallel(desktop)
     print(f"\ndesktop trace: {len(desktop):,} references")
     print(format_miss_rates(
         points, title="Figure 7. Miss Rates For A Desktop Address Trace (%)."))
@@ -38,7 +38,7 @@ def test_fig7_desktop_trace(case_study_trace, benchmark):
     # Trend 2: the *same* trends as the Palm trace — rank-correlate the
     # two grids: configurations that miss more on the Palm trace should
     # miss more on the desktop trace too.
-    palm_grid = grid_by_config(sweep_paper_grid(case_study_trace[:TRACE_LEN]))
+    palm_grid = grid_by_config(sweep_parallel(case_study_trace[:TRACE_LEN]))
     keys = sorted(grid)
     palm_rates = np.array([palm_grid[k].miss_rate for k in keys])
     desk_rates = np.array([grid[k].miss_rate for k in keys])

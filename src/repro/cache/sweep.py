@@ -234,26 +234,29 @@ def _bundle_unit_impl(bundle: Tuple[Family, ...]
     """Paper-grid unit: a bundle of families sharing one trace stream.
 
     The trace is decoded once per bundle, not once per family.  Per
-    chunk and line size, the line addresses and their consecutive
-    same-line precollapse are computed once and fed to every family's
-    :class:`~repro.cache.kernels.ChunkedDepthPass`.  Returns the
-    reference count (the parent cannot know the post-filter count of a
-    container without decoding it) and each family's misses by
+    chunk and line size, the families' set-sorted run heads are built
+    in ascending set count, each refined from the previous family's
+    (:func:`~repro.cache.kernels.refined_runs`), and fed to that
+    family's :class:`~repro.cache.kernels.ChunkedDepthPass`.  Returns
+    the reference count (the parent cannot know the post-filter count
+    of a container without decoding it) and each family's misses by
     associativity.
     """
-    from .kernels import ChunkedDepthPass
+    from .kernels import ChunkedDepthPass, refined_runs
 
     passes = [ChunkedDepthPass(f.num_sets, max(f.assocs)) for f in bundle]
-    lines = sorted({f.line for f in bundle})
+    by_line: Dict[int, list] = {}
+    for family, depth_pass in sorted(zip(bundle, passes),
+                                     key=lambda fp: fp[0].num_sets):
+        by_line.setdefault(family.line, []).append(depth_pass)
     total = 0
     for addresses, _writes in _trace_chunks():
         total += len(addresses)
-        for line in lines:
-            line_addrs, repeats = collapse_consecutive(
-                to_line_addresses(addresses, line))
-            for family, depth_pass in zip(bundle, passes):
-                if family.line == line:
-                    depth_pass.feed(line_addrs, collapsed=repeats)
+        for line, line_passes in by_line.items():
+            runs = refined_runs(to_line_addresses(addresses, line),
+                                [p.num_sets for p in line_passes])
+            for depth_pass, (sets, tags, collapsed) in zip(line_passes, runs):
+                depth_pass.feed_sorted(sets, tags, collapsed)
     return total, [depth_pass.misses(family.assocs)
                    for family, depth_pass in zip(bundle, passes)]
 

@@ -5,7 +5,13 @@ These are the original list-walking drains: they keep the packed
 production drains in :mod:`repro.cache.kernels` unpack the row into
 parallel tag/dirty lists instead; the differential tests require both
 to produce identical counts, rows and FIFO pointers.
+
+:func:`lru_depth_state` gives the final stacks of a whole LRU depth
+pass, packed like the kernels' way matrix, so the differential tests
+can compare state as well as counts.
 """
+
+from repro.cache.kernels import EMPTY
 
 
 def drain_lru(tags, writes, row, assoc, allocate, track_dirty):
@@ -80,3 +86,20 @@ def drain_depths(tags, row, assoc, hist):
             packed = t << 1
         row.insert(0, packed)
     return cold, row
+
+
+def lru_depth_state(line_addrs, num_sets, max_depth):
+    """Final per-set LRU stacks of a ``max_depth``-way pass over line
+    addresses, one row per set: ``tag << 1``, MRU first, EMPTY-padded."""
+    tag_shift = num_sets.bit_length() - 1
+    stacks = [[] for _ in range(num_sets)]
+    for line in line_addrs:
+        line = int(line)
+        stack = stacks[line & (num_sets - 1)]
+        tag = line >> tag_shift
+        if tag in stack:
+            stack.remove(tag)
+        stack.insert(0, tag)
+        del stack[max_depth:]
+    return [[t << 1 for t in stack] + [EMPTY] * (max_depth - len(stack))
+            for stack in stacks]
