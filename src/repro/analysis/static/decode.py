@@ -6,11 +6,12 @@ deltas.  :func:`decode_insn` produces an :class:`Insn` carrying all of
 that.
 
 Legality is **decoder-driven**: a word is illegal exactly when the
-interpreter's dispatch table (:mod:`repro.m68k.decoder`) maps it to
-``None`` — so the analyzer and the CPU can never disagree about which
-words execute.  The instruction *length* accounting below mirrors the
-interpreter's extension-word fetches; a test sweeps all 65536 words and
-checks it against :func:`repro.m68k.disasm.disassemble_one`.
+interpreter's dispatch table (:mod:`repro.m68k.decoder`) resolves it
+to ``None`` — so the analyzer and the CPU can never disagree about
+which words execute.  Asking builds just that word's slot.  The
+instruction *length* accounting below mirrors the interpreter's
+extension-word fetches; a test sweeps all 65536 words and checks it
+against :func:`repro.m68k.disasm.disassemble_one`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from ...m68k.decoder import resolve
 from ...m68k.disasm import disassemble_one
 
 M32 = 0xFFFFFFFF
@@ -34,23 +36,6 @@ K_STOP = "stop"              # stop #imm: falls through after an interrupt
 K_ILLEGAL = "illegal"        # no handler in the dispatch table
 K_EXCEPTION = "exception"    # trap #n / illegal mnemonic: vectors away
 
-_dispatch_cache: Optional[list] = None
-
-
-def _dispatch() -> list:
-    """The interpreter's 65536-entry dispatch table (shared, lazy)."""
-    global _dispatch_cache
-    if _dispatch_cache is None:
-        from ...m68k.cpu import CPU
-        if CPU._dispatch is not None:
-            _dispatch_cache = CPU._dispatch
-        else:
-            from ...m68k.decoder import build_dispatch_table
-            _dispatch_cache = build_dispatch_table()
-            CPU._dispatch = _dispatch_cache
-    return _dispatch_cache
-
-
 def is_legal(op: int) -> bool:
     """True when the interpreter has a handler for this opcode word
     (A-line and F-line words count as legal: the emulator services
@@ -58,7 +43,7 @@ def is_legal(op: int) -> bool:
     group = op >> 12
     if group in (0xA, 0xF):
         return True
-    return _dispatch()[op] is not None
+    return resolve(op) is not None
 
 
 @dataclass

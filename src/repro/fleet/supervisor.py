@@ -54,7 +54,7 @@ from .journal import (
     write_json_atomic,
     write_manifest,
 )
-from .worker import plan_to_json, worker_main
+from .worker import plan_to_json, prewarm, worker_main
 
 #: How often the supervisor wakes to reap/spawn when no messages flow.
 _POLL_SECONDS = 0.1
@@ -179,6 +179,9 @@ class FleetSupervisor:
         self._progress(f"{len(todo)} of {len(plans)} session(s) to run "
                        f"({self.jobs} worker(s))")
 
+        if todo:
+            # Before the first fork: workers inherit what this builds.
+            prewarm(p.cell.app_mix for p in todo)
         interrupted = False
         counters = {"ran": 0, "retried": 0, "crashes": 0, "hangs": 0}
         with CampaignJournal(self.out_dir / JOURNAL_NAME) as journal:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from typing import Iterable, Sequence
 
 from .campaign import SessionPlan, mix_to_apps
 
@@ -205,6 +206,32 @@ def run_session(plan: SessionPlan, *, policy: str = "resync",
         # byte-identical stats records across versions.
         record["trace_digest"] = trace_digest
     return record
+
+
+def prewarm(app_mixes: Iterable[Sequence[str]]) -> None:
+    """Do once, in the calling process, the set-up every session would
+    otherwise repeat: import :func:`run_session`'s stage modules and
+    assemble the ROM image of each app mix plus the five collection
+    hacks into the :func:`repro.m68k.asm.assemble_cached` memo.
+
+    The supervisor calls this before it forks, so every worker inherits
+    the modules and the memo through copy-on-write pages.  Stats records
+    are unaffected: the memo hands each caller a fresh program.
+    """
+    from ..analysis import energy  # noqa: F401
+    from ..cache import kernels  # noqa: F401
+    from ..hacks import standard_hacks
+    from ..hacks.manager import hack_payload
+    from ..m68k import blockcore, fuse  # noqa: F401
+    from ..palmos.rom import RomBuilder
+    from ..resilience import replay  # noqa: F401
+    from ..traces import container  # noqa: F401
+    from ..workloads import gremlins, sessions, volunteer  # noqa: F401
+
+    for mix in set(map(tuple, app_mixes)):
+        RomBuilder(mix_to_apps(mix)).build()
+    for spec in standard_hacks():
+        hack_payload(spec)
 
 
 def worker_main(plan_json: dict, queue, attempt: int,

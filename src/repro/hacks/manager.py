@@ -51,6 +51,23 @@ def installed_hack_traps(kernel) -> List[int]:
     return traps
 
 
+def hack_payload(spec: HackSpec) -> bytes:
+    """The hack's record payload: its assembled, header-checked code."""
+    # Assembly is memoized per source; the header checks below depend
+    # on the spec too, so they run on every call.
+    program = assemble_cached(spec.source, origin=0, symbols=_symbols())
+    payload = program.blob
+    # Verify the metadata header matches the spec.
+    trap, orig_off = struct.unpack(">HH", payload[:4])
+    if trap != int(spec.trap):
+        raise ValueError(f"hack {spec.name}: header trap {trap} != "
+                         f"{int(spec.trap)}")
+    horig = program.symbols["horig"]
+    if orig_off != horig - 4:  # chain slot offset, relative to the code
+        raise ValueError(f"hack {spec.name}: bad chain-slot offset")
+    return payload
+
+
 class HackManager:
     """Installs and removes trap patches on a live kernel."""
 
@@ -59,26 +76,11 @@ class HackManager:
         self.installed: Dict[int, InstalledHack] = {}  # by trap index
 
     # ------------------------------------------------------------------
-    def _assemble_payload(self, spec: HackSpec) -> bytes:
-        # Assembly is memoized per source; the header checks below
-        # depend on the spec too, so they run on every call.
-        program = assemble_cached(spec.source, origin=0, symbols=_symbols())
-        payload = program.blob
-        # Verify the metadata header matches the spec.
-        trap, orig_off = struct.unpack(">HH", payload[:4])
-        if trap != int(spec.trap):
-            raise ValueError(f"hack {spec.name}: header trap {trap} != "
-                             f"{int(spec.trap)}")
-        horig = program.symbols["horig"]
-        if orig_off != horig - 4:  # chain slot offset, relative to the code
-            raise ValueError(f"hack {spec.name}: bad chain-slot offset")
-        return payload
-
     def install(self, spec: HackSpec) -> InstalledHack:
         if int(spec.trap) in self.installed:
             raise ValueError(f"trap {spec.trap.name} already hacked")
         kernel = self.kernel
-        payload = self._assemble_payload(spec)
+        payload = hack_payload(spec)
         dm = kernel.dm_host
         ext_db = dm.find(EXTENSIONS_DB_NAME)
         if not ext_db:

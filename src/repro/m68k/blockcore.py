@@ -69,6 +69,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .cpu import CPU
+from .decoder import resolve
 
 _MASK32 = 0xFFFFFFFF
 
@@ -375,7 +376,6 @@ class BlockCore:
         data = backing.data
         base = backing.base
         size = len(data)
-        table = self.cpu.dispatch_table
 
         def fetch(a: int) -> int:
             off = a - base
@@ -393,7 +393,9 @@ class BlockCore:
                 break
             off = addr - base
             op = (data[off] << 8) | data[off + 1]
-            handler = table[op]
+            # Resolved before the snapshot: entries never hold an
+            # unbuilt slot.
+            handler = resolve(op)
             if handler is None:
                 group = op >> 12
                 if group in (0xA, 0xF):

@@ -5,9 +5,9 @@ m515: a 68EC000 integer core with big-endian memory, eight data and
 eight address registers, and the classic 68000 exception model.
 
 The interpreter is table-driven: a 65536-entry dispatch table maps every
-opcode word to a specialised handler closure (built once per process by
-:mod:`repro.m68k.decoder`).  Two host hooks mirror the structure of the
-Palm OS Emulator described in the paper:
+opcode word to a specialised handler closure, built the first time the
+word executes (:mod:`repro.m68k.decoder`).  Two host hooks mirror the
+structure of the Palm OS Emulator described in the paper:
 
 * ``aline_handler`` — Palm OS system calls are A-line instructions
   (``0xAxxx``).  With profiling *off* the emulator services them
@@ -22,11 +22,11 @@ Palm OS Emulator described in the paper:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from .bus import Bus
+from .decoder import TABLE, resolve
 from .errors import CpuHalted, IllegalInstructionError
-from .instructions import Handler
 
 # Exception vector numbers (68000).
 VEC_RESET_SSP = 0
@@ -52,8 +52,6 @@ _MASK32 = 0xFFFFFFFF
 
 class CPU:
     """A 68000-family CPU attached to a :class:`~repro.m68k.bus.Bus`."""
-
-    _dispatch: Optional[List[Optional[Handler]]] = None  # shared, built lazily
 
     def __init__(
         self,
@@ -93,18 +91,9 @@ class CPU:
         #: attributing them to the previously executed opcode.
         self.interrupt_hook: Optional[Callable[[], None]] = None
 
-        table = CPU._dispatch
-        if table is None:
-            from .decoder import dispatch_table
-
-            table = CPU._dispatch = dispatch_table()
-        self._table = table
-
-    @property
-    def dispatch_table(self) -> List[Optional[Handler]]:
-        """The 65536-entry opcode handler table (shared, read-only by
-        convention).  Replay cores predecode handlers out of it."""
-        return self._table
+        # The process-wide dispatch table (:mod:`repro.m68k.decoder`);
+        # unbuilt slots are falsy and resolved on their first step.
+        self._table = TABLE
 
     # ------------------------------------------------------------------
     # Status register
@@ -282,10 +271,12 @@ class CPU:
         if self.opcode_hook is not None:
             self.opcode_hook(op)
         handler = self._table[op]
-        if handler is None:
-            self._illegal(op)
-        else:
-            handler(self)
+        if not handler:
+            handler = resolve(op)
+            if handler is None:
+                self._illegal(op)
+                return
+        handler(self)
 
     def _illegal(self, op: int) -> None:
         # On entry pc points just past the faulting word.  A-line/F-line

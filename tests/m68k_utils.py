@@ -4,10 +4,17 @@ from __future__ import annotations
 
 from repro.m68k import CPU, FlatMemory
 from repro.m68k.asm import assemble
+from repro.m68k.instructions import build_handler
 
 CODE_BASE = 0x1000
 STACK_TOP = 0x20000
 RAM_SIZE = 0x40000
+
+
+def build_dispatch_table():
+    """The full 65536-entry dispatch table, built eagerly: the oracle
+    for the lazily built table of :mod:`repro.m68k.decoder`."""
+    return [build_handler(op) for op in range(0x10000)]
 
 
 EXIT_OPCODE = 0xFFFF  # F-line word used as a flag-preserving "exit to host"

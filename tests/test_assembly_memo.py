@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import standard_apps
 from repro.device import constants as C
-from repro.hacks import HackManager
+from repro.hacks.manager import hack_payload
 from repro.hacks.logging_hacks import evt_enqueue_key_hack, sys_random_hack
 from repro.m68k.asm import assemble
 from repro.palmos import Trap
@@ -49,9 +49,8 @@ def test_distinct_app_lists_get_distinct_entries():
 
 def test_payload_memo_matches_direct_assembly():
     spec = sys_random_hack()
-    manager = HackManager(None)
-    payload = manager._assemble_payload(spec)
-    assert payload == manager._assemble_payload(spec)
+    payload = hack_payload(spec)
+    assert payload == hack_payload(spec)
     assert payload == assemble(spec.source, origin=0,
                                symbols=_symbols()).blob
 
@@ -60,8 +59,7 @@ def test_header_checks_run_on_every_call():
     # Same source, so the second call is a memo hit; the spec's trap
     # no longer matches the assembled header and must still be caught.
     spec = evt_enqueue_key_hack()
-    manager = HackManager(None)
-    manager._assemble_payload(spec)
+    hack_payload(spec)
     wrong = dataclasses.replace(spec, trap=Trap.SysRandom)
     with pytest.raises(ValueError, match="header trap"):
-        manager._assemble_payload(wrong)
+        hack_payload(wrong)

@@ -36,6 +36,7 @@ from repro.fleet import (
 from repro.fleet.aggregate import STATS_KEYS, percentile
 from repro.fleet.journal import JOURNAL_NAME
 from repro.fleet.supervisor import resume_campaign
+from repro.fleet.worker import run_session
 
 # A deliberately tiny campaign: one cell, short gremlin sessions.
 TINY = dict(
@@ -283,6 +284,24 @@ class TestLiveCampaign:
             assert stats["events"] > 0
             assert 0.0 < stats["miss_rate"] < 1.0
             assert stats["energy_savings"] > 0.5
+
+    def test_jobs_and_prewarm_leave_stats_byte_identical(self, tmp_path):
+        """A chaos-free campaign aggregates byte-identically at jobs=1
+        and jobs=2, and every record equals an in-process run_session:
+        what the supervisor pre-warms before forking (stage imports,
+        the ROM/hack assembly memo) never reaches a worker's stats."""
+        spec = tiny_spec(3)
+        for jobs in (1, 2):
+            result = run_campaign(spec, tmp_path / f"jobs{jobs}", jobs=jobs,
+                                  hang_timeout=300.0)
+            assert result.complete and result.completed == 3
+        serial = (tmp_path / "jobs1" / "aggregates.json").read_bytes()
+        assert serial == (tmp_path / "jobs2" / "aggregates.json").read_bytes()
+        sessions = json.loads(serial)["sessions"]
+        for plan in spec.expand():
+            assert run_session(plan, policy=spec.policy,
+                               checkpoint_every=spec.checkpoint_every) \
+                == sessions[str(plan.index)]
 
     def test_worker_crash_is_retried_then_quarantined(self, tmp_path):
         # Crash on EVERY attempt: the session must exhaust its retry

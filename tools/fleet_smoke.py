@@ -12,7 +12,10 @@ Checks the contract the supervisor promises:
   is quarantined;
 * ``--resume`` on the finished campaign is a no-op that reproduces
   ``aggregates.json`` byte-for-byte (the journal is the source of
-  truth, the aggregate a pure function of it).
+  truth, the aggregate a pure function of it);
+* a clean 4-session campaign writes byte-identical ``aggregates.json``
+  at ``jobs=1`` and ``jobs=2`` (worker scheduling and what the
+  supervisor pre-warms before forking never reach the stats).
 
 Run from a checkout: ``python tools/fleet_smoke.py``.
 """
@@ -81,6 +84,18 @@ def main() -> int:
               resumed.ran == 0)
         check("resume reproduces aggregates byte-for-byte",
               (out / "aggregates.json").read_bytes() == first)
+
+        clean = CampaignSpec(
+            name="fleet-smoke-clean", sessions=4, seed=4321,
+            app_mixes=spec.app_mixes, behaviors=spec.behaviors,
+            durations=spec.durations, caches=spec.caches)
+        aggregates = []
+        for jobs in (1, 2):
+            clean_out = Path(tmp) / f"clean-jobs{jobs}"
+            run_campaign(clean, clean_out, jobs=jobs, hang_timeout=300.0)
+            aggregates.append((clean_out / "aggregates.json").read_bytes())
+        check("clean campaign aggregates identical at jobs=1 and jobs=2",
+              aggregates[0] == aggregates[1])
 
     if FAILURES:
         print(f"\n{len(FAILURES)} fleet smoke failure(s): "
