@@ -599,7 +599,7 @@ class BlockCore:
                         block.fetch_refs += refs
                     if profiler is not None \
                             and len(profiler._pending) >= _TRACE_CHUNK:
-                        profiler._flush_trace()
+                        profiler._stage_pending()
             else:
                 try:
                     if fast_append is not None and opcounts is not None:
@@ -654,7 +654,7 @@ class BlockCore:
                                     opcounts[entries[i][3]] += 1
                     if profiler is not None \
                             and len(profiler._pending) >= _TRACE_CHUNK:
-                        profiler._flush_trace()
+                        profiler._stage_pending()
 
             # -- trap tail: the A/F-line word the block decoded up to.
             tail = block.tail

@@ -32,9 +32,12 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from .errors import CheckpointError
+
+if TYPE_CHECKING:
+    from ..emulator.profiling import TraceSnapshot
 
 MAGIC = b"PRCKPT01"
 FORMAT_VERSION = 1
@@ -46,10 +49,17 @@ _COMPRESS_THRESHOLD = 4096
 @dataclass
 class Checkpoint:
     """One captured machine state: a JSON-safe manifest plus named
-    binary sections."""
+    binary sections.
+
+    A captured profiler trace is held by reference in ``trace`` (its
+    sealed chunks are shared with the live profiler and with other
+    checkpoints) and becomes the ``prof_addr``/``prof_kind`` sections
+    only when the checkpoint is serialized.
+    """
 
     manifest: dict
     sections: Dict[str, bytes] = field(default_factory=dict)
+    trace: Optional[TraceSnapshot] = field(default=None, compare=False)
 
     @property
     def tick(self) -> int:
@@ -61,8 +71,12 @@ class Checkpoint:
     def to_bytes(self) -> bytes:
         index: List[list] = []
         payload = bytearray()
-        for name in sorted(self.sections):
-            blob = self.sections[name]
+        sections = dict(self.sections)
+        if self.trace is not None:
+            sections["prof_addr"], sections["prof_kind"] = \
+                self.trace.section_bytes()
+        for name in sorted(sections):
+            blob = sections[name]
             compressed = len(blob) >= _COMPRESS_THRESHOLD
             stored = zlib.compress(bytes(blob), 6) if compressed else bytes(blob)
             index.append([name, len(stored), compressed])
@@ -186,6 +200,7 @@ def capture_emulator(emulator: Any) -> Checkpoint:
     state["card"] = card_state
 
     profiler = emulator.profiler
+    trace: Optional[TraceSnapshot] = None
     if profiler is not None:
         state["profiler"] = {
             "trace_references": profiler.trace_references,
@@ -194,9 +209,7 @@ def capture_emulator(emulator: Any) -> Checkpoint:
         sections["prof_opcode_counts"] = profiler.opcode_counts.tobytes()
         sections["prof_counts"] = profiler.counts_bytes()
         if profiler.trace_references:
-            addr_blob, kind_blob = profiler.trace_bytes()
-            sections["prof_addr"] = addr_blob
-            sections["prof_kind"] = kind_blob
+            trace = profiler.trace_snapshot()
         if profiler.opcode_addresses:
             addrs = array("I", profiler.opcode_addresses.keys())
             ops = array("H", profiler.opcode_addresses.values())
@@ -206,7 +219,7 @@ def capture_emulator(emulator: Any) -> Checkpoint:
         state["profiler"] = None
 
     manifest = {"tick": device.timer.tick, "emulator": state}
-    return Checkpoint(manifest=manifest, sections=sections)
+    return Checkpoint(manifest=manifest, sections=sections, trace=trace)
 
 
 def restore_emulator(emulator: Any, checkpoint: Checkpoint) -> None:
@@ -314,7 +327,9 @@ def restore_emulator(emulator: Any, checkpoint: Checkpoint) -> None:
         profiler.opcode_counts = array("Q")
         profiler.opcode_counts.frombytes(checkpoint.sections["prof_opcode_counts"])
         profiler.restore_counts(checkpoint.sections["prof_counts"])
-        if prof_state["trace_references"]:
+        if checkpoint.trace is not None:
+            profiler.restore_snapshot(checkpoint.trace)
+        elif prof_state["trace_references"]:
             profiler.restore_trace(checkpoint.sections["prof_addr"],
                                    checkpoint.sections["prof_kind"])
         profiler.opcode_addresses = {}

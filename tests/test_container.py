@@ -643,6 +643,25 @@ class TestProfilerStreaming:
             assert profiler.counts_dict() == \
                 container.reference_trace().counts()
 
+    def test_spill_guards_a_trace_shorter_than_one_chunk(self, tmp_path):
+        # Nothing has been sealed (or spilled) yet, but the in-RAM
+        # readers must still refuse: they would silently see only the
+        # unsealed tail of a trace whose head lives in the container.
+        path = tmp_path / "short.ptrc"
+        profiler = Profiler()
+        with ContainerWriter(path) as writer:
+            profiler.attach_trace_sink(writer, spill=True)
+            for i in range(100):
+                profiler.reference(0x1000 + 2 * i, 1, 0)
+            with pytest.raises(RuntimeError, match="spilled"):
+                list(profiler.chunks())
+            with pytest.raises(RuntimeError, match="spilled"):
+                profiler.reference_trace()
+            assert profiler.trace_tokens == 100
+            profiler.flush_trace_sink()
+        with TraceContainer(path) as container:
+            assert container.tokens == 100
+
 
 # ----------------------------------------------------------------------
 # Dinero interchange (vectorized writer, streaming reader/converters)

@@ -149,6 +149,86 @@ class TestCheckpointResume:
             assert log_tuples(emulator.kernel) == ref_log
 
 
+# ----------------------------------------------------------------------
+# Checkpoints hold the profiler trace by reference
+# ----------------------------------------------------------------------
+#: A chunk grain small enough that the short session spans many sealed
+#: chunks (it records ~150k tokens).
+SMALL_CHUNK = 8192
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    from repro.emulator import profiling
+    from repro.m68k import blockcore
+    blockcore._resolve_profiler()     # so the patch is not overwritten
+    monkeypatch.setattr(profiling, "TRACE_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(blockcore, "_TRACE_CHUNK", SMALL_CHUNK)
+    return SMALL_CHUNK
+
+
+def profiled_run_with_checkpoints(session, hook=None, every=100):
+    cps = []
+    emulator = Emulator(apps=_APPS, **EMU_KW)
+    emulator.load_state(session.initial_state, final_reset=False)
+    emulator.start_profiling(trace_references=True)
+
+    def keep(cp):
+        cps.append(cp)
+        if hook is not None:
+            hook(cp)
+    driver = PlaybackDriver(emulator, session.log, checkpoint_every=every,
+                            checkpoint_hook=keep)
+    result = driver.run(reset=True)
+    return emulator, result, cps
+
+
+def profiler_fingerprint(prof):
+    return (prof.instructions, bytes(prof.opcode_counts),
+            prof.counts_bytes(), prof.trace_bytes(), prof.counts_dict())
+
+
+class TestCheckpointTraceByReference:
+    def test_serialization_ignores_later_recording(self, session,
+                                                   small_chunks):
+        at_capture = []
+        emulator, _, cps = profiled_run_with_checkpoints(
+            session, hook=lambda cp: at_capture.append(cp.to_bytes()))
+        profiler = emulator.profiler
+        assert len(profiler._chunks) >= 3
+        assert len(cps) >= 2
+        # Sealed chunks are shared with the live profiler, not copied.
+        shared = cps[-1].trace.chunks
+        assert len(shared) >= 3
+        assert all(a is b for a, b in zip(shared, profiler._chunks))
+        assert all(not c.flags.writeable for c in profiler._chunks)
+        for cp, blob in zip(cps, at_capture):
+            assert cp.to_bytes() == blob, f"checkpoint @{cp.tick}"
+
+    def test_in_memory_and_serialized_restores_agree(self, session,
+                                                     small_chunks):
+        reference, res_ref, cps = profiled_run_with_checkpoints(session)
+        cp = cps[len(cps) // 2]
+        assert len(cp.trace.chunks) >= 3
+        restored = {}
+        for how, source in (("memory", cp),
+                            ("bytes", Checkpoint.from_bytes(cp.to_bytes()))):
+            fresh = Emulator(apps=_APPS, **EMU_KW)
+            fresh.start_profiling(trace_references=True)
+            fresh.restore(source)
+            prof = fresh.profiler
+            # Re-chunked at the grain: only the unsealed tail is short.
+            assert [len(c) for c in prof._chunks] == \
+                [small_chunks] * len(cp.trace.chunks)
+            restored[how] = (prof.trace_bytes(), prof.counts_bytes(),
+                             prof.counts_dict(), prof.trace_tokens)
+            result = PlaybackDriver(fresh, session.log).resume_from(source)
+            assert vars(result) == vars(res_ref)
+            assert profiler_fingerprint(prof) == \
+                profiler_fingerprint(reference.profiler), how
+        assert restored["memory"] == restored["bytes"]
+
+
 @st.composite
 def short_scripts(draw):
     script = UserScript("resil-prop")
@@ -276,6 +356,20 @@ class TestResilientReplay:
         assert vars(out.result) == vars(clean.result)
         assert log_tuples(out.emulator.kernel) == \
             log_tuples(clean.emulator.kernel)
+
+    def test_profiled_crash_recovers_under_resync(self, session,
+                                                  small_chunks):
+        # The rollback restores a checkpoint whose sealed chunks the
+        # failed attempt extended: the recovered trace must not keep
+        # any of the discarded tokens.
+        clean = self._run(session, on_divergence="strict", profile=True)
+        out = self._run(session, on_divergence="resync", profile=True,
+                        faults="crash:at=250")
+        assert out.recovered and out.retries == 1 and not out.tainted
+        assert len(out.profiler._chunks) >= 3
+        assert vars(out.result) == vars(clean.result)
+        assert profiler_fingerprint(out.profiler) == \
+            profiler_fingerprint(clean.profiler)
 
     def test_runtime_crash_under_strict_raises_typed_fault(self, session):
         with pytest.raises(ReplayFault) as exc_info:

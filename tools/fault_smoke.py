@@ -9,6 +9,8 @@ the contract the resilience subsystem promises:
   typed, localized divergence report (never a bare traceback);
 * ``--on-divergence resync``  + a one-shot runtime fault -> exit 0,
   recovered from a checkpoint;
+* the same recovery with profiling on and ``--trace-out`` -> the
+  rolled-back reference trace has the clean replay's PTRC digest;
 * ``--on-divergence degrade`` + trace corruption -> exit 0, completes
   with an explicit TAINTED notice.
 
@@ -42,6 +44,14 @@ def check(name, ok, detail=""):
         FAILURES.append(name)
 
 
+def ptrc_digest(path):
+    from repro.traces.container import TraceContainer
+    if not Path(path).exists():
+        return None
+    with TraceContainer(path) as container:
+        return container.digest
+
+
 def main_smoke() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = str(Path(tmp) / "session")
@@ -70,6 +80,24 @@ def main_smoke() -> int:
         check("exit code is zero", code == 0, f"exit={code}")
         check("recovered from a checkpoint", "retries" in out)
         check("run completed", "replayed" in out)
+
+        print("profiled resync + runtime crash fault, with --trace-out:")
+        clean_ptrc = str(Path(tmp) / "clean.ptrc")
+        resync_ptrc = str(Path(tmp) / "resync.ptrc")
+        code, out, err = run_cli("replay", "--session", archive,
+                                 "--trace-out", clean_ptrc)
+        check("clean profiled replay exits zero", code == 0, f"exit={code}")
+        code, out, err = run_cli("replay", "--session", archive,
+                                 "--checkpoint-every", "100",
+                                 "--on-divergence", "resync",
+                                 "--faults", "crash:at=250",
+                                 "--trace-out", resync_ptrc)
+        check("exit code is zero", code == 0, f"exit={code}")
+        check("recovered from a checkpoint", "retries" in out)
+        clean_digest = ptrc_digest(clean_ptrc)
+        check("trace digest equals the clean replay's",
+              clean_digest is not None
+              and ptrc_digest(resync_ptrc) == clean_digest)
 
         print("degrade + truncated trace:")
         code, out, err = run_cli(*replay, "--on-divergence", "degrade",
