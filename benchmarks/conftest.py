@@ -72,10 +72,16 @@ def case_study_run(table1_runs) -> SessionRun:
 
 
 @pytest.fixture(scope="session")
-def case_study_trace(case_study_run):
+def case_study_memory_trace(case_study_run):
+    """The case-study session's memory references (hardware-register
+    references dropped), materialized once for every module."""
+    return case_study_run.profiler.reference_trace().memory_only()
+
+
+@pytest.fixture(scope="session")
+def case_study_trace(case_study_memory_trace):
     """Cacheable byte addresses from the case-study session."""
-    trace = case_study_run.profiler.reference_trace().memory_only()
-    addresses = trace.addresses
+    addresses = case_study_memory_trace.addresses
     if SWEEP_REF_LIMIT is not None:
         addresses = subsample_trace(addresses, SWEEP_REF_LIMIT)
     return addresses

@@ -28,9 +28,9 @@ from conftest import FULL_SCALE, once
 ABLATION_REFS = 400_000 if not FULL_SCALE else 1_500_000
 
 
-def test_replacement_policy_ablation(case_study_run, benchmark):
+def test_replacement_policy_ablation(case_study_memory_trace, benchmark):
     """How much does the paper's LRU choice matter?"""
-    trace = case_study_run.profiler.reference_trace().memory_only()
+    trace = case_study_memory_trace
     addresses = trace.addresses[:ABLATION_REFS]
 
     def run():
@@ -61,9 +61,9 @@ def test_replacement_policy_ablation(case_study_run, benchmark):
         assert lru <= rnd * 1.1 + 1e-9
 
 
-def test_write_policy_ablation(case_study_run, benchmark):
+def test_write_policy_ablation(case_study_memory_trace, benchmark):
     """Write-back vs write-through memory write traffic."""
-    trace = case_study_run.profiler.reference_trace().memory_only()
+    trace = case_study_memory_trace
     addresses = trace.addresses[:ABLATION_REFS]
     writes = trace.is_write[:ABLATION_REFS]
 
@@ -91,12 +91,12 @@ def test_write_policy_ablation(case_study_run, benchmark):
     assert abs(wb_mr - wt_mr) < 0.02           # read behaviour unchanged
 
 
-def test_write_buffer_ablation(case_study_run, benchmark):
+def test_write_buffer_ablation(case_study_memory_trace, benchmark):
     """Write-buffer depth vs store stalls (extension): how deep a FIFO
     a write-through cache needs on the Palm workload."""
     from repro.cache import CacheConfig, simulate_with_write_buffer
 
-    trace = case_study_run.profiler.reference_trace().memory_only()
+    trace = case_study_memory_trace
     n = min(ABLATION_REFS, len(trace))
     addresses = trace.addresses[:n]
     writes = trace.is_write[:n]
@@ -119,9 +119,9 @@ def test_write_buffer_ablation(case_study_run, benchmark):
     assert results[4].cycles_per_access < 2.0
 
 
-def test_split_vs_unified_ablation(case_study_run, benchmark):
+def test_split_vs_unified_ablation(case_study_memory_trace, benchmark):
     """Split I/D caches vs one unified cache of the same total size."""
-    trace = case_study_run.profiler.reference_trace().memory_only()
+    trace = case_study_memory_trace
     addresses = trace.addresses[:ABLATION_REFS]
     kinds = trace.kind[:ABLATION_REFS]
     is_fetch = kinds == KIND_FETCH
@@ -142,12 +142,12 @@ def test_split_vs_unified_ablation(case_study_run, benchmark):
     assert 0.4 < ratio < 2.5
 
 
-def test_trace_sampling_ablation(case_study_run, benchmark):
+def test_trace_sampling_ablation(case_study_memory_trace, benchmark):
     """Trace-sampling accuracy (after refs [6] and [24]): how far off a
     sampled miss-ratio estimate is, per cold-start policy."""
     from repro.cache import sampling_error_study
 
-    trace = case_study_run.profiler.reference_trace().memory_only()
+    trace = case_study_memory_trace
     addresses = trace.addresses[:ABLATION_REFS]
     config = CacheConfig(8192, 16, 2)
     study = once(benchmark, lambda: sampling_error_study(
