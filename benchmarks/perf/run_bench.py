@@ -57,7 +57,7 @@ from repro.workloads import SessionSpec  # noqa: E402
 
 #: The simulation configurations the harness tracks, chosen to cover
 #: every kernel path: both replacement policies, both write policies,
-#: no-write-allocate, and the direct-mapped closed form.
+#: no-write-allocate, and one way (direct-mapped).
 KERNEL_CONFIGS = [
     ("lru_wt_8k", CacheConfig(8192, 16, 4)),
     ("lru_wb_8k", CacheConfig(8192, 16, 4, write_policy=WRITE_BACK)),

@@ -15,6 +15,9 @@ passes.  The design is *set-major*:
     in the set can evict it before the run ends, so the tail of the run
     is a guaranteed hit in every configuration.  Only run heads are
     simulated; per-run write flags are aggregated for dirty tracking.
+    Without write-allocate a run keeps one head per stretch of equal
+    write flags, and the leading write stretch becomes one *weighted*
+    head that scores its whole stretch's outcome (:func:`_heads`).
     The LRU depth pass also drops most of each *period-2* run (``A B A
     B ...`` in one set): every head after the first two is an exact
     depth-1 hit that swaps the top two stack entries, so an even number
@@ -31,17 +34,16 @@ passes.  The design is *set-major*:
     sets are drained by a scalar per-set loop over unpacked Python
     lists (a cache with fewer sets than that is drained entirely).
 
-Direct-mapped caches collapse further: every run head is a miss (the
-resident line is by construction a different line of the same set), so
-the whole simulation reduces to counting runs — no wave loop at all.
+Steps 1 and 2 are :func:`_prepare_heads`; :class:`ChunkedSimulator`
+runs them and the waves chunk by chunk, with the way matrix carried
+between chunks, and :func:`simulate` is that simulator over one chunk.
 
 Supported: LRU and FIFO replacement, write-through and write-back,
-write-allocate and no-write-allocate (the latter skips run collapsing,
-since an unallocated write leaves the resident line in place).  Random
-replacement consumes a Python ``random.Random`` stream per eviction and
-stays on the scalar simulator; :func:`simulate_auto` hides the
-difference.  Every kernel is differential-tested against the scalar
-simulator for byte-for-byte equal statistics.
+write-allocate and no-write-allocate.  Random replacement consumes a
+Python ``random.Random`` stream per eviction and stays on the scalar
+simulator; :func:`simulate_auto` hides the difference.  Every kernel is
+differential-tested against the scalar simulator for byte-for-byte
+equal statistics.
 """
 
 from __future__ import annotations
@@ -113,45 +115,72 @@ def _set_tag_split(addresses: np.ndarray, config: CacheConfig
     return sets, tags
 
 
-def _precollapse(addresses: np.ndarray, writes: Optional[np.ndarray],
-                 offset_bits: int, allocate: bool = True):
-    """Drop references to the line the previous reference just touched.
+def _heads(same: np.ndarray, writes: Optional[np.ndarray],
+           allocate: bool):
+    """The run heads of a reference stream, given ``same[i]``: reference
+    ``i + 1`` touches the line reference ``i`` touched, with nothing
+    between them in its set.
 
     Under write-allocate the head of a same-line run leaves the line
-    resident for the rest of the run (whatever the set), so the whole
-    tail collapses and per-run write flags are OR-aggregated.  Without
-    write-allocate only reads guarantee residency, so a reference is
-    dropped only when it *and* its predecessor are reads — a read
-    leaves its line resident in every configuration, and a dropped read
-    carries no dirty information.  Returns
-    ``(addresses, run_writes, collapsed)`` where ``collapsed`` counts
-    removed guaranteed hits.
+    resident for the rest of the run, so the whole tail collapses and
+    the head's write flag is the run's OR.  Without write-allocate a run
+    splits into *groups* of consecutive references with one write flag,
+    and each group keeps its head:
+
+    *  The run's leading group, when it is a write group, shares its
+       first write's outcome: a write hit leaves the line MRU and dirty,
+       and an unallocated write miss changes nothing, so every later
+       write of the group repeats it.
+    *  After any other group's head the line is resident (a read
+       allocates it, and a later write group follows a read group), so
+       the rest of that group are hits that change nothing.
+
+    A write group's head stands for all of the group's references and
+    a read group's head for itself, so without write-allocate the head
+    carries its group's *write count* (``int32``, 0 for a read head),
+    and the dropped references are the dropped reads.  Input write
+    counts (from an earlier pass) aggregate the same way.  Returns
+    ``(idx, head_writes, collapsed)``: ``idx`` indexes the heads (``None``
+    when every reference is one) and ``collapsed`` counts the
+    references dropped as guaranteed hits.
     """
+    n = len(same) + 1
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.logical_not(same, out=keep[1:])
+    count_writes = writes is not None and not allocate
+    if count_writes:
+        flags = writes.astype(bool, copy=False)
+        keep[1:] |= flags[1:] != flags[:-1]
+    idx = np.flatnonzero(keep)
+    if len(idx) == n:
+        return None, writes, 0
+    if writes is None:
+        return idx, None, n - len(idx)
+    if not count_writes:
+        return idx, np.logical_or.reduceat(writes, idx), n - len(idx)
+    head_writes = np.add.reduceat(writes, idx, dtype=np.int32)
+    dropped_reads = ((n - np.count_nonzero(flags))
+                     - (len(idx) - np.count_nonzero(head_writes)))
+    return idx, head_writes, int(dropped_reads)
+
+
+def _precollapse(addresses: np.ndarray, writes: Optional[np.ndarray],
+                 offset_bits: int, allocate: bool = True):
+    """Drop references to the line the previous reference just touched
+    (in program order, whatever the set), by the rules of
+    :func:`_heads`.  Returns ``(addresses, head_writes, collapsed)``."""
     addresses = np.asarray(addresses)
-    n = len(addresses)
-    if n == 0:
+    if len(addresses) == 0:
         return addresses, writes, 0
     if offset_bits == 0:
         lines = addresses
     else:
         lines = addresses >> (np.uint32(offset_bits)
                               if addresses.dtype == np.uint32 else offset_bits)
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    if not allocate and writes is not None:
-        np.logical_or(keep[1:], writes[1:], out=keep[1:])
-        np.logical_or(keep[1:], writes[:-1], out=keep[1:])
-    idx = np.flatnonzero(keep)
-    if len(idx) == n:
-        return addresses, writes, 0
-    if writes is None:
-        run_writes = None
-    elif allocate:
-        run_writes = np.logical_or.reduceat(writes, idx)
-    else:
-        run_writes = writes[idx]  # dropped refs are all reads
-    return addresses[idx], run_writes, n - len(idx)
+    idx, writes, collapsed = _heads(lines[1:] == lines[:-1], writes,
+                                    allocate)
+    return (addresses if idx is None else addresses[idx]), writes, collapsed
 
 
 def _sort_by_set(sets: np.ndarray, tags: np.ndarray,
@@ -170,34 +199,42 @@ def _sort_by_set(sets: np.ndarray, tags: np.ndarray,
 
 def _collapse_runs(sets: np.ndarray, tags: np.ndarray,
                    writes: Optional[np.ndarray], allocate: bool = True):
-    """Collapse within-set runs of the same tag.
+    """Collapse within-set runs of the same tag of set-sorted
+    references, by the rules of :func:`_heads`.  Returns ``(sets, tags,
+    head_writes, collapsed)``."""
+    if len(sets) == 0:
+        return sets, tags, writes, 0
+    same = tags[1:] == tags[:-1]
+    same &= sets[1:] == sets[:-1]
+    idx, writes, collapsed = _heads(same, writes, allocate)
+    if idx is None:
+        return sets, tags, writes, 0
+    return sets[idx], tags[idx], writes, collapsed
 
-    Under write-allocate the whole tail of a run is a guaranteed hit
-    and per-run write flags are OR-aggregated; without it only
-    read-after-read references are dropped (see :func:`_precollapse`).
-    Returns ``(sets, tags, run_writes, collapsed)`` where ``collapsed``
-    is the number of guaranteed hits removed.
+
+def _prepare_heads(addresses: np.ndarray, writes: Optional[np.ndarray],
+                  config: CacheConfig):
+    """One chunk of a trace as the set-sorted run heads the wave kernel
+    simulates: precollapse, set split, stable set sort, run collapse.
+
+    Returns ``(sets, tags, writes, weights, collapsed)``.  ``writes`` is
+    each head's write flag (``None`` without a mask).  ``weights`` is
+    ``None`` under write-allocate; without it, it holds the references
+    each head stands for (``int32``: a write group's size, 1 for a
+    read), and a hit scores the head's weight.  ``collapsed`` counts
+    the references dropped as guaranteed hits.
     """
-    n = len(sets)
-    if n == 0:
-        return sets, tags, writes, 0
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(tags[1:], tags[:-1], out=head[1:])
-    np.logical_or(head[1:], sets[1:] != sets[:-1], out=head[1:])
-    if not allocate and writes is not None:
-        np.logical_or(head[1:], writes[1:], out=head[1:])
-        np.logical_or(head[1:], writes[:-1], out=head[1:])
-    idx = np.flatnonzero(head)
-    if len(idx) == n:
-        return sets, tags, writes, 0
-    if writes is None:
-        run_writes = None
-    elif allocate:
-        run_writes = np.logical_or.reduceat(writes, idx)
-    else:
-        run_writes = writes[idx]  # dropped refs are all reads
-    return sets[idx], tags[idx], run_writes, n - len(idx)
+    allocate = config.write_allocate
+    addresses, writes, collapsed = _precollapse(
+        addresses, writes, config.line_size.bit_length() - 1, allocate)
+    sets, tags = _set_tag_split(addresses, config)
+    sets, tags, writes = _sort_by_set(sets, tags, writes, config.num_sets)
+    sets, tags, writes, more = _collapse_runs(sets, tags, writes, allocate)
+    weights = None
+    if writes is not None and not allocate:
+        weights = np.maximum(writes, 1, dtype=np.int32)
+        writes = writes != 0
+    return sets, tags, writes, weights, collapsed + more
 
 
 def _refine(lines: np.ndarray, from_bits: int, to_bits: int):
@@ -325,25 +362,27 @@ def _schedule_waves(starts: np.ndarray, lens: np.ndarray):
 # ----------------------------------------------------------------------
 #
 # Each drain takes one set's remaining run heads (``tags``, ``writes``
-# arrays) and its packed state ``row``, unpacks the row into a list of
-# tags and a parallel list of dirty bits, and repacks ``tag << 1 |
-# dirty`` only on return.  An EMPTY way unpacks to tag -1, which no
-# real tag matches, so ``list.index`` finds hits with one C-level scan.
+# and optional ``weights`` arrays; a hit scores its head's weight) and
+# its packed state ``row``, unpacks the row into a list of tags and a
+# parallel list of dirty bits, and repacks ``tag << 1 | dirty`` only on
+# return.  An EMPTY way unpacks to tag -1, which no real tag matches,
+# so ``list.index`` finds hits with one C-level scan.
 
 def _unpack(row):
     packed = row.tolist()
     return [p >> 1 for p in packed], [p & 1 for p in packed]
 
 
-def _drain_lru(tags, writes, row, allocate, track_dirty):
+def _drain_lru(tags, writes, row, allocate, track_dirty, weights=None):
     """Finish one set's run stream on a packed LRU row (MRU first)."""
     hits = 0
     writebacks = 0
     ways, dirty = _unpack(row)
     flags = repeat(0) if writes is None else writes.tolist()
-    for t, w in zip(tags.tolist(), flags):
+    counts = repeat(1) if weights is None else weights.tolist()
+    for t, w, k in zip(tags.tolist(), flags, counts):
         if t in ways:
-            hits += 1
+            hits += k
             d = ways.index(t)
             del ways[d]
             bit = dirty.pop(d)
@@ -360,15 +399,17 @@ def _drain_lru(tags, writes, row, allocate, track_dirty):
     return hits, writebacks, [(t << 1) | b for t, b in zip(ways, dirty)]
 
 
-def _drain_fifo(tags, writes, row, ptr, assoc, allocate, track_dirty):
+def _drain_fifo(tags, writes, row, ptr, assoc, allocate, track_dirty,
+                weights=None):
     """Finish one set's run stream on a packed FIFO ring."""
     hits = 0
     writebacks = 0
     ways, dirty = _unpack(row)
     flags = repeat(0) if writes is None else writes.tolist()
-    for t, w in zip(tags.tolist(), flags):
+    counts = repeat(1) if weights is None else weights.tolist()
+    for t, w, k in zip(tags.tolist(), flags, counts):
         if t in ways:
-            hits += 1
+            hits += k
             if track_dirty and w:
                 dirty[ways.index(t)] = 1
         elif allocate or not w:
@@ -404,7 +445,8 @@ def _drain_depths(tags, row, assoc, hist):
 def _run_waves(sets, tags, writes, config: CacheConfig,
                state: np.ndarray, depth_hist: Optional[np.ndarray] = None,
                tail_width: int = TAIL_WIDTH,
-               fifo_ptr: Optional[np.ndarray] = None):
+               fifo_ptr: Optional[np.ndarray] = None,
+               weights: Optional[np.ndarray] = None):
     """Simulate set-sorted run heads; returns (hits, writebacks).
 
     ``state`` is the packed ``(num_sets, assoc)`` way matrix, mutated in
@@ -412,7 +454,8 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
     histogram bucket of its stack depth.  ``fifo_ptr`` carries the
     per-set FIFO insertion pointers; passing it in (mutated in place)
     lets the out-of-core path resume replacement state across chunk
-    boundaries.
+    boundaries.  ``weights`` (from :func:`_prepare_heads`) gives the
+    references each head stands for: a hit scores its head's weight.
     """
     assoc = state.shape[1]
     fifo = config.policy == POLICY_FIFO
@@ -434,6 +477,7 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
         writes_w = writes[order].astype(state.dtype)
     else:
         writes_w = None
+    weights_w = None if weights is None else weights[order]
 
     if fifo_ptr is not None:
         ptr = fifo_ptr
@@ -459,7 +503,10 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
         rows = state[s]
         match = (rows >> 1) == t[:, None]
         hit = match.any(axis=1)
-        hits += int(np.count_nonzero(hit))
+        if weights_w is None:
+            hits += int(np.count_nonzero(hit))
+        else:
+            hits += int(weights_w[lo:hi][hit].sum())
         pos = match.argmax(axis=1)
         if depth_hist is not None:
             depth_hist += np.bincount(pos[hit], minlength=assoc)
@@ -513,6 +560,7 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
         end = group_start[g] + group_len[g]
         t_rest = tags[start:end]
         w_rest = None if writes_w is None else writes[start:end]
+        k_rest = None if weights is None else weights[start:end]
         set_index = int(sets[start])
         row = state[set_index]
         if depth_hist is not None:
@@ -521,50 +569,17 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
         elif fifo:
             h, wb, new_row, p = _drain_fifo(t_rest, w_rest, row,
                                             int(ptr[set_index]), assoc,
-                                            allocate, track_dirty)
+                                            allocate, track_dirty, k_rest)
             hits += h
             writebacks += wb
             ptr[set_index] = p
         else:
             h, wb, new_row = _drain_lru(t_rest, w_rest, row, allocate,
-                                        track_dirty)
+                                        track_dirty, k_rest)
             hits += h
             writebacks += wb
         state[set_index] = new_row
     return hits, writebacks
-
-
-# ----------------------------------------------------------------------
-# Direct-mapped closed form
-# ----------------------------------------------------------------------
-
-def _direct_mapped(sets, tags, writes, config: CacheConfig,
-                   flush: bool) -> CacheStats:
-    """Every run head misses in a direct-mapped cache, so stats reduce
-    to run counting (requires write-allocate; set-sorted inputs)."""
-    n = len(sets)
-    stats = CacheStats(accesses=n)
-    if n == 0:
-        return stats
-    total_writes = 0 if writes is None else int(np.count_nonzero(writes))
-    sets_r, _tags_r, run_writes, collapsed = _collapse_runs(
-        sets, tags, writes)
-    runs = len(sets_r)
-    stats.misses = runs
-    stats.hits = n - runs
-    if config.write_policy == WRITE_BACK:
-        if writes is not None:
-            last_of_set = np.empty(runs, dtype=bool)
-            last_of_set[-1] = True
-            np.not_equal(sets_r[1:], sets_r[:-1], out=last_of_set[:-1])
-            dirty = run_writes
-            stats.writebacks = int(np.count_nonzero(dirty & ~last_of_set))
-            if flush:
-                stats.writebacks += int(np.count_nonzero(
-                    dirty & last_of_set))
-    else:
-        stats.write_throughs = total_writes
-    return stats
 
 
 # ----------------------------------------------------------------------
@@ -598,11 +613,13 @@ def _split_chunk(chunk):
 
 
 class ChunkedSimulator:
-    """:func:`simulate` with cache state carried across chunk feeds.
+    """The wave kernel over a stream of trace chunks, with cache state
+    carried across feeds (the engine behind :func:`simulate`; an in-RAM
+    trace is one chunk).
 
-    Produces ``CacheStats`` **bit-identical** to the whole-trace kernel
-    on the concatenated stream, for every chunking.  Two facts make
-    that exact rather than approximate:
+    Produces ``CacheStats`` **bit-identical** to the scalar
+    :class:`Cache` on the concatenated stream, for every chunking.
+    Three facts make that exact rather than approximate:
 
     *  The wave kernel's ``(num_sets, assoc)`` packed way matrix (plus
        the FIFO insertion pointers) *is* the cache's complete
@@ -614,12 +631,17 @@ class ChunkedSimulator:
        fresh run head instead — but its line is by construction
        resident at MRU (or anywhere, for FIFO) in its set, so it scores
        the same guaranteed hit, and the hit update (MRU rotation of the
-       MRU entry, dirty-bit OR) is idempotent.  Stats and final state
-       match exactly; only the operation count differs.
+       MRU entry, dirty-bit OR) is idempotent.
+    *  The one exception, without write-allocate, is a run's leading
+       write group: its line need not be resident.  Split across a
+       chunk boundary, that weighted head becomes one head per chunk,
+       and the later head repeats the earlier one's outcome: after a
+       write hit the line is still MRU and dirty, and after an
+       unallocated write miss the set is unchanged.  The two weights
+       add up to the one, and score the same hits or misses.
 
-    The direct-mapped closed form is skipped (it needs the whole trace
-    to count runs); assoc-1 configurations stream through the general
-    wave path, where every replacement policy coincides.
+    Stats and final state match exactly; only the operation count
+    differs.
     """
 
     def __init__(self, config: CacheConfig, flush: bool = False,
@@ -630,7 +652,6 @@ class ChunkedSimulator:
         self.config = config
         self.flush = flush
         self.tail_width = tail_width
-        self._offset_bits = config.line_size.bit_length() - 1
         self._write_back = config.write_policy == WRITE_BACK
         self._state: Optional[np.ndarray] = None
         self._ptr: Optional[np.ndarray] = None
@@ -658,15 +679,9 @@ class ChunkedSimulator:
             # carries a mask (all-False is semantically writes=None).
             writes = np.zeros(n, dtype=bool)
         self._accesses += n
-        allocate = config.write_allocate
-        addresses, writes, collapsed = _precollapse(
-            addresses, writes, self._offset_bits, allocate=allocate)
-        sets, tags = _set_tag_split(addresses, config)
-        sets, tags, writes = _sort_by_set(sets, tags, writes,
-                                       config.num_sets)
-        sets, tags, writes, more = _collapse_runs(sets, tags, writes,
-                                                  allocate=allocate)
-        self._hits += collapsed + more
+        sets, tags, writes, weights, collapsed = _prepare_heads(
+            addresses, writes, config)
+        self._hits += collapsed
         if self._state is None:
             dtype = (tags.dtype if tags.dtype == np.int32 else np.int64)
             self._state = np.full(
@@ -678,9 +693,9 @@ class ChunkedSimulator:
         track_dirty = writes is not None and self._write_back
         hits, writebacks = _run_waves(
             sets, tags,
-            writes if (track_dirty or not allocate) else None,
+            writes if (track_dirty or not config.write_allocate) else None,
             config, self._state, tail_width=self.tail_width,
-            fifo_ptr=self._ptr)
+            fifo_ptr=self._ptr, weights=weights)
         self._hits += hits
         self._writebacks += writebacks
 
@@ -793,63 +808,14 @@ def simulate(addresses, config: CacheConfig, writes=None,
     scalar simulator handles (random replacement).
     """
     chunk_iter = as_chunk_iter(addresses)
-    if chunk_iter is not None:
-        if writes is not None:
-            raise ValueError(
-                "with a chunk iterator, pass writes inside each chunk "
-                "as (addresses, writes) pairs")
-        return ChunkedSimulator(config, flush=flush,
-                                tail_width=tail_width).run(chunk_iter)
-    if not supports(config):
-        raise KernelUnsupported(
-            f"no vectorized kernel for policy {config.policy!r}")
-    addresses = np.asarray(addresses)
-    if writes is not None:
-        writes = np.asarray(writes, dtype=bool)
-        if len(writes) != len(addresses):
-            raise ValueError("writes mask length != trace length")
-        if not writes.any():
-            writes = None
-    n = len(addresses)
-    if n == 0:
-        return CacheStats()
-
-    stats = CacheStats(accesses=n)
-    total_writes = 0 if writes is None else int(np.count_nonzero(writes))
-    if config.write_policy != WRITE_BACK:
-        stats.write_throughs = total_writes
-
-    allocate = config.write_allocate
-    offset_bits = config.line_size.bit_length() - 1
-    addresses, writes, collapsed = _precollapse(
-        addresses, writes, offset_bits, allocate=allocate)
-    sets, tags = _set_tag_split(addresses, config)
-    sets, tags, writes = _sort_by_set(sets, tags, writes,
-                                       config.num_sets)
-
-    if config.associativity == 1 and allocate:
-        dm = _direct_mapped(sets, tags, writes, config, flush)
-        stats.hits = dm.hits + collapsed
-        stats.misses = dm.misses
-        stats.writebacks = dm.writebacks
-        return stats
-
-    sets, tags, writes, more = _collapse_runs(sets, tags, writes,
-                                              allocate=allocate)
-    collapsed += more
-    state = np.full((config.num_sets, config.associativity), EMPTY,
-                    dtype=tags.dtype if tags.dtype == np.int32 else np.int64)
-    track_dirty = writes is not None and config.write_policy == WRITE_BACK
-    hits, writebacks = _run_waves(
-        sets, tags,
-        writes if (track_dirty or not config.write_allocate) else None,
-        config, state, tail_width=tail_width)
-    stats.hits = hits + collapsed
-    stats.misses = n - stats.hits
-    stats.writebacks = writebacks
-    if flush and track_dirty:
-        stats.writebacks += int((state & 1).sum())
-    return stats
+    if chunk_iter is None:
+        chunk_iter = [(addresses, writes)]
+    elif writes is not None:
+        raise ValueError(
+            "with a chunk iterator, pass writes inside each chunk "
+            "as (addresses, writes) pairs")
+    return ChunkedSimulator(config, flush=flush,
+                            tail_width=tail_width).run(chunk_iter)
 
 
 def simulate_auto(addresses, config: CacheConfig, writes=None,

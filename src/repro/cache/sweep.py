@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import os
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
 
-from .cache import Cache, CacheConfig
+from .cache import WRITE_BACK, Cache, CacheConfig
 from .hierarchy import RegionMix
 from .stackdist import collapse_consecutive, misses_by_associativity, to_line_addresses
 
@@ -119,10 +119,11 @@ def sweep_paper_grid(addresses: np.ndarray,
 # fills once (forked workers attach read-only numpy views, and the
 # array is a single chunk).  Work units are either bundles of (line
 # size, set count) families of the paper grid (one trace stream per
-# bundle, one vectorized stack pass per family) or individual ablation
-# configurations.  Results are keyed by unit index, so assembly order —
-# and therefore the returned list — is identical for any job count,
-# including the serial fallback.
+# bundle, one vectorized stack pass per family) or groups of requested
+# configurations that differ only in write mode (one trace stream per
+# group, one simulation per write-allocate mode).  Results are keyed by
+# unit index, so assembly order — and therefore the returned list — is
+# identical for any job count, including the serial fallback.
 
 #: Worker-side views of the shared trace, set by :func:`_pool_init`.
 _SHARED: dict = {}
@@ -261,26 +262,70 @@ def _bundle_unit_impl(bundle: Tuple[Family, ...]
                    for family, depth_pass in zip(bundle, passes)]
 
 
-def _config_unit_impl(config: CacheConfig) -> Tuple[int, int, int, int]:
-    """Ablation unit: one full configuration (any policy) through the
-    kernels, with the scalar simulator as automatic fallback."""
-    from . import kernels
+def _config_groups(configs: Sequence[CacheConfig]
+                   ) -> List[Tuple[CacheConfig, ...]]:
+    """The distinct configurations, grouped by (size, line size,
+    associativity, policy) in order of first appearance: one group is
+    one work unit."""
+    groups: Dict[tuple, List[CacheConfig]] = {}
+    for config in dict.fromkeys(configs):
+        key = (config.size, config.line_size, config.associativity,
+               config.policy)
+        groups.setdefault(key, []).append(config)
+    return [tuple(group) for group in groups.values()]
 
-    if _SHARED.get("container") is None:
-        stats = kernels.simulate_auto(_SHARED["addresses"], config,
-                                      writes=_SHARED["writes"])
-    else:
-        stats = kernels.simulate_auto(_trace_chunks(), config)
-    return (stats.accesses, stats.misses, stats.writebacks,
-            stats.write_throughs)
+
+def _group_unit_impl(group: Tuple[CacheConfig, ...]
+                     ) -> List[Tuple[int, int, int, int]]:
+    """Configs unit: a group of configurations that differ only in
+    write policy and write-allocate, sharing one trace stream.
+
+    Dirty bits never steer replacement, so a write-through cache misses
+    exactly where the write-back cache of the same allocate mode does.
+    Each allocate mode the group needs is one write-back simulation —
+    the kernels' :class:`~repro.cache.kernels.ChunkedSimulator`, or the
+    scalar :class:`Cache` where no kernel applies (random
+    replacement) — fed every chunk.  A write-back point takes its
+    simulation's writebacks; a write-through point writes through every
+    write of the trace instead.  Returns ``(accesses, misses,
+    writebacks, write_throughs)`` per configuration of the group.
+    """
+    from .kernels import ChunkedSimulator, supports
+
+    sims = {}
+    for config in group:
+        if config.write_allocate not in sims:
+            sim_config = replace(config, write_policy=WRITE_BACK)
+            sims[config.write_allocate] = (ChunkedSimulator(sim_config)
+                                           if supports(sim_config)
+                                           else Cache(sim_config))
+    feeds = [sim.feed if isinstance(sim, ChunkedSimulator) else sim.run
+             for sim in sims.values()]
+    total = writes_total = 0
+    for addresses, writes in _trace_chunks():
+        total += len(addresses)
+        if writes is not None:
+            writes_total += int(np.count_nonzero(writes))
+        for feed in feeds:
+            feed(addresses, writes)
+    results = []
+    for config in group:
+        sim = sims[config.write_allocate]
+        stats = sim.finish() if isinstance(sim, ChunkedSimulator) \
+            else sim.stats
+        if config.write_policy == WRITE_BACK:
+            results.append((total, stats.misses, stats.writebacks, 0))
+        else:
+            results.append((total, stats.misses, 0, writes_total))
+    return results
 
 
 def _bundle_unit(bundle):
     return _guard(_bundle_unit_impl, bundle)
 
 
-def _config_unit(config):
-    return _guard(_config_unit_impl, config)
+def _group_unit(group):
+    return _guard(_group_unit_impl, group)
 
 
 def _grid_units(sizes, line_sizes, associativities
@@ -433,10 +478,13 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
     count) families are cut into ``min(jobs, families)`` bundles, each
     worker streams the trace once for its bundle, and every family is
     one vectorized stack pass over that stream (results match
-    :func:`sweep_paper_grid` exactly).  With ``configs`` each
-    configuration is one dynamically scheduled unit through the batch
-    kernels — any policy/write-mode mix, e.g. the ablation grid — and
-    the returned points carry write-back/write-through counts.
+    :func:`sweep_paper_grid` exactly).  With ``configs`` — any
+    policy/write-mode mix, e.g. the ablation grid — the configurations
+    that share size, line size, associativity and policy form one
+    dynamically scheduled unit: it streams the trace once and runs one
+    simulation per write-allocate mode, from which both write policies'
+    points follow (see :func:`_group_unit_impl`).  The returned points
+    follow ``configs`` and carry write-back/write-through counts.
 
     Two trace-sharing modes:
 
@@ -472,12 +520,14 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
                 raise ValueError("writes mask length != trace length")
 
     if configs is not None:
-        results = _run_units(_config_unit, list(configs), jobs,
+        groups = _config_groups(configs)
+        results = _run_units(_group_unit, groups, jobs,
                              addresses, writes, chunk_timeout,
                              container=container, memory_only=memory_only)
-        return [SweepPoint(config=c, accesses=acc, misses=miss,
-                           writebacks=wb, write_throughs=wt)
-                for c, (acc, miss, wb, wt) in zip(configs, results)]
+        by_config = {config: result
+                     for group, group_results in zip(groups, results)
+                     for config, result in zip(group, group_results)}
+        return [SweepPoint(c, *by_config[c]) for c in configs]
 
     units = _grid_units(sizes, line_sizes, associativities)
     bundles = _plan_bundles(len(units), jobs)

@@ -4,7 +4,8 @@ These are the original list-walking drains: they keep the packed
 ``tag << 1 | dirty`` words in the row and scan it way by way.  The
 production drains in :mod:`repro.cache.kernels` unpack the row into
 parallel tag/dirty lists instead; the differential tests require both
-to produce identical counts, rows and FIFO pointers.
+to produce identical counts, rows and FIFO pointers.  A head's optional
+weight is the number of references it stands for: a hit scores it.
 
 :func:`lru_depth_state` gives the final stacks of a whole LRU depth
 pass, packed like the kernels' way matrix, so the differential tests
@@ -14,7 +15,8 @@ can compare state as well as counts.
 from repro.cache.kernels import EMPTY
 
 
-def drain_lru(tags, writes, row, assoc, allocate, track_dirty):
+def drain_lru(tags, writes, row, assoc, allocate, track_dirty,
+              weights=None):
     """Finish one set's run stream on a packed LRU row (MRU first)."""
     hits = 0
     writebacks = 0
@@ -29,7 +31,7 @@ def drain_lru(tags, writes, row, assoc, allocate, track_dirty):
                 found = depth
                 break
         if found >= 0:
-            hits += 1
+            hits += 1 if weights is None else int(weights[i])
             packed = row.pop(found) | dirty
         else:
             if w and not allocate:
@@ -41,7 +43,8 @@ def drain_lru(tags, writes, row, assoc, allocate, track_dirty):
     return hits, writebacks, row
 
 
-def drain_fifo(tags, writes, row, ptr, assoc, allocate, track_dirty):
+def drain_fifo(tags, writes, row, ptr, assoc, allocate, track_dirty,
+               weights=None):
     """Finish one set's run stream on a packed FIFO ring."""
     hits = 0
     writebacks = 0
@@ -56,7 +59,7 @@ def drain_fifo(tags, writes, row, ptr, assoc, allocate, track_dirty):
                 found = depth
                 break
         if found >= 0:
-            hits += 1
+            hits += 1 if weights is None else int(weights[i])
             row[found] |= dirty
         elif allocate or not w:
             victim = row[ptr]

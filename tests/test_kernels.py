@@ -42,7 +42,7 @@ from repro.cache import (
 )
 import repro.cache.kernels as kernels
 import repro.cache.sweep as sweep_module
-from repro.device.memmap import KIND_READ, REGION_RAM
+from repro.device.memmap import KIND_READ, KIND_WRITE, REGION_RAM
 from repro.traces.container import TraceContainer, pack_tokens, write_container
 from tests import cache_oracles as oracle
 
@@ -80,6 +80,39 @@ traces = st.lists(st.tuples(st.integers(0, 0x7FFF), st.booleans()),
                   min_size=0, max_size=400)
 
 
+@st.composite
+def run_traces(draw):
+    """A trace built from same-line runs, plus chunk cuts to stream it
+    with.
+
+    Each run repeats one line 1-8 times as a write burst, a read burst,
+    a read/write alternation or a mix, so no-write-allocate collapsing
+    sees leading write groups, later groups and runs that continue
+    across the set sort.  Offsets stay within 16 bytes, so a run is one
+    line at either line size; lines span 3 KB, so small caches evict.
+    """
+    runs = draw(st.lists(st.tuples(
+        st.integers(0, 95), st.integers(1, 8), st.booleans(),
+        st.sampled_from(["burst", "alternate", "mixed"])), max_size=60))
+    addresses, writes = [], []
+    for line, length, first, shape in runs:
+        if shape == "burst":
+            flags = [first] * length
+        elif shape == "alternate":
+            flags = [first ^ (i % 2 == 1) for i in range(length)]
+        else:
+            flags = draw(st.lists(st.booleans(), min_size=length,
+                                  max_size=length))
+        offsets = draw(st.lists(st.integers(0, 15), min_size=length,
+                                max_size=length))
+        addresses.extend(line * 32 + off for off in offsets)
+        writes.extend(flags)
+    cuts = sorted(draw(st.lists(st.integers(0, len(addresses)),
+                                max_size=6)))
+    return (np.array(addresses, dtype=np.uint32),
+            np.array(writes, dtype=bool), cuts)
+
+
 class TestKernelDifferential:
     @settings(max_examples=120, deadline=None)
     @given(config=configs, trace=traces, flush=st.booleans(),
@@ -94,6 +127,24 @@ class TestKernelDifferential:
         got = simulate(addresses, config, writes=writes, flush=flush,
                        tail_width=tail_width)
         assert_stats_equal(expected, got, context=config.label())
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=configs, case=run_traces(), flush=st.booleans(),
+           tail_width=st.sampled_from([0, 3, 10 ** 9]))
+    def test_same_line_runs_match_scalar_cache(self, config, case, flush,
+                                               tail_width):
+        """Write bursts and read/write alternations within same-line
+        runs (the no-write-allocate collapse and its weighted heads),
+        whole and streamed in chunks cut anywhere."""
+        addresses, writes, cuts = case
+        expected = scalar_stats(addresses, config, writes, flush)
+        got = simulate(addresses, config, writes=writes, flush=flush,
+                       tail_width=tail_width)
+        assert_stats_equal(expected, got, context=config.label())
+        chunks = list(zip(np.split(addresses, cuts), np.split(writes, cuts)))
+        streamed = kernels.ChunkedSimulator(
+            config, flush=flush, tail_width=tail_width).run(chunks)
+        assert_stats_equal(expected, streamed, context=config.label())
 
     @settings(max_examples=40, deadline=None)
     @given(config=configs, trace=traces)
@@ -287,6 +338,22 @@ class TestScalarDrains:
         assert kernels._drain_fifo(tags, writes, row, ptr, assoc, *args) == \
             oracle.drain_fifo(tags, writes, row, ptr, assoc, *args)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=drain_cases(), allocate=st.booleans(),
+           track_dirty=st.booleans(), data=st.data())
+    def test_weighted_drains_match_oracle(self, case, allocate, track_dirty,
+                                          data):
+        """Heads carrying a reference count: a hit scores its weight."""
+        assoc, row, tags, writes, ptr = case
+        weights = np.array(data.draw(st.lists(
+            st.integers(1, 9), min_size=len(tags), max_size=len(tags))),
+            dtype=np.int32)
+        args = (allocate, track_dirty, weights)
+        assert kernels._drain_lru(tags, writes, row, *args) == \
+            oracle.drain_lru(tags, writes, row, assoc, *args)
+        assert kernels._drain_fifo(tags, writes, row, ptr, assoc, *args) == \
+            oracle.drain_fifo(tags, writes, row, ptr, assoc, *args)
+
     @settings(max_examples=200, deadline=None)
     @given(case=drain_cases())
     def test_depth_drain_matches_oracle(self, case):
@@ -354,6 +421,39 @@ def _boom_on_32b_lines(bundle):
 
 
 _real_bundle_unit_impl = sweep_module._bundle_unit_impl
+
+
+def _boom_on_fifo(group):
+    # Module-level so forked workers resolve it by name.
+    if any(config.policy == POLICY_FIFO for config in group):
+        raise RuntimeError("injected group failure")
+    return _real_group_unit_impl(group)
+
+
+_real_group_unit_impl = sweep_module._group_unit_impl
+
+#: A configs sweep touching every grouping rule: duplicates, random
+#: replacement (scalar, and kernel-served at one way), one way, both
+#: line sizes and all four write-policy x write-allocate pairs, in no
+#: particular order.
+MIXED_CONFIGS = [
+    CacheConfig(4096, 32, 2, write_policy=WRITE_BACK, write_allocate=False),
+    CacheConfig(2048, 16, 4, policy=POLICY_FIFO),
+    CacheConfig(8192, 16, 4, policy=POLICY_RANDOM, write_policy=WRITE_BACK),
+    CacheConfig(1024, 16, 1, write_allocate=False),
+    CacheConfig(4096, 32, 2),
+    CacheConfig(2048, 16, 4, policy=POLICY_FIFO, write_policy=WRITE_BACK,
+                write_allocate=False),
+    CacheConfig(8192, 16, 4, policy=POLICY_RANDOM, write_allocate=False),
+    CacheConfig(1024, 16, 1, write_policy=WRITE_BACK),
+    CacheConfig(4096, 32, 2, write_policy=WRITE_BACK),
+    CacheConfig(2048, 16, 4, policy=POLICY_FIFO),
+    CacheConfig(4096, 32, 2, write_allocate=False),
+    CacheConfig(1024, 32, 1, policy=POLICY_RANDOM, write_policy=WRITE_BACK,
+                write_allocate=False),
+    CacheConfig(2048, 16, 4, policy=POLICY_FIFO, write_policy=WRITE_BACK),
+    CacheConfig(4096, 32, 2, write_policy=WRITE_BACK, write_allocate=False),
+]
 
 
 class TestSweepParallel:
@@ -477,6 +577,63 @@ class TestSweepParallel:
                     point.write_throughs) == (expected.misses,
                                               expected.writebacks,
                                               expected.write_throughs)
+
+    def _written_trace(self, n):
+        addresses = self._trace(n)
+        writes = np.random.default_rng(6).random(len(addresses)) < 0.3
+        # Every other eight-reference run opens with a two-write burst.
+        writes[::16] = True
+        writes[1::16] = True
+        return addresses, writes
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grouped_configs_match_per_config_simulation(self, jobs,
+                                                         tmp_path):
+        """Each point equals its own simulate_auto, in the order asked
+        for, in RAM and streamed from a container in 997-token chunks."""
+        addresses, writes = self._written_trace(6_000)
+        expected = [simulate_auto(addresses, config, writes=writes)
+                    for config in MIXED_CONFIGS]
+        kinds = np.where(writes, KIND_WRITE, KIND_READ) | (REGION_RAM << 4)
+        path = tmp_path / "trace.ptrc"
+        write_container(pack_tokens(addresses, kinds.astype(np.uint8)),
+                        path, chunk_tokens=997)
+        for points in (sweep_parallel(addresses, writes=writes,
+                                      configs=MIXED_CONFIGS, jobs=jobs),
+                       sweep_parallel(container=path, configs=MIXED_CONFIGS,
+                                      jobs=jobs)):
+            assert [p.config for p in points] == MIXED_CONFIGS
+            for point, stats in zip(points, expected):
+                assert (point.accesses, point.misses, point.writebacks,
+                        point.write_throughs) == (
+                    stats.accesses, stats.misses, stats.writebacks,
+                    stats.write_throughs), point.config
+
+    def test_config_groups(self):
+        groups = sweep_module._config_groups(MIXED_CONFIGS)
+        assert [len(g) for g in groups] == [4, 3, 2, 2, 1]
+        distinct = [c for g in groups for c in g]
+        assert len(distinct) == len(set(distinct)) and \
+            set(distinct) == set(MIXED_CONFIGS)
+
+    def test_no_leaked_segments_after_group_unit_raises(self, monkeypatch):
+        """A failing configs unit surfaces as a SweepWorkerError naming
+        its group's configurations, and the shared segments are still
+        unlinked."""
+        monkeypatch.setattr(sweep_module, "_group_unit_impl", _boom_on_fifo)
+        addresses, writes = self._written_trace(8_000)
+        before = _shm_segments()
+        with pytest.raises(SweepWorkerError,
+                           match="injected group failure") as info:
+            sweep_parallel(addresses, writes=writes, configs=MIXED_CONFIGS,
+                           jobs=2)
+        message = str(info.value)
+        for config in MIXED_CONFIGS:
+            if config.policy == POLICY_FIFO:
+                assert repr(config) in message
+        assert "policy='lru'" not in message
+        assert "policy='random'" not in message
+        assert _shm_segments() == before
 
     def test_no_leaked_segments_after_success(self):
         before = _shm_segments()
