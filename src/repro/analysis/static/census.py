@@ -72,11 +72,6 @@ class TrapCensus:
             if site.addr in known:
                 self.site_args[site.addr] = site.args
 
-    def arguments_at(self, addr: int) -> Tuple[Optional[int], ...]:
-        """The recovered argument tuple for one call site (empty when
-        no argument slot was provably constant)."""
-        return self.site_args.get(addr, ())
-
     def signatures(self) -> Dict[str, List[List[Optional[int]]]]:
         """Trap name -> sorted unique recovered argument tuples.
 

@@ -97,12 +97,6 @@ class Report:
         return self.by_severity(Severity.WARNING)
 
     @property
-    def max_severity(self) -> Optional[Severity]:
-        if not self.findings:
-            return None
-        return max(f.severity for f in self.findings)
-
-    @property
     def ok(self) -> bool:
         """True when no error-severity finding is present."""
         return not self.errors

@@ -127,19 +127,6 @@ class CFG:
             yield from self.blocks[start].insns
 
     # -- graph structure ------------------------------------------------
-    def predecessors(self) -> Dict[int, List[int]]:
-        """Intra-procedural predecessor lists, deterministically ordered.
-
-        Only ``succs`` edges count (a call returns to its fallthrough
-        block, it does not make the callee a predecessor).
-        """
-        preds: Dict[int, List[int]] = {n: [] for n in self.blocks}
-        for start in sorted(self.blocks):
-            for succ in self.blocks[start].succs:
-                if succ in preds:
-                    preds[succ].append(start)
-        return preds
-
     def back_edges(self) -> List[Tuple[int, int]]:
         """(source, target) succ edges that close a cycle.
 

@@ -198,7 +198,3 @@ class Cache:
         for d in self._dirty:
             d.clear()
         return count
-
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)

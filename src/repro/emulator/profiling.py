@@ -584,10 +584,6 @@ class ReferenceTrace:
     def is_write(self) -> np.ndarray:
         return (self.kinds & 0x0F) == KIND_WRITE
 
-    def ram_only(self) -> "ReferenceTrace":
-        mask = self.region == REGION_RAM
-        return ReferenceTrace(self.addresses[mask], self.kinds[mask])
-
     def memory_only(self) -> "ReferenceTrace":
         """Drop hardware-register references (not cacheable)."""
         mask = self.region != REGION_HW

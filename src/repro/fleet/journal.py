@@ -26,6 +26,8 @@ import os
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Tuple, Union
 
+from ..storage import write_atomic
+
 JOURNAL_NAME = "journal.jsonl"
 MANIFEST_NAME = "manifest.json"
 AGGREGATE_NAME = "aggregates.json"
@@ -43,20 +45,14 @@ class JournalError(ValueError):
 
 
 def write_json_atomic(path: Union[str, Path], data: dict) -> None:
-    """Write ``data`` as pretty, key-sorted JSON via tmp + rename.
+    """Write ``data`` as pretty, key-sorted JSON, atomically.
 
     Key-sorted output makes the file a canonical encoding of ``data``:
     two runs producing equal dicts produce byte-identical files, which
     is how the resume tests can simply compare bytes.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    blob = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    write_atomic(path, (json.dumps(data, sort_keys=True, indent=2)
+                        + "\n").encode("utf-8"))
 
 
 def read_journal(path: Union[str, Path]) -> List[dict]:
@@ -92,7 +88,10 @@ def read_journal(path: Union[str, Path]) -> List[dict]:
             raise JournalError(
                 f"{path}:{lineno}: undecodable journal entry before the "
                 f"final line — the file is corrupt: {line[:80]!r}")
-        if not isinstance(entry, dict) or entry.get("kind") not in ENTRY_KINDS:
+        if (not isinstance(entry, dict)
+                or entry.get("kind") not in ENTRY_KINDS
+                or (entry["kind"] == "done"
+                    and not isinstance(entry.get("stats"), dict))):
             raise JournalError(
                 f"{path}:{lineno}: not a journal entry: {line[:80]!r}")
         entries.append(entry)
@@ -162,13 +161,16 @@ def read_manifest(directory: Union[str, Path]) -> Tuple[dict, str]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise JournalError(f"{path}: corrupt manifest: {exc}") from exc
-    if data.get("_format") != MANIFEST_FORMAT:
+    if not isinstance(data, dict) or data.get("_format") != MANIFEST_FORMAT:
         raise JournalError(f"{path}: not a fleet manifest")
     if data.get("_version") != MANIFEST_VERSION:
         raise JournalError(
             f"{path}: unsupported manifest version {data.get('_version')!r}")
+    if (not isinstance(data.get("spec"), dict)
+            or not isinstance(data.get("digest"), str)):
+        raise JournalError(f"{path}: manifest lacks its spec or digest")
     return data["spec"], data["digest"]
 
 

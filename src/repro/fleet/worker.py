@@ -150,23 +150,17 @@ def run_session(plan: SessionPlan, *, policy: str = "resync",
 
     trace_digest = None
     if trace_dir:
+        from ..storage import replacing
         from ..traces.container import ContainerWriter
         os.makedirs(trace_dir, exist_ok=True)
         final_path = os.path.join(trace_dir, f"{plan.session_id}.ptrc")
-        tmp_path = f"{final_path}.tmp.{os.getpid()}"
-        try:
-            with ContainerWriter(
-                    tmp_path,
-                    session={"session_id": plan.session_id,
-                             "seed": plan.seed,
-                             "cell": cell.describe()}) as writer:
-                for chunk in profiler.chunks():
-                    writer.append_tokens(chunk)
-            os.replace(tmp_path, final_path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        meta = {"session_id": plan.session_id, "seed": plan.seed,
+                "cell": cell.describe()}
+        # ContainerWriter fsyncs the sibling before it is renamed.
+        with replacing(final_path) as tmp, \
+                ContainerWriter(tmp, session=meta) as writer:
+            for chunk in profiler.chunks():
+                writer.append_tokens(chunk)
         trace_digest = writer.manifest["digest"]
     model = EnergyModel()
     # The kernels hand back numpy scalars; the stats record must be

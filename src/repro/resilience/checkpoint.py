@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
+from ..storage import write_atomic
 from .errors import CheckpointError
 
 if TYPE_CHECKING:
@@ -122,7 +123,7 @@ class Checkpoint:
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.to_bytes())
+        write_atomic(path, self.to_bytes())
         return path
 
     @classmethod
@@ -370,12 +371,13 @@ class CheckpointManager:
         return [cp.tick for cp in self._ring]
 
     def add(self, checkpoint: Checkpoint) -> None:
-        self._ring.append(checkpoint)
-        while len(self._ring) > self.keep:
-            dropped = self._ring.pop(0)
-            self._unlink(dropped)
+        # Saved before the oldest is trimmed: a save that fails leaves
+        # the ring, and the directory, as they were.
         if self.directory is not None:
             checkpoint.save(self.directory / self._filename(checkpoint))
+        self._ring.append(checkpoint)
+        while len(self._ring) > self.keep:
+            self._unlink(self._ring.pop(0))
 
     def latest(self) -> Optional[Checkpoint]:
         return self._ring[-1] if self._ring else None
@@ -405,9 +407,7 @@ class CheckpointManager:
     def _unlink(self, checkpoint: Checkpoint) -> None:
         if self.directory is None:
             return
-        path = self.directory / self._filename(checkpoint)
-        if path.exists():
-            path.unlink()
+        (self.directory / self._filename(checkpoint)).unlink(missing_ok=True)
 
     @classmethod
     def load_directory(cls, directory: Union[str, Path],

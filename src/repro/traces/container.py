@@ -55,6 +55,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..device.memmap import KIND_WRITE, REGION_HW
+from ..storage import write_atomic
 
 MAGIC = b"PTRC01"
 VERSION = 2
@@ -778,6 +779,8 @@ def recover_container(path, out_path, *,
 
 ARCHIVE_MANIFEST = "archive.json"
 ARCHIVE_FORMAT = "PTRC-archive"
+#: The membership-record fields every archive reader relies on.
+_MEMBER_FIELDS = {"id": str, "file": str, "digest": str, "tokens": int}
 
 
 class TraceArchive:
@@ -797,9 +800,20 @@ class TraceArchive:
         self.root = os.fspath(root)
         self._manifest_path = os.path.join(self.root, ARCHIVE_MANIFEST)
         if os.path.exists(self._manifest_path):
-            with open(self._manifest_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if data.get("format") != ARCHIVE_FORMAT:
+            try:
+                with open(self._manifest_path, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except ValueError as exc:
+                raise TraceContainerError(
+                    f"{self._manifest_path}: undecodable: {exc}") from exc
+            members = data.get("members") if isinstance(data, dict) else None
+            if (not isinstance(members, list)
+                    or data.get("format") != ARCHIVE_FORMAT
+                    or not isinstance(data.get("meta", {}), dict)
+                    or not all(isinstance(m, dict) and all(
+                        isinstance(m.get(key), kind)
+                        for key, kind in _MEMBER_FIELDS.items())
+                        for m in members)):
                 raise TraceContainerError(
                     f"{self._manifest_path}: not a PTRC archive manifest")
             self._data = data
@@ -814,13 +828,8 @@ class TraceArchive:
                 "to start a new archive)")
 
     def _save(self) -> None:
-        blob = json.dumps(self._data, indent=2, sort_keys=True)
-        tmp = self._manifest_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._manifest_path)
+        write_atomic(self._manifest_path, json.dumps(
+            self._data, indent=2, sort_keys=True).encode("utf-8"))
 
     @property
     def meta(self) -> dict:

@@ -36,10 +36,6 @@ class TypeCorrelation:
     tick_deltas: List[int] = field(default_factory=list)
 
     @property
-    def payload_match_rate(self) -> float:
-        return self.payload_matches / self.original if self.original else 1.0
-
-    @property
     def max_tick_delta(self) -> int:
         return max((abs(d) for d in self.tick_deltas), default=0)
 

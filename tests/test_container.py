@@ -132,6 +132,29 @@ class TestContainerRoundTrip:
             assert len(container.tokens_array()) == 0
             container.verify(deep=True)
 
+    def test_streaming_memory_stays_bounded(self, tmp_path):
+        """A trace far larger than one chunk streams through the writer
+        and back out of ``chunks()`` with only a few chunks resident:
+        the bounded-memory claim out-of-core archives rest on."""
+        chunk_tokens = 1 << 16
+        tile = random_tokens(chunk_tokens, seed=71)
+        repeats = 64                  # 4 Mi tokens, 32 MiB raw
+        path = tmp_path / "large.ptrc"
+        tracemalloc.start()
+        try:
+            with ContainerWriter(path, chunk_tokens=chunk_tokens) as writer:
+                for _ in range(repeats):
+                    writer.append_tokens(tile)
+            read_back = 0
+            with TraceContainer(path) as container:
+                for chunk in container.chunks():
+                    read_back += len(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_back == repeats * chunk_tokens
+        assert peak < 8 * tile.nbytes         # 4 MiB of 32 MiB raw
+
     def test_incremental_writes_rechunk(self, tmp_path):
         tokens = random_tokens(300, seed=3)
         path = tmp_path / "t.ptrc"
@@ -575,6 +598,26 @@ class TestArchive:
         write_container(random_tokens(100, seed=2), member)  # swapped
         with pytest.raises(TraceContainerError):
             TraceArchive(root).verify()
+
+    @pytest.mark.parametrize("blob", [
+        "{",                                      # torn JSON
+        "[1]",                                    # not an object
+        '{"format": "PTRC-archive"}',             # no member list
+        '{"format": "PTRC-archive", "members": [1]}',
+        '{"format": "PTRC-archive", "members": [{"id": "s0"}]}',
+        '{"format": "PTRC-archive", "members": [], "meta": []}',
+        b"\xff\xfe",                              # not UTF-8
+    ])
+    def test_malformed_manifest_is_typed_error(self, tmp_path, blob):
+        root = tmp_path / "arch"
+        root.mkdir()
+        manifest = root / "archive.json"
+        if isinstance(blob, bytes):
+            manifest.write_bytes(blob)
+        else:
+            manifest.write_text(blob)
+        with pytest.raises(TraceContainerError, match="archive.json"):
+            TraceArchive(root)
 
     def test_open_chunk_source_dispatch(self, tmp_path):
         root = tmp_path / "arch"

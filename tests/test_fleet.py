@@ -29,12 +29,13 @@ from repro.fleet import (
     JournalError,
     PopulationAggregate,
     read_journal,
+    read_manifest,
     replay_journal,
     run_campaign,
     verify_chaos,
 )
 from repro.fleet.aggregate import STATS_KEYS, percentile
-from repro.fleet.journal import JOURNAL_NAME
+from repro.fleet.journal import JOURNAL_NAME, MANIFEST_NAME
 from repro.fleet.supervisor import resume_campaign
 from repro.fleet.worker import run_session
 
@@ -236,6 +237,34 @@ class TestJournal:
                         '{"kind": "quarantine", "index": 1, "reason": "x"}\n')
         with pytest.raises(JournalError):
             read_journal(path)
+
+    @pytest.mark.parametrize("line", [
+        '{"kind": "done", "index": 0}',                 # no stats
+        '{"kind": "done", "index": 0, "stats": [1]}',
+        '[1]',
+        '"done"',
+    ])
+    def test_malformed_entry_is_typed_error(self, tmp_path, line):
+        path = tmp_path / JOURNAL_NAME
+        path.write_text(line + '\n{"kind": "start", "index": 1, '
+                        '"attempt": 0}\n')
+        with pytest.raises(JournalError, match=":1: not a journal entry"):
+            read_journal(path)
+
+    @pytest.mark.parametrize("blob", [
+        "{",                                            # torn JSON
+        "[1]",                                          # not an object
+        '{"_format": "repro-fleet-manifest", "_version": 1, '
+        '"digest": "ab"}',                              # no spec
+        '{"_format": "repro-fleet-manifest", "_version": 1, '
+        '"spec": {}}',                                  # no digest
+        '{"_format": "repro-fleet-manifest", "_version": 1, '
+        '"spec": [], "digest": "ab"}',
+    ])
+    def test_malformed_manifest_is_typed_error(self, tmp_path, blob):
+        (tmp_path / MANIFEST_NAME).write_text(blob)
+        with pytest.raises(JournalError, match=MANIFEST_NAME):
+            read_manifest(tmp_path)
 
     def test_quarantine_then_done_is_rescued(self):
         entries = [

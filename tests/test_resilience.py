@@ -4,6 +4,10 @@ parser, and the fault-spec grammar.  Integration tests that drive a
 full emulator live in ``test_resilience_replay.py``.
 """
 
+import builtins
+import errno
+import io
+
 import pytest
 
 from repro.resilience import (
@@ -119,6 +123,50 @@ class TestCheckpointManager:
         assert names == ["ckpt-000000000200.bin", "ckpt-000000000300.bin"]
         again = CheckpointManager.load_directory(tmp_path, keep=2)
         assert again.ticks == [200, 300]
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_interrupted_save_leaves_previous_loadable(self, tmp_path,
+                                                       monkeypatch, keep):
+        """A save that dies partway (here: the disk fills after half the
+        bytes) must not leave a torn ``ckpt-*.bin`` for resume to trip
+        on, nor cost the checkpoint it was meant to follow."""
+        mgr = CheckpointManager(directory=tmp_path, keep=keep)
+        mgr.add(Checkpoint(manifest={"tick": 100},
+                           sections={"ram": bytes(range(256)) * 64}))
+        real_open = builtins.open
+
+        class HalfWritten:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, data):
+                self._handle.write(bytes(data)[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return HalfWritten(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        monkeypatch.setattr(io, "open", failing_open)
+        with pytest.raises(OSError):
+            mgr.add(Checkpoint(manifest={"tick": 200},
+                               sections={"ram": bytes(16384)}))
+        monkeypatch.undo()
+        assert mgr.ticks == [100]
+        again = CheckpointManager.load_directory(tmp_path, keep=keep)
+        assert again.ticks == [100]
+        assert [p.name for p in tmp_path.iterdir()] == \
+            ["ckpt-000000000100.bin"]
 
 
 # ----------------------------------------------------------------------
