@@ -38,6 +38,12 @@ Steps 1 and 2 are :func:`_prepare_heads`; :class:`ChunkedSimulator`
 runs them and the waves chunk by chunk, with the way matrix carried
 between chunks, and :func:`simulate` is that simulator over one chunk.
 
+The LRU depth pass (:class:`ChunkedDepthPass`) shares steps 1 and 2 but
+has no waves and no drain: each set's carried stack goes in front of
+its run heads, and the stack depth of every head is the number of
+distinct lines since its line's previous reference, counted for all
+heads at once by a capped backward scan (:func:`_lru_depths`).
+
 Supported: LRU and FIFO replacement, write-through and write-back,
 write-allocate and no-write-allocate.  Random replacement consumes a
 Python ``random.Random`` stream per eviction and stays on the scalar
@@ -420,41 +426,20 @@ def _drain_fifo(tags, writes, row, ptr, assoc, allocate, track_dirty,
     return hits, writebacks, [(t << 1) | b for t, b in zip(ways, dirty)], ptr
 
 
-def _drain_depths(tags, row, assoc, hist):
-    """Finish one set's run stream recording LRU hit depths."""
-    cold = 0
-    ways = [p >> 1 for p in row.tolist()]
-    counts = [0] * assoc
-    for t in tags.tolist():
-        if t in ways:
-            d = ways.index(t)
-            counts[d] += 1
-            del ways[d]
-        else:
-            cold += 1
-            ways.pop()
-        ways.insert(0, t)
-    hist += counts
-    return cold, [t << 1 for t in ways]
-
-
 # ----------------------------------------------------------------------
 # Wave kernels
 # ----------------------------------------------------------------------
 
 def _run_waves(sets, tags, writes, config: CacheConfig,
-               state: np.ndarray, depth_hist: Optional[np.ndarray] = None,
-               tail_width: int = TAIL_WIDTH,
+               state: np.ndarray, tail_width: int = TAIL_WIDTH,
                fifo_ptr: Optional[np.ndarray] = None,
                weights: Optional[np.ndarray] = None):
     """Simulate set-sorted run heads; returns (hits, writebacks).
 
     ``state`` is the packed ``(num_sets, assoc)`` way matrix, mutated in
-    place.  With ``depth_hist`` (LRU only) each hit also increments the
-    histogram bucket of its stack depth.  ``fifo_ptr`` carries the
-    per-set FIFO insertion pointers; passing it in (mutated in place)
-    lets the out-of-core path resume replacement state across chunk
-    boundaries.  ``weights`` (from :func:`_prepare_heads`) gives the
+    place.  ``fifo_ptr`` carries the per-set FIFO insertion pointers;
+    passing it in (mutated in place) lets the out-of-core path resume
+    replacement state across chunk boundaries.  ``weights`` (from :func:`_prepare_heads`) gives the
     references each head stands for: a hit scores its head's weight.
     """
     assoc = state.shape[1]
@@ -508,8 +493,6 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
         else:
             hits += int(weights_w[lo:hi][hit].sum())
         pos = match.argmax(axis=1)
-        if depth_hist is not None:
-            depth_hist += np.bincount(pos[hit], minlength=assoc)
         w = writes_w[lo:hi] if writes_w is not None else None
         if fifo:
             if track_dirty:
@@ -563,10 +546,7 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
         k_rest = None if weights is None else weights[start:end]
         set_index = int(sets[start])
         row = state[set_index]
-        if depth_hist is not None:
-            cold, new_row = _drain_depths(t_rest, row, assoc, depth_hist)
-            hits += len(t_rest) - cold
-        elif fifo:
+        if fifo:
             h, wb, new_row, p = _drain_fifo(t_rest, w_rest, row,
                                             int(ptr[set_index]), assoc,
                                             allocate, track_dirty, k_rest)
@@ -719,10 +699,139 @@ class ChunkedSimulator:
         return self.finish()
 
 
-class _DepthPassConfig:  # _run_waves only reads these three fields
-    policy = POLICY_LRU
-    write_policy = "write-through"
-    write_allocate = True
+# ----------------------------------------------------------------------
+# LRU depth scan
+# ----------------------------------------------------------------------
+
+#: Steps of the depth scan taken as whole-chunk shifted slices between
+#: two counts of the heads still open.
+SCAN_BLOCK = 8
+
+#: The slice phase of the depth scan ends once fewer than one position
+#: in this many holds an open head; gathers finish those.
+SCAN_SPARSE = 64
+
+
+def _prepend_stacks(state: np.ndarray, sets: np.ndarray, tags: np.ndarray):
+    """Set-sorted run heads with each touched set's carried stack in
+    front of its heads, least recently used first.
+
+    Replaying a stack's lines rebuilds it, so the heads see the state
+    the earlier chunks left.  A carried line occurs once and before
+    every head of its set, so it has no earlier reference and the scan
+    never counts it.  A line below the carried stack is deeper than the
+    pass has ways and misses either way.  Returns ``(sets, tags,
+    touched)``, ``touched`` listing the sets present.
+    """
+    starts, lens = _set_groups(sets)
+    touched = sets[starts]
+    stacks = state[touched][:, ::-1]
+    carried = stacks != EMPTY       # EMPTY ways sit at the bottom only
+    depth = np.count_nonzero(carried, axis=1)
+    n_carried = int(depth.sum())
+    if n_carried == 0:
+        return sets, tags, touched
+    prefix = np.arange(n_carried) + np.repeat(starts, depth)
+    head = np.ones(len(sets) + n_carried, dtype=bool)
+    head[prefix] = False
+    all_tags = np.empty(len(head), dtype=tags.dtype)
+    all_tags[head] = tags
+    all_tags[prefix] = stacks[carried] >> 1
+    return np.repeat(touched, lens + depth), all_tags, touched
+
+
+def _line_order(tags: np.ndarray) -> np.ndarray:
+    """Stable argsort of ``tags``: an LSD radix sort over 16-bit digits,
+    each of which numpy's stable argsort radix-sorts."""
+    keys = tags - tags.min()
+    order = None
+    for shift in range(0, max(int(keys.max()).bit_length(), 1), 16):
+        digits = (keys if order is None else keys[order]) >> shift
+        step = np.argsort(digits.astype(np.uint16), kind="stable")
+        order = step if order is None else order[step]
+    return order
+
+
+def _reuse_gaps(sets: np.ndarray, tags: np.ndarray):
+    """``(back, ahead)`` for every position of a set-sorted line stream:
+    ``back[i]`` is ``i`` minus the previous position of its line (0 when
+    there is none), ``ahead[i]`` the next position minus ``i``
+    (``len(tags)`` when there is none).
+
+    Sorted stably by tag, a set-sorted stream lists each line's
+    references together and in order.
+    """
+    n = len(tags)
+    order = _line_order(tags)
+    sorted_tags = tags[order]
+    sorted_sets = sets[order]
+    same = sorted_tags[1:] == sorted_tags[:-1]
+    same &= sorted_sets[1:] == sorted_sets[:-1]
+    prev = order[:-1][same]
+    succ = order[1:][same]
+    back = np.zeros(n, dtype=np.int32)
+    back[succ] = succ - prev
+    ahead = np.full(n, n, dtype=np.int32)
+    ahead[prev] = succ - prev
+    return back, ahead
+
+
+def _lru_depths(back: np.ndarray, ahead: np.ndarray,
+                max_depth: int) -> np.ndarray:
+    """The LRU stack depth of every position with an earlier reference
+    to its line (``back > 0``), capped at ``max_depth``.
+
+    The depth of position ``i`` is the number of distinct lines in the
+    window between its previous reference ``i - back[i]`` and ``i``: a
+    line counts once, at its last reference in the window, the position
+    ``j`` with ``j + ahead[j] > i``.  The scan walks every window
+    backwards at once; step ``k`` tests ``ahead[i - k] > k``, one
+    shifted slice of the whole chunk.  A head resolves as a hit when
+    its window is done and as a miss when its count reaches
+    ``max_depth``.  No position is passed by more than ``max_depth``
+    hits, whose lines all stay in the top ``max_depth`` of the stack
+    there, nor by more than ``max_depth`` misses, whose lines are
+    distinct and all inside the window, so the total work is at most
+    ``2 * max_depth`` steps per position.
+
+    Slices cost a whole chunk per step, so once few heads are left
+    open, gathers take over: each round scans the next ``width``
+    positions of every open window (the last, shorter one ends it) and
+    doubles ``width``.
+    """
+    n = len(back)
+    depth = np.zeros(n, dtype=np.uint8 if max_depth + SCAN_BLOCK < 256
+                     else np.int32)
+    k = 0
+    heads = np.flatnonzero(back > 1)
+    while len(heads) * SCAN_SPARSE >= n:
+        stop = min(k + SCAN_BLOCK, n - 1)
+        for k in range(k + 1, stop + 1):
+            seen = ahead[:-k] > k
+            seen &= back[k:] > k
+            depth[k:] += seen
+        k = stop
+        np.minimum(depth, max_depth, out=depth)
+        open_ = back > k + 1
+        open_ &= depth < max_depth
+        heads = np.flatnonzero(open_)
+    counts = depth[heads].astype(np.intp)
+    left = back[heads] - 1 - k      # window positions not scanned yet
+    width = max(k, 1)
+    while len(heads):
+        take = np.minimum(left, width)
+        starts = np.cumsum(take) - take
+        dist = np.arange(int(take.sum())) - np.repeat(starts - k - 1, take)
+        seen = ahead[np.repeat(heads, take) - dist] > dist
+        counts += np.add.reduceat(seen, starts, dtype=np.intp)
+        depth[heads] = np.minimum(counts, max_depth)
+        k += width
+        width *= 2
+        left -= take
+        open_ = left > 0
+        open_ &= counts < max_depth
+        heads, counts, left = heads[open_], counts[open_], left[open_]
+    return depth
 
 
 class ChunkedDepthPass:
@@ -734,11 +843,9 @@ class ChunkedDepthPass:
     histogram as the whole trace.
     """
 
-    def __init__(self, num_sets: int, max_depth: int,
-                 tail_width: int = TAIL_WIDTH):
+    def __init__(self, num_sets: int, max_depth: int):
         self.num_sets = num_sets
         self.max_depth = max_depth
-        self.tail_width = tail_width
         self.hist = np.zeros(max_depth, dtype=np.int64)
         self._state: Optional[np.ndarray] = None
         self._total = 0
@@ -755,7 +862,13 @@ class ChunkedDepthPass:
         :func:`refined_runs` yields them; ``collapsed`` counts the
         references already dropped as depth-0 hits.  The paper-grid
         sweep refines one chunk through every family of a line size and
-        feeds each family here."""
+        feeds each family here.
+
+        The heads, behind the carried stacks (:func:`_prepend_stacks`),
+        get their depths from one backward scan (:func:`_lru_depths`).
+        Each touched set's new stack is its last ``max_depth`` distinct
+        lines, the positions no later reference follows, newest first.
+        """
         self._total += len(sets) + collapsed
         self.hist[0] += collapsed
         sets, tags, pingpong = _collapse_pingpong(sets, tags)
@@ -769,8 +882,19 @@ class ChunkedDepthPass:
                                   dtype=dtype)
         elif tags.dtype != self._state.dtype:
             tags = tags.astype(self._state.dtype)
-        _run_waves(sets, tags, None, _DepthPassConfig, self._state,
-                   depth_hist=self.hist, tail_width=self.tail_width)
+        sets, tags, touched = _prepend_stacks(self._state, sets, tags)
+        back, ahead = _reuse_gaps(sets, tags)
+        depth = _lru_depths(back, ahead, self.max_depth)
+        hit = back > 0
+        hit &= depth < self.max_depth
+        self.hist += np.bincount(depth[hit], minlength=self.max_depth)
+        last = np.flatnonzero(ahead == len(ahead))
+        starts, lens = _set_groups(sets[last])
+        rank = np.repeat(starts + lens - 1, lens) - np.arange(len(last))
+        keep = rank < self.max_depth
+        last = last[keep]
+        self._state[touched] = EMPTY
+        self._state[sets[last], rank[keep]] = tags[last] << 1
 
     def finish(self) -> Tuple[np.ndarray, int]:
         """``(hist, cold)``: hits per stack depth, and the references
@@ -843,28 +967,26 @@ def simulate_auto(addresses, config: CacheConfig, writes=None,
     return cache.stats
 
 
-def lru_hit_depths(line_addrs: np.ndarray, num_sets: int, max_depth: int,
-                   tail_width: int = TAIL_WIDTH
+def lru_hit_depths(line_addrs: np.ndarray, num_sets: int, max_depth: int
                    ) -> Tuple[np.ndarray, int]:
     """Vectorized :func:`repro.cache.stackdist.lru_depth_histogram`.
 
-    One wave pass with ``max_depth`` ways records the stack depth of
+    One depth pass with ``max_depth`` ways records the stack depth of
     every hit, yielding the miss count of every associativity up to
     ``max_depth`` at once (the LRU stack property).
 
     ``line_addrs`` may be a chunk iterator of line-address arrays (the
     out-of-core family pass), streamed with persistent stack state.
     """
-    return _depth_pass(line_addrs, num_sets, max_depth,
-                       tail_width).finish()
+    return _depth_pass(line_addrs, num_sets, max_depth).finish()
 
 
-def _depth_pass(line_addrs, num_sets: int, max_depth: int,
-                tail_width: int = TAIL_WIDTH) -> ChunkedDepthPass:
+def _depth_pass(line_addrs, num_sets: int, max_depth: int
+                ) -> ChunkedDepthPass:
     """A :class:`ChunkedDepthPass` fed every chunk of ``line_addrs`` (a
     chunk iterator, or an in-RAM array as its one chunk)."""
     chunk_iter = as_chunk_iter(line_addrs)
-    depth_pass = ChunkedDepthPass(num_sets, max_depth, tail_width=tail_width)
+    depth_pass = ChunkedDepthPass(num_sets, max_depth)
     for chunk in [line_addrs] if chunk_iter is None else chunk_iter:
         depth_pass.feed(chunk)
     return depth_pass

@@ -6,6 +6,8 @@ production drains in :mod:`repro.cache.kernels` unpack the row into
 parallel tag/dirty lists instead; the differential tests require both
 to produce identical counts, rows and FIFO pointers.  A head's optional
 weight is the number of references it stands for: a hit scores it.
+:func:`drain_depths` has no production drain left: a one-set
+``ChunkedDepthPass`` resumed from the same row must match it.
 
 :func:`lru_depth_state` gives the final stacks of a whole LRU depth
 pass, packed like the kernels' way matrix, so the differential tests

@@ -76,9 +76,13 @@ from repro.traces.dinero import (
 CODECS = [c for c in available_codecs() if c in ("raw", "zlib")]
 
 
-def random_tokens(n: int, seed: int = 0) -> np.ndarray:
+def random_tokens(n: int, seed: int = 0, pool: int = 0) -> np.ndarray:
+    """``n`` random tokens over 64 MiB, or over ``pool`` addresses
+    drawn from it (so a small cache hits)."""
     rng = np.random.default_rng(seed)
     addrs = rng.integers(0, 1 << 26, size=n, dtype=np.uint64)
+    if pool:
+        addrs = rng.choice(addrs[:pool], size=n)
     kind = rng.choice([KIND_FETCH, KIND_READ, KIND_WRITE], size=n)
     region = rng.choice([REGION_RAM, REGION_FLASH, REGION_HW],
                         size=n, p=[0.6, 0.35, 0.05])
@@ -290,7 +294,7 @@ class TestOutOfCoreKernels:
         assert kernel_misses_by_associativity(parts, 16, (1, 2, 8)) == whole
 
     def test_container_simulate_matches_in_ram(self, tmp_path):
-        tokens = random_tokens(4000, seed=11)
+        tokens = random_tokens(4000, seed=11, pool=96)
         path = tmp_path / "t.ptrc"
         write_container(tokens, path, chunk_tokens=256)
         addrs, kinds = unpack_tokens(tokens)
@@ -301,7 +305,7 @@ class TestOutOfCoreKernels:
             assert simulate(container.cache_chunks(), config) == whole
 
     def test_sweep_container_matches_in_ram(self, tmp_path):
-        tokens = random_tokens(3000, seed=13)
+        tokens = random_tokens(3000, seed=13, pool=96)
         path = tmp_path / "t.ptrc"
         write_container(tokens, path, chunk_tokens=500)
         addrs, kinds = unpack_tokens(tokens)

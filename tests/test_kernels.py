@@ -79,6 +79,15 @@ configs = st.builds(
 traces = st.lists(st.tuples(st.integers(0, 0x7FFF), st.booleans()),
                   min_size=0, max_size=400)
 
+#: Like ``traces``, but half the references go to eight lines 8 KiB
+#: apart, which share a set in every cache drawn, so lines are
+#: re-referenced after other lines evicted them and FIFO victims cycle
+#: through every way.  At least 64 references, so sets fill up.
+reuse_traces = st.lists(st.tuples(
+    st.one_of(st.integers(0, 0x7FFF),
+              st.integers(0, 7).map(lambda k: k << 13)),
+    st.booleans()), min_size=64, max_size=400)
+
 
 @st.composite
 def run_traces(draw):
@@ -115,7 +124,7 @@ def run_traces(draw):
 
 class TestKernelDifferential:
     @settings(max_examples=120, deadline=None)
-    @given(config=configs, trace=traces, flush=st.booleans(),
+    @given(config=configs, trace=reuse_traces, flush=st.booleans(),
            tail_width=st.sampled_from([0, 3, 10 ** 9]))
     def test_matches_scalar_cache(self, config, trace, flush, tail_width):
         """Byte-for-byte CacheStats equality, on the wave path
@@ -180,14 +189,18 @@ class TestKernelDifferential:
     @given(lines=st.lists(st.integers(0, 2047), max_size=300),
            num_sets=st.sampled_from([1, 4, 64]),
            max_depth=st.sampled_from([1, 3, 8]),
-           tail_width=st.sampled_from([0, 3, 10 ** 9]))
+           cuts=st.lists(st.integers(0, 300), max_size=6))
     def test_depth_histogram_matches_scalar(self, lines, num_sets,
-                                            max_depth, tail_width):
+                                            max_depth, cuts):
+        """Whole and streamed in chunks cut anywhere."""
         arr = np.array(lines, dtype=np.uint32)
         hist_ref, cold_ref = lru_depth_histogram(
             arr.astype(np.int64), num_sets, max_depth)
-        hist, cold = lru_hit_depths(arr, num_sets, max_depth,
-                                    tail_width=tail_width)
+        hist, cold = lru_hit_depths(arr, num_sets, max_depth)
+        assert np.array_equal(np.asarray(hist_ref), hist)
+        assert cold == cold_ref
+        chunks = np.split(arr, sorted(min(c, len(arr)) for c in cuts))
+        hist, cold = lru_hit_depths(chunks, num_sets, max_depth)
         assert np.array_equal(np.asarray(hist_ref), hist)
         assert cold == cold_ref
 
@@ -220,34 +233,131 @@ def pingpong_traces(draw):
     return np.array(lines, dtype=np.uint32), cuts
 
 
+def far_reuse_lines(segments):
+    """Line addresses in which far reuses wrap long loops.
+
+    Each segment ``(far, loops, offset, spread)`` references line
+    ``far``, runs each loop ``(lines, repeats, mark)`` (optionally
+    followed by a line used once) and references ``far`` again.  The
+    depth scan of that last reference crosses a window of up to
+    thousands of heads with few distinct lines in it, some of them deep
+    in the window, where only the scan's late steps find them.  Line
+    ``i`` of a segment is ``64 * i`` plus ``offset``, so they all share
+    a set at every set count up to 64, or plus ``(offset + i) % 64``
+    when ``spread``."""
+    lines = []
+    for far, loops, offset, spread in segments:
+        def line(i):
+            return 64 * i + ((offset + i) % 64 if spread else offset)
+        lines.append(line(far))
+        for once, (loop, repeats, mark) in enumerate(loops, start=20):
+            lines.extend([line(i) for i in loop] * repeats)
+            if mark:
+                lines.append(line(once))
+        lines.append(line(far))
+    return np.array(lines, dtype=np.uint32)
+
+
+@st.composite
+def far_reuse_traces(draw):
+    """:func:`far_reuse_lines` of one to four segments, with far lines
+    recurring across segments and one to three loops each over 2-9 of
+    nine loop lines, repeated up to 300 times; plus the chunk cuts to
+    stream them with, anywhere, inside loops too."""
+    segments = draw(st.lists(st.tuples(
+        st.integers(12, 19),
+        st.lists(st.tuples(st.lists(st.integers(0, 8), min_size=2,
+                                    max_size=9, unique=True),
+                           st.integers(1, 300), st.booleans()),
+                 min_size=1, max_size=3),
+        st.integers(0, 63), st.booleans()), min_size=1, max_size=4))
+    lines = far_reuse_lines(segments)
+    cuts = sorted(draw(st.lists(st.integers(0, len(lines)), max_size=6)))
+    return lines, cuts
+
+
+def assert_depth_pass_matches_scalar(lines, cuts, num_sets, max_depth):
+    """Histogram, cold count and final stacks of the depth pass equal
+    the scalar pass, for the whole trace and streamed in chunks."""
+    hist_ref, cold_ref = lru_depth_histogram(lines.astype(np.int64),
+                                             num_sets, max_depth)
+    state_ref = oracle.lru_depth_state(lines, num_sets, max_depth)
+    hist, cold = lru_hit_depths(lines, num_sets, max_depth)
+    assert np.array_equal(hist, hist_ref) and cold == cold_ref
+    for source in (lines, np.split(lines, cuts)):
+        depth_pass = kernels._depth_pass(source, num_sets, max_depth)
+        hist, cold = depth_pass.finish()
+        assert np.array_equal(hist, hist_ref) and cold == cold_ref
+        state = depth_pass._state
+        if state is None:
+            state = np.full((num_sets, max_depth), kernels.EMPTY)
+        assert state.tolist() == state_ref
+
+
 class TestDepthPass:
     """The LRU depth pass (run and ping-pong collapse, refined set
-    sorts, waves and tail drains) against the scalar stack pass."""
+    sorts, carried stacks and the backward depth scan) against the
+    scalar stack pass."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=pingpong_traces(), num_sets=st.sampled_from([1, 2, 4, 8]),
-           max_depth=st.sampled_from([1, 2, 8]),
-           tail_width=st.sampled_from([0, 3, 10 ** 9]))
-    def test_pingpong_runs_match_scalar(self, case, num_sets, max_depth,
-                                        tail_width):
-        """Histogram, cold count and final stacks equal the scalar pass,
-        for the whole trace and streamed in chunks."""
+           max_depth=st.sampled_from([1, 2, 8]))
+    def test_pingpong_runs_match_scalar(self, case, num_sets, max_depth):
         lines, cuts = case
-        hist_ref, cold_ref = lru_depth_histogram(lines.astype(np.int64),
-                                                 num_sets, max_depth)
-        state_ref = oracle.lru_depth_state(lines, num_sets, max_depth)
-        hist, cold = lru_hit_depths(lines, num_sets, max_depth,
-                                    tail_width=tail_width)
-        assert np.array_equal(hist, hist_ref) and cold == cold_ref
-        for source in (lines, np.split(lines, cuts)):
-            depth_pass = kernels._depth_pass(source, num_sets, max_depth,
-                                             tail_width=tail_width)
-            hist, cold = depth_pass.finish()
-            assert np.array_equal(hist, hist_ref) and cold == cold_ref
-            state = depth_pass._state
-            if state is None:
-                state = np.full((num_sets, max_depth), kernels.EMPTY)
-            assert state.tolist() == state_ref
+        assert_depth_pass_matches_scalar(lines, cuts, num_sets, max_depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=far_reuse_traces(), num_sets=st.sampled_from([1, 2, 8, 64]),
+           max_depth=st.sampled_from([1, 2, 4, 8]))
+    def test_long_scans_match_scalar(self, case, num_sets, max_depth):
+        """Windows of thousands of heads and few distinct lines: the
+        scan outlasts its slice phase and finishes by gathers."""
+        lines, cuts = case
+        assert_depth_pass_matches_scalar(lines, cuts, num_sets, max_depth)
+
+    def test_seeded_long_scans_match_scalar(self):
+        """Forty random far-reuse segments, whole and in five chunks."""
+        rng = np.random.default_rng(23)
+        segments = [
+            (int(rng.integers(12, 20)),
+             [(rng.choice(9, int(rng.integers(2, 10)), replace=False)
+               .tolist(), int(rng.integers(1, 300)), bool(rng.random() < 0.5))
+              for _ in range(int(rng.integers(1, 4)))],
+             int(rng.integers(0, 64)), bool(rng.random() < 0.3))
+            for _ in range(40)]
+        lines = far_reuse_lines(segments)
+        cuts = np.sort(rng.integers(0, len(lines), 4))
+        for num_sets in (1, 8):
+            for max_depth in (4, 8):
+                assert_depth_pass_matches_scalar(lines, cuts, num_sets,
+                                                 max_depth)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_many_distinct_lines_match_scalar(self, dtype):
+        """One chunk of more than 65,536 distinct lines, each referenced
+        twice a few lines apart, then streamed in three chunks.  The
+        int64 tags span over 32 bits, so the line sort takes three or
+        more 16-bit digits."""
+        rng = np.random.default_rng(17)
+        top = 1 << 32 if dtype == np.uint32 else 1 << 40
+        distinct = np.unique(rng.integers(0, top, 70_000))
+        assert len(distinct) > 65_536
+        rng.shuffle(distinct)
+        lines = np.stack([distinct, np.roll(distinct, 3)], axis=1).ravel()
+        lines = lines.astype(dtype)
+        cuts = [len(lines) // 3, 2 * len(lines) // 3]
+        for num_sets in (1, 64):
+            assert_depth_pass_matches_scalar(lines, cuts, num_sets, 4)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_line_order_is_stable_argsort(self, dtype):
+        rng = np.random.default_rng(3)
+        for top in (2, 1 << 16, 1 << 17, 1 << 30):
+            if dtype == np.int64:
+                top <<= 20
+            tags = rng.integers(0, top, 5_000).astype(dtype)
+            assert np.array_equal(kernels._line_order(tags),
+                                  np.argsort(tags, kind="stable"))
 
     @pytest.mark.parametrize("tags, kept, dropped", [
         ([1, 2, 1, 2, 1, 2, 3], [1, 2, 3], 4),      # even stretch: all go
@@ -357,13 +467,26 @@ class TestScalarDrains:
     @settings(max_examples=200, deadline=None)
     @given(case=drain_cases())
     def test_depth_drain_matches_oracle(self, case):
+        """A one-set depth pass resumed from a carried row, against the
+        list-walking drain.  An LRU stack keeps its EMPTY ways at the
+        bottom, so the row's lines move to its top."""
         assoc, row, tags, _writes, _ptr = case
-        row = row & ~np.int32(1)  # the depth pass never sets dirty bits
-        hist = np.zeros(assoc, dtype=np.int64)
+        lines = [int(p) >> 1 for p in row if p != kernels.EMPTY]
+        row = [t << 1 for t in lines] + [kernels.EMPTY] * (assoc - len(lines))
+        depth_pass = kernels.ChunkedDepthPass(1, assoc)
+        depth_pass.feed(np.array(lines[::-1], dtype=np.int32))
+        hist, cold = depth_pass.finish()
+        assert not hist.any() and cold == len(lines)
+        if lines:
+            assert depth_pass._state.tolist() == [row]
+        depth_pass.feed(tags)
         hist_ref = np.zeros(assoc, dtype=np.int64)
-        assert kernels._drain_depths(tags, row, assoc, hist) == \
-            oracle.drain_depths(tags, row, assoc, hist_ref)
+        cold_ref, row_ref = oracle.drain_depths(tags, row, assoc, hist_ref)
+        hist, cold = depth_pass.finish()
         assert np.array_equal(hist, hist_ref)
+        assert cold - len(lines) == cold_ref
+        state = depth_pass._state
+        assert (state.tolist() if state is not None else [row]) == [row_ref]
 
     @pytest.mark.parametrize("num_sets", [kernels.SORT16_MAX_SETS,
                                           2 * kernels.SORT16_MAX_SETS])
