@@ -42,7 +42,11 @@ The LRU depth pass (:class:`ChunkedDepthPass`) shares steps 1 and 2 but
 has no waves and no drain: each set's carried stack goes in front of
 its run heads, and the stack depth of every head is the number of
 distinct lines since its line's previous reference, counted for all
-heads at once by a capped backward scan (:func:`_lru_depths`).
+heads at once by a capped backward scan (:func:`_lru_depths`).  Given
+write flags it also counts the write-backs of every write-allocate
+associativity from those depths, with one running maximum per line
+(Thompson and Smith's write-back stack algorithm), so a write-back LRU
+cache with write-allocate needs no simulator either.
 
 Supported: LRU and FIFO replacement, write-through and write-back,
 write-allocate and no-write-allocate.  Random replacement consumes a
@@ -163,12 +167,22 @@ def _heads(same: np.ndarray, writes: Optional[np.ndarray],
         return None, writes, 0
     if writes is None:
         return idx, None, n - len(idx)
+    head_writes = _run_sums(writes, idx)
     if not count_writes:
-        return idx, np.logical_or.reduceat(writes, idx), n - len(idx)
-    head_writes = np.add.reduceat(writes, idx, dtype=np.int32)
+        return idx, head_writes != 0, n - len(idx)
     dropped_reads = ((n - np.count_nonzero(flags))
                      - (len(idx) - np.count_nonzero(head_writes)))
     return idx, head_writes, int(dropped_reads)
+
+
+def _run_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.add.reduceat(values, idx)`` in ``int32`` for ascending run
+    starts ``idx`` beginning at 0, as differences of one cumulative sum
+    (several times faster than ``reduceat`` over short runs)."""
+    sums = np.empty(len(values) + 1, dtype=np.int32)
+    sums[0] = 0
+    np.cumsum(values, dtype=np.int32, out=sums[1:])
+    return np.append(sums[idx[1:]], sums[-1]) - sums[idx]
 
 
 def _precollapse(addresses: np.ndarray, writes: Optional[np.ndarray],
@@ -243,7 +257,8 @@ def _prepare_heads(addresses: np.ndarray, writes: Optional[np.ndarray],
     return sets, tags, writes, weights, collapsed + more
 
 
-def _refine(lines: np.ndarray, from_bits: int, to_bits: int):
+def _refine(lines: np.ndarray, from_bits: int, to_bits: int,
+            writes: Optional[np.ndarray] = None):
     """Re-sort line addresses from set order at ``2**from_bits`` sets to
     set order at ``2**to_bits`` sets, then drop adjacent repeats.
 
@@ -254,7 +269,10 @@ def _refine(lines: np.ndarray, from_bits: int, to_bits: int):
     order still kept within each set.  A reference equal to its
     predecessor in that order is a depth-0 hit in its set, and stays
     one in every finer set partition (the references between it and its
-    predecessor only shrink).  Returns ``(lines, dropped)``.
+    predecessor only shrink).  Write flags, when given, move with their
+    lines, and a kept line ORs the flags of the repeats it absorbs
+    (:func:`_heads` under write-allocate).  Returns ``(lines, writes,
+    dropped)``.
     """
     span = to_bits - from_bits
     if span:
@@ -262,9 +280,11 @@ def _refine(lines: np.ndarray, from_bits: int, to_bits: int):
         keys = (lines >> scalar(from_bits)) & scalar((1 << span) - 1)
         keys = keys.astype(np.int16 if 1 << span <= SORT16_MAX_SETS
                            else np.int32)
-        lines = lines[np.argsort(keys, kind="stable")]
-    lines, _, dropped = _precollapse(lines, None, 0)
-    return lines, dropped
+        order = np.argsort(keys, kind="stable")
+        lines = lines[order]
+        if writes is not None:
+            writes = writes[order]
+    return _precollapse(lines, writes, 0)
 
 
 def _split_lines(lines: np.ndarray, num_sets: int
@@ -282,28 +302,32 @@ def _split_lines(lines: np.ndarray, num_sets: int
     return sets, tags
 
 
-def refined_runs(line_addrs, set_counts: Sequence[int]):
+def refined_runs(line_addrs, set_counts: Sequence[int],
+                 writes: Optional[np.ndarray] = None):
     """Set-sorted run heads of one chunk of line addresses at each of
     ``set_counts`` (powers of two, ascending).
 
-    Yields ``(sets, tags, collapsed)`` per set count, ``collapsed``
-    counting the references dropped as depth-0 hits on the way (the
-    input for :meth:`ChunkedDepthPass.feed_sorted`).  Each set order is
-    refined from the previous one (:func:`_refine`), so the families of
-    one line size share a single sort instead of one each, and each
-    sort sees only the heads the coarser sets left.
+    Yields ``(sets, tags, writes, collapsed)`` per set count, ``writes``
+    each head's write flag (the OR over the references it absorbed;
+    ``None`` without a mask) and ``collapsed`` counting the references
+    dropped as depth-0 hits on the way (the input for
+    :meth:`ChunkedDepthPass.feed_sorted`).  Each set order is refined
+    from the previous one (:func:`_refine`), so the families of one
+    line size share a single sort instead of one each, and each sort
+    sees only the heads the coarser sets left.
     """
-    lines, collapsed = _refine(np.asarray(line_addrs), 0, 0)
+    lines, writes, collapsed = _refine(np.asarray(line_addrs), 0, 0, writes)
     bits = 0
     for num_sets in set_counts:
         to_bits = num_sets.bit_length() - 1
-        lines, more = _refine(lines, bits, to_bits)
+        lines, writes, more = _refine(lines, bits, to_bits, writes)
         collapsed += more
         bits = to_bits
-        yield _split_lines(lines, num_sets) + (collapsed,)
+        yield _split_lines(lines, num_sets) + (writes, collapsed)
 
 
-def _collapse_pingpong(sets: np.ndarray, tags: np.ndarray):
+def _collapse_pingpong(sets: np.ndarray, tags: np.ndarray,
+                       writes: Optional[np.ndarray] = None):
     """Drop exact depth-1 hits from period-2 runs of set-sorted run
     heads.
 
@@ -315,25 +339,43 @@ def _collapse_pingpong(sets: np.ndarray, tags: np.ndarray):
     stack they found: they are dropped.  The last head of an odd
     stretch stays, still preceded by the ``A B`` it alternates with.
     With one way the dropped heads are misses that leave the same
-    single line resident, so the state is exact there too.  Returns
-    ``(sets, tags, dropped)``; every dropped head is a depth-1 hit.
+    single line resident, so the state is exact there too.
+
+    With write flags (a pass counting write-backs) a dropped head also
+    moves its line's dirty depth ``R``: it misses in the one-way cache,
+    writing back when ``R`` is 0, and lifts ``R`` to at least 1.  A
+    later depth-1 link of the line does the same whether or not
+    read-only ones went before it.  So a stretch keeps its last two
+    heads, and the third from last when ``m`` is odd, and each of its
+    two lines ends the stretch on a kept depth-1 link; a stretch with a
+    write among the heads it would drop keeps them all.  Returns
+    ``(sets, tags, writes, dropped)``; every dropped head is a depth-1
+    hit.
     """
     n = len(tags)
     if n < 3:
-        return sets, tags, 0
+        return sets, tags, writes, 0
     drop = np.zeros(n, dtype=bool)
     np.equal(tags[2:], tags[:-2], out=drop[2:])
     drop[2:] &= sets[2:] == sets[:-2]
     heads = np.flatnonzero(drop)
     if len(heads) == 0:
-        return sets, tags, 0
+        return sets, tags, writes, 0
     last = np.flatnonzero(heads[1:] != heads[:-1] + 1)
     first = np.append(0, last + 1)
     last = np.append(last, len(heads) - 1)
     odd = (last - first) % 2 == 0
-    drop[heads[last[odd]]] = False
+    if writes is None:
+        drop[heads[last[odd]]] = False
+    else:
+        drop[heads[last]] = False
+        drop[heads[np.maximum(last - 1, first)]] = False
+        drop[heads[np.maximum(last - 2, first)[odd]]] = False
+        written = np.logical_or.reduceat(writes[heads] & drop[heads], first)
+        drop[heads[np.repeat(written, last - first + 1)]] = False
     keep = ~drop
-    return sets[keep], tags[keep], n - int(np.count_nonzero(keep))
+    return (sets[keep], tags[keep], None if writes is None else writes[keep],
+            n - int(np.count_nonzero(keep)))
 
 
 def _set_groups(sets: np.ndarray):
@@ -712,7 +754,9 @@ SCAN_BLOCK = 8
 SCAN_SPARSE = 64
 
 
-def _prepend_stacks(state: np.ndarray, sets: np.ndarray, tags: np.ndarray):
+def _prepend_stacks(state: np.ndarray, sets: np.ndarray, tags: np.ndarray,
+                    dirty: Optional[np.ndarray] = None,
+                    writes: Optional[np.ndarray] = None):
     """Set-sorted run heads with each touched set's carried stack in
     front of its heads, least recently used first.
 
@@ -721,7 +765,13 @@ def _prepend_stacks(state: np.ndarray, sets: np.ndarray, tags: np.ndarray):
     every head of its set, so it has no earlier reference and the scan
     never counts it.  A line below the carried stack is deeper than the
     pass has ways and misses either way.  Returns ``(sets, tags,
-    touched)``, ``touched`` listing the sets present.
+    touched, writes, start)``, ``touched`` listing the sets present.
+    With ``dirty`` (each carried line's dirty depth, laid out like
+    ``state``), ``writes`` is the heads' write flags with a clear one
+    for each carried line, and ``start`` gives every position the dirty
+    depth its line enters the chunk with: a carried line's own, and
+    clean (the pass's way count) for any other; both are ``None``
+    without ``dirty``.
     """
     starts, lens = _set_groups(sets)
     touched = sets[starts]
@@ -729,15 +779,24 @@ def _prepend_stacks(state: np.ndarray, sets: np.ndarray, tags: np.ndarray):
     carried = stacks != EMPTY       # EMPTY ways sit at the bottom only
     depth = np.count_nonzero(carried, axis=1)
     n_carried = int(depth.sum())
-    if n_carried == 0:
-        return sets, tags, touched
     prefix = np.arange(n_carried) + np.repeat(starts, depth)
     head = np.ones(len(sets) + n_carried, dtype=bool)
     head[prefix] = False
+    start = None
+    if dirty is not None:
+        start = np.full(len(head), state.shape[1], dtype=dirty.dtype)
+        start[prefix] = dirty[touched][:, ::-1][carried]
+        if n_carried:
+            all_writes = np.zeros(len(head), dtype=bool)
+            all_writes[head] = writes
+            writes = all_writes
+    if n_carried == 0:
+        return sets, tags, touched, writes, start
     all_tags = np.empty(len(head), dtype=tags.dtype)
     all_tags[head] = tags
     all_tags[prefix] = stacks[carried] >> 1
-    return np.repeat(touched, lens + depth), all_tags, touched
+    return (np.repeat(touched, lens + depth), all_tags, touched, writes,
+            start)
 
 
 def _line_order(tags: np.ndarray) -> np.ndarray:
@@ -753,13 +812,15 @@ def _line_order(tags: np.ndarray) -> np.ndarray:
 
 
 def _reuse_gaps(sets: np.ndarray, tags: np.ndarray):
-    """``(back, ahead)`` for every position of a set-sorted line stream:
-    ``back[i]`` is ``i`` minus the previous position of its line (0 when
-    there is none), ``ahead[i]`` the next position minus ``i``
+    """``(back, ahead, order, same)`` for a set-sorted line stream:
+    ``back[i]`` is ``i`` minus the previous position of its line (0
+    when there is none), ``ahead[i]`` the next position minus ``i``
     (``len(tags)`` when there is none).
 
     Sorted stably by tag, a set-sorted stream lists each line's
-    references together and in order.
+    references together and in order: ``order`` is that *line order*,
+    and ``same[j]`` says its positions ``j`` and ``j + 1`` reference one
+    line.
     """
     n = len(tags)
     order = _line_order(tags)
@@ -773,7 +834,7 @@ def _reuse_gaps(sets: np.ndarray, tags: np.ndarray):
     back[succ] = succ - prev
     ahead = np.full(n, n, dtype=np.int32)
     ahead[prev] = succ - prev
-    return back, ahead
+    return back, ahead, order, same
 
 
 def _lru_depths(back: np.ndarray, ahead: np.ndarray,
@@ -841,37 +902,73 @@ class ChunkedDepthPass:
 
     Stack state persists across feeds, so any chunking yields the same
     histogram as the whole trace.
+
+    With ``writebacks`` set, the pass also counts the write-backs of
+    every write-back, write-allocate LRU cache of up to ``max_depth``
+    ways: Thompson and Smith's write-back stack algorithm ("Efficient
+    (Stack) Algorithms for Analysis of Write-Back and Sector Memories",
+    ACM TOCS 7(1), 1989).  Take one line's references in order, call
+    ``d`` a reference's depth (``max_depth`` for a miss at every depth)
+    and ``R`` the line's *dirty depth*: the largest depth among its
+    references since its last write, 0 at a write, and ``max_depth``
+    for a line not written since it entered the stack.  An ``a``-way
+    cache holds the line dirty exactly while ``R < a``, and evicts it
+    before a reference of depth ``d >= a``, so that reference writes
+    back in every ``a``-way cache with ``R < a <= d`` (``R`` as the
+    line's previous reference left it).  Each carried line keeps its
+    ``R``.  A line that falls out of the carried ``max_depth`` has left
+    every cache, and settles ``R < a <= max_depth`` there and then.
     """
 
-    def __init__(self, num_sets: int, max_depth: int):
+    def __init__(self, num_sets: int, max_depth: int,
+                 writebacks: bool = False):
         self.num_sets = num_sets
         self.max_depth = max_depth
         self.hist = np.zeros(max_depth, dtype=np.int64)
         self._state: Optional[np.ndarray] = None
         self._total = 0
+        # The carried lines' dirty depths, laid out like ``_state``, and
+        # the write-backs settled so far as differences over ``a - 1``
+        # (the last entry is never read).
+        self._dirty: Optional[np.ndarray] = None
+        self._settled = (np.zeros(max_depth + 1, dtype=np.int64)
+                         if writebacks else None)
 
-    def feed(self, line_addrs) -> None:
-        """Stream the next chunk of line addresses (program order)."""
-        for sets, tags, collapsed in refined_runs(line_addrs,
-                                                  [self.num_sets]):
-            self.feed_sorted(sets, tags, collapsed)
+    def feed(self, line_addrs, writes=None) -> None:
+        """Stream the next chunk of line addresses (program order), with
+        their write flags when the pass counts write-backs."""
+        for sets, tags, head_writes, collapsed in refined_runs(
+                line_addrs, [self.num_sets],
+                None if writes is None else np.asarray(writes, dtype=bool)):
+            self.feed_sorted(sets, tags, collapsed, head_writes)
 
     def feed_sorted(self, sets: np.ndarray, tags: np.ndarray,
-                    collapsed: int) -> None:
+                    collapsed: int,
+                    writes: Optional[np.ndarray] = None) -> None:
         """Stream the next chunk as set-sorted run heads, as
         :func:`refined_runs` yields them; ``collapsed`` counts the
-        references already dropped as depth-0 hits.  The paper-grid
-        sweep refines one chunk through every family of a line size and
-        feeds each family here.
+        references already dropped as depth-0 hits, and ``writes`` holds
+        the heads' write flags (``None``: no writes).  The sweep refines
+        one chunk through every family of a line size and feeds each
+        family here.
 
         The heads, behind the carried stacks (:func:`_prepend_stacks`),
         get their depths from one backward scan (:func:`_lru_depths`).
         Each touched set's new stack is its last ``max_depth`` distinct
         lines, the positions no later reference follows, newest first.
+        A dropped repeat is a depth-0 reference, which writes nothing
+        back, and its head carries its write; a dropped ping-pong head
+        is settled by a later link of its line
+        (:func:`_collapse_pingpong`).
         """
+        tracking = self._settled is not None
+        if not tracking:
+            writes = None
+        elif writes is None:
+            writes = np.zeros(len(sets), dtype=bool)
         self._total += len(sets) + collapsed
         self.hist[0] += collapsed
-        sets, tags, pingpong = _collapse_pingpong(sets, tags)
+        sets, tags, writes, pingpong = _collapse_pingpong(sets, tags, writes)
         if self.max_depth > 1:
             self.hist[1] += pingpong
         if len(sets) == 0:
@@ -880,10 +977,14 @@ class ChunkedDepthPass:
             dtype = (tags.dtype if tags.dtype == np.int32 else np.int64)
             self._state = np.full((self.num_sets, self.max_depth), EMPTY,
                                   dtype=dtype)
+            if tracking:
+                self._dirty = np.zeros((self.num_sets, self.max_depth),
+                                       dtype=np.int16)
         elif tags.dtype != self._state.dtype:
             tags = tags.astype(self._state.dtype)
-        sets, tags, touched = _prepend_stacks(self._state, sets, tags)
-        back, ahead = _reuse_gaps(sets, tags)
+        sets, tags, touched, writes, start = _prepend_stacks(
+            self._state, sets, tags, self._dirty, writes)
+        back, ahead, order, same = _reuse_gaps(sets, tags)
         depth = _lru_depths(back, ahead, self.max_depth)
         hit = back > 0
         hit &= depth < self.max_depth
@@ -892,9 +993,46 @@ class ChunkedDepthPass:
         starts, lens = _set_groups(sets[last])
         rank = np.repeat(starts + lens - 1, lens) - np.arange(len(last))
         keep = rank < self.max_depth
+        if tracking:
+            dirty = self._dirty_depths(depth, writes, start, order,
+                                       same)[last]
+            self._settled += np.bincount(dirty[~keep],
+                                         minlength=self.max_depth + 1)
+            dirty = dirty[keep]
         last = last[keep]
         self._state[touched] = EMPTY
         self._state[sets[last], rank[keep]] = tags[last] << 1
+        if tracking:
+            self._dirty[sets[last], rank[keep]] = dirty
+
+    def _dirty_depths(self, depth, writes, start, order, same):
+        """Every position's dirty depth ``R``, settling the write-backs
+        of every reference with an earlier one in the chunk.
+
+        In line order ``R`` is a running maximum of the depths, cut at
+        each line's first position (which enters with its ``start``) and
+        at each write (which enters with 0): one ``maximum.accumulate``
+        over values offset by their segment number.
+        """
+        top = self.max_depth + 1
+        depth = depth[order].astype(np.int64)
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        np.logical_not(same, out=first[1:])
+        written = writes[order]
+        value = np.where(first, start[order], depth)
+        value[written] = 0
+        offset = np.cumsum(first | written) * top
+        value += offset
+        np.maximum.accumulate(value, out=value)
+        value -= offset
+        before, link = value[:-1][same], depth[1:][same]
+        live = before < link
+        self._settled += np.bincount(before[live], minlength=top)
+        self._settled -= np.bincount(link[live], minlength=top)
+        dirty = np.empty_like(value)
+        dirty[order] = value
+        return dirty
 
     def finish(self) -> Tuple[np.ndarray, int]:
         """``(hist, cold)``: hits per stack depth, and the references
@@ -907,6 +1045,27 @@ class ChunkedDepthPass:
         ``max_depth`` with this set count (the stack property)."""
         cumulative = np.cumsum(self.hist)
         return {assoc: int(self._total - cumulative[assoc - 1])
+                for assoc in associativities}
+
+    def writebacks(self, associativities: Sequence[int]) -> Dict[int, int]:
+        """The write-back count of every write-back, write-allocate LRU
+        associativity up to ``max_depth`` with this set count (all 0
+        without ``writebacks``).  A carried line at depth ``c`` has
+        left every cache of ``c`` ways or fewer, and settles ``R < a <=
+        c``.  Like :meth:`ChunkedSimulator.finish` this snapshots the
+        state without changing it, and flushes nothing."""
+        if self._settled is None:
+            return {assoc: 0 for assoc in associativities}
+        settled = self._settled.copy()
+        if self._state is not None:
+            held = self._state != EMPTY
+            rank = np.nonzero(held)[1]
+            dirty = self._dirty[held].astype(np.int64)
+            live = dirty < rank
+            settled += np.bincount(dirty[live], minlength=self.max_depth + 1)
+            settled -= np.bincount(rank[live], minlength=self.max_depth + 1)
+        cumulative = np.cumsum(settled)
+        return {assoc: int(cumulative[assoc - 1])
                 for assoc in associativities}
 
 

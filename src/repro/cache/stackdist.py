@@ -12,12 +12,9 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
-
-from .kernels import as_chunk_iter as _as_chunk_iter
 
 
 def to_line_addresses(addresses: np.ndarray, line_size: int) -> np.ndarray:
@@ -75,130 +72,6 @@ def lru_depth_histogram(line_addrs: np.ndarray, num_sets: int,
                 stack.pop()
         stack.insert(0, tag)
     return hist, cold
-
-
-@dataclass
-class FamilyStats:
-    """One associativity's results from :func:`lru_family_stats`.
-
-    ``writebacks`` is the eviction-of-dirty-line count a write-back
-    cache of this shape would report; ``write_throughs`` the count a
-    write-through cache would (every write, hit or miss).  Hit/miss
-    behaviour is identical for the two policies under write-allocate,
-    so a single pass yields both interpretations.
-    """
-
-    accesses: int
-    hits: int
-    misses: int
-    writebacks: int
-    write_throughs: int
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
-def lru_family_stats(line_addrs: np.ndarray,
-                     writes: Optional[np.ndarray],
-                     num_sets: int,
-                     associativities: Sequence[int],
-                     ) -> Dict[int, "FamilyStats"]:
-    """One stack pass over a read/write trace for a whole LRU family.
-
-    Extends the stack property to write counters: each stack entry
-    carries a dirty *bitmask* with one bit per requested associativity.
-    A write marks the entry dirty in every cache that currently holds
-    the line (hit at depth ``d`` ⇒ every ``a > d``; a miss allocates
-    dirty everywhere).  When an entry is pushed from depth ``a - 1`` to
-    ``a`` it leaves the ``a``-way cache — if its bit for ``a`` is set
-    that is exactly one write-back, and the bit is cleared.  Because
-    depth only grows between touches, a popped entry's mask is already
-    clean.  Requires write-allocate (a non-allocating write miss breaks
-    inclusion between associativities).  Matches the reference
-    simulator's stats byte for byte; see the differential tests.
-
-    ``line_addrs`` may also be a chunk iterator — a generator (or list)
-    of line-address arrays or ``(line_addrs, writes)`` pairs, streamed
-    with the per-set stacks carried across chunk boundaries (the
-    out-of-core family pass); ``writes`` must then be ``None``.
-    """
-    assocs = sorted(set(int(a) for a in associativities))
-    max_assoc = assocs[-1]
-    set_mask = num_sets - 1
-    tag_shift = num_sets.bit_length() - 1
-    tag_stacks: Dict[int, list] = {s: [] for s in range(num_sets)}
-    mask_stacks: Dict[int, list] = {s: [] for s in range(num_sets)}
-    hist = np.zeros(max_assoc, dtype=np.int64)
-    writebacks = {a: 0 for a in assocs}
-    n = 0
-    total_writes = 0
-
-    def feed(line_addrs, writes) -> int:
-        nonlocal total_writes
-        count = len(line_addrs)
-        if writes is not None:
-            total_writes += int(np.count_nonzero(writes))
-        w = False
-        for i in range(count):
-            line = int(line_addrs[i])
-            if writes is not None:
-                w = bool(writes[i])
-            s = line & set_mask
-            tag = line >> tag_shift
-            tags = tag_stacks[s]
-            masks = mask_stacks[s]
-            try:
-                d = tags.index(tag)
-            except ValueError:
-                d = -1
-            if d >= 0:
-                mask = masks[d]
-                del tags[d]
-                del masks[d]
-                hist[d] += 1
-            else:
-                mask = 0
-            for j, a in enumerate(assocs):
-                bit = 1 << j
-                if d < 0 or d >= a:
-                    # Miss in the a-way cache: the insert pushes the
-                    # entry now at depth a-1 across the boundary,
-                    # evicting it.
-                    if len(tags) >= a and masks[a - 1] & bit:
-                        writebacks[a] += 1
-                        masks[a - 1] &= ~bit
-                    if w:
-                        mask |= bit   # dirty allocate (write-allocate)
-                elif w:
-                    mask |= bit       # write hit
-            tags.insert(0, tag)
-            masks.insert(0, mask)
-            if len(tags) > max_assoc:
-                tags.pop()
-                masks.pop()
-        return count
-
-    chunk_iter = _as_chunk_iter(line_addrs)
-    if chunk_iter is not None:
-        if writes is not None:
-            raise ValueError(
-                "with a chunk iterator, pass writes inside each chunk "
-                "as (line_addrs, writes) pairs")
-        for chunk in chunk_iter:
-            if isinstance(chunk, tuple):
-                n += feed(np.asarray(chunk[0]), chunk[1])
-            else:
-                n += feed(np.asarray(chunk), None)
-    else:
-        n = feed(line_addrs, writes)
-    out = {}
-    for a in assocs:
-        hits = int(hist[:a].sum())
-        out[a] = FamilyStats(accesses=n, hits=hits, misses=n - hits,
-                             writebacks=writebacks[a],
-                             write_throughs=total_writes)
-    return out
 
 
 def misses_by_associativity(line_addrs: np.ndarray, num_sets: int,

@@ -18,7 +18,7 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
-from .cache import WRITE_BACK, Cache, CacheConfig
+from .cache import POLICY_LRU, WRITE_BACK, Cache, CacheConfig
 from .hierarchy import RegionMix
 from .stackdist import collapse_consecutive, misses_by_associativity, to_line_addresses
 
@@ -117,13 +117,16 @@ def sweep_paper_grid(addresses: np.ndarray,
 # Workers read the trace as a chunk stream: from a PTRC container on
 # disk, or from a ``multiprocessing.shared_memory`` segment the parent
 # fills once (forked workers attach read-only numpy views, and the
-# array is a single chunk).  Work units are either bundles of (line
-# size, set count) families of the paper grid (one trace stream per
-# bundle, one vectorized stack pass per family) or groups of requested
-# configurations that differ only in write mode (one trace stream per
-# group, one simulation per write-allocate mode).  Results are keyed by
-# unit index, so assembly order — and therefore the returned list — is
-# identical for any job count, including the serial fallback.
+# array is a single chunk).  There is one unit kind, a *bundle* of work
+# items, and one pool loop.  An item is a depth family (LRU
+# write-allocate configurations of one line size and set count, every
+# associativity and its write-backs out of one stack pass) or one
+# simulated configuration (FIFO, LRU without write-allocate, random).
+# A bundle decodes each chunk once, refines its families of a line size
+# as one chain of set sorts, and feeds every simulator the same chunk.
+# Results are keyed by unit index, so assembly order — and therefore
+# the returned list — is identical for any job count, including the
+# serial fallback.
 
 #: Worker-side views of the shared trace, set by :func:`_pool_init`.
 _SHARED: dict = {}
@@ -219,150 +222,174 @@ def _trace_chunks() -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
 
 
 class Family(NamedTuple):
-    """One (line size, set count) family of the grid: every requested
-    associativity comes out of a single LRU stack pass."""
+    """A depth family: the LRU write-allocate configurations of one
+    (line size, set count), every associativity out of one
+    :class:`~repro.cache.kernels.ChunkedDepthPass`.  With
+    ``writebacks`` the pass counts write-backs too; the paper grid's
+    read-only families go without."""
 
     line: int
     num_sets: int
     assocs: Tuple[int, ...]
+    configs: Tuple[CacheConfig, ...]
+    writebacks: bool
 
     def __repr__(self) -> str:
         return f"{self.line}B x {self.num_sets} sets"
 
 
-def _bundle_unit_impl(bundle: Tuple[Family, ...]
-                      ) -> Tuple[int, List[Dict[int, int]]]:
-    """Paper-grid unit: a bundle of families sharing one trace stream.
+class Simulated(NamedTuple):
+    """Configurations that differ only in write policy, simulated once
+    as their write-back twin: a
+    :class:`~repro.cache.kernels.ChunkedSimulator` (FIFO, and LRU
+    without write-allocate), or the scalar :class:`Cache` where no
+    kernel applies (random replacement)."""
 
-    The trace is decoded once per bundle, not once per family.  Per
-    chunk and line size, the families' set-sorted run heads are built
-    in ascending set count, each refined from the previous family's
-    (:func:`~repro.cache.kernels.refined_runs`), and fed to that
-    family's :class:`~repro.cache.kernels.ChunkedDepthPass`.  Returns
-    the reference count (the parent cannot know the post-filter count
-    of a container without decoding it) and each family's misses by
-    associativity.
+    configs: Tuple[CacheConfig, ...]
+
+    @property
+    def line(self) -> int:
+        return self.configs[0].line_size
+
+    @property
+    def num_sets(self) -> int:
+        return self.configs[0].num_sets
+
+    def __repr__(self) -> str:
+        return repr(self.configs)
+
+
+WorkItem = Union[Family, Simulated]
+
+
+def _work_items(configs: Sequence[CacheConfig], writebacks: bool
+                ) -> List[WorkItem]:
+    """The distinct configurations as work items, ordered by line size
+    and set count: a depth family before the simulated configurations
+    of its set count, and those in order of first appearance.
+
+    Dirty bits never steer replacement, so a write-through configuration
+    misses exactly where its write-back twin does, and the two share an
+    item.  :func:`_plan_bundles` relies on the items of one line size
+    being adjacent.
     """
-    from .kernels import ChunkedDepthPass, refined_runs
-
-    passes = [ChunkedDepthPass(f.num_sets, max(f.assocs)) for f in bundle]
-    by_line: Dict[int, list] = {}
-    for family, depth_pass in sorted(zip(bundle, passes),
-                                     key=lambda fp: fp[0].num_sets):
-        by_line.setdefault(family.line, []).append(depth_pass)
-    total = 0
-    for addresses, _writes in _trace_chunks():
-        total += len(addresses)
-        for line, line_passes in by_line.items():
-            runs = refined_runs(to_line_addresses(addresses, line),
-                                [p.num_sets for p in line_passes])
-            for depth_pass, (sets, tags, collapsed) in zip(line_passes, runs):
-                depth_pass.feed_sorted(sets, tags, collapsed)
-    return total, [depth_pass.misses(family.assocs)
-                   for family, depth_pass in zip(bundle, passes)]
-
-
-def _config_groups(configs: Sequence[CacheConfig]
-                   ) -> List[Tuple[CacheConfig, ...]]:
-    """The distinct configurations, grouped by (size, line size,
-    associativity, policy) in order of first appearance: one group is
-    one work unit."""
-    groups: Dict[tuple, List[CacheConfig]] = {}
+    families: Dict[Tuple[int, int], List[CacheConfig]] = {}
+    simulated: Dict[CacheConfig, List[CacheConfig]] = {}
     for config in dict.fromkeys(configs):
-        key = (config.size, config.line_size, config.associativity,
-               config.policy)
-        groups.setdefault(key, []).append(config)
-    return [tuple(group) for group in groups.values()]
+        if config.policy == POLICY_LRU and config.write_allocate:
+            families.setdefault((config.line_size, config.num_sets),
+                                []).append(config)
+        else:
+            simulated.setdefault(replace(config, write_policy=WRITE_BACK),
+                                 []).append(config)
+    items: List[WorkItem] = [
+        Family(line, num_sets,
+               tuple(sorted({c.associativity for c in group})),
+               tuple(group), writebacks)
+        for (line, num_sets), group in sorted(families.items())]
+    items += [Simulated(tuple(group)) for group in simulated.values()]
+    items.sort(key=lambda item: (item.line, item.num_sets))
+    return items
 
 
-def _group_unit_impl(group: Tuple[CacheConfig, ...]
-                     ) -> List[Tuple[int, int, int, int]]:
-    """Configs unit: a group of configurations that differ only in
-    write policy and write-allocate, sharing one trace stream.
+def _grid_configs(sizes, line_sizes, associativities) -> List[CacheConfig]:
+    """The grid's LRU configurations, sorted by line size, size and
+    associativity (sizes smaller than one set are skipped)."""
+    return [CacheConfig(size=size, line_size=line, associativity=assoc)
+            for line in sorted(line_sizes) for size in sorted(sizes)
+            for assoc in sorted(associativities) if size >= line * assoc]
 
-    Dirty bits never steer replacement, so a write-through cache misses
-    exactly where the write-back cache of the same allocate mode does.
-    Each allocate mode the group needs is one write-back simulation —
-    the kernels' :class:`~repro.cache.kernels.ChunkedSimulator`, or the
-    scalar :class:`Cache` where no kernel applies (random
-    replacement) — fed every chunk.  A write-back point takes its
-    simulation's writebacks; a write-through point writes through every
-    write of the trace instead.  Returns ``(accesses, misses,
-    writebacks, write_throughs)`` per configuration of the group.
+
+def _bundle_unit_impl(bundle: Tuple[WorkItem, ...]
+                      ) -> Tuple[int, List[List[Tuple[int, int, int]]]]:
+    """One worker's bundle of items, sharing one trace stream.
+
+    The trace is decoded once per bundle.  Per chunk and line size, the
+    bundle's depth families get their set-sorted run heads in ascending
+    set count, each refined from the previous family's
+    (:func:`~repro.cache.kernels.refined_runs`), with write flags when
+    they count write-backs; every simulator is fed the decoded chunk.
+    Returns the reference count (the parent cannot know the post-filter
+    count of a container without decoding it) and, per item, ``(misses,
+    writebacks, write_throughs)`` for each configuration it serves: a
+    write-back configuration takes its cache's writebacks, and a
+    write-through one writes through every write of the trace.  A
+    read-only family (the paper grid) reads no write flags.
     """
-    from .kernels import ChunkedSimulator, supports
+    from .kernels import (ChunkedDepthPass, ChunkedSimulator, refined_runs,
+                          supports)
 
-    sims = {}
-    for config in group:
-        if config.write_allocate not in sims:
-            sim_config = replace(config, write_policy=WRITE_BACK)
-            sims[config.write_allocate] = (ChunkedSimulator(sim_config)
-                                           if supports(sim_config)
-                                           else Cache(sim_config))
-    feeds = [sim.feed if isinstance(sim, ChunkedSimulator) else sim.run
-             for sim in sims.values()]
+    runners: List = []
+    chains: Dict[int, list] = {}
+    feeds = []
+    for item in bundle:
+        if isinstance(item, Family):
+            runner = ChunkedDepthPass(item.num_sets, max(item.assocs),
+                                      writebacks=item.writebacks)
+            chains.setdefault(item.line, []).append(runner)
+        else:
+            config = replace(item.configs[0], write_policy=WRITE_BACK)
+            if supports(config):
+                runner = ChunkedSimulator(config)
+                feeds.append(runner.feed)
+            else:
+                runner = Cache(config)
+                feeds.append(runner.run)
+        runners.append(runner)
+    for passes in chains.values():
+        passes.sort(key=lambda depth_pass: depth_pass.num_sets)
+    reads_writes = any(not isinstance(item, Family) or item.writebacks
+                       for item in bundle)
     total = writes_total = 0
     for addresses, writes in _trace_chunks():
         total += len(addresses)
-        if writes is not None:
+        if not reads_writes:
+            writes = None
+        elif writes is not None:
             writes_total += int(np.count_nonzero(writes))
+        for line, passes in chains.items():
+            runs = refined_runs(to_line_addresses(addresses, line),
+                                [p.num_sets for p in passes], writes)
+            for depth_pass, (sets, tags, head_writes, collapsed) in zip(
+                    passes, runs):
+                depth_pass.feed_sorted(sets, tags, collapsed, head_writes)
         for feed in feeds:
             feed(addresses, writes)
-    results = []
-    for config in group:
-        sim = sims[config.write_allocate]
-        stats = sim.finish() if isinstance(sim, ChunkedSimulator) \
-            else sim.stats
-        if config.write_policy == WRITE_BACK:
-            results.append((total, stats.misses, stats.writebacks, 0))
+    outcomes = []
+    for item, runner in zip(bundle, runners):
+        if isinstance(item, Family):
+            misses = runner.misses(item.assocs)
+            writebacks = runner.writebacks(item.assocs)
+            by_config = [(misses[c.associativity],
+                          writebacks[c.associativity]) for c in item.configs]
         else:
-            results.append((total, stats.misses, 0, writes_total))
-    return results
+            stats = (runner.finish() if isinstance(runner, ChunkedSimulator)
+                     else runner.stats)
+            by_config = [(stats.misses, stats.writebacks)] * len(item.configs)
+        outcomes.append([
+            (misses, writebacks, 0) if config.write_policy == WRITE_BACK
+            else (misses, 0, writes_total)
+            for config, (misses, writebacks) in zip(item.configs, by_config)])
+    return total, outcomes
 
 
 def _bundle_unit(bundle):
     return _guard(_bundle_unit_impl, bundle)
 
 
-def _group_unit(group):
-    return _guard(_group_unit_impl, group)
-
-
-def _grid_units(sizes, line_sizes, associativities
-                ) -> List[Tuple[Family, List[CacheConfig]]]:
-    """The grid's families, by line size and then ascending set count,
-    each with the configurations it covers.  :func:`_plan_bundles`
-    relies on families of one line size being adjacent."""
-    units = []
-    for line in line_sizes:
-        by_sets: Dict[int, List[CacheConfig]] = {}
-        for size in sizes:
-            for assoc in associativities:
-                if size < line * assoc:
-                    continue
-                config = CacheConfig(size=size, line_size=line,
-                                     associativity=assoc)
-                by_sets.setdefault(config.num_sets, []).append(config)
-        for num_sets, family in sorted(by_sets.items()):
-            assocs = tuple(sorted({c.associativity for c in family}))
-            units.append((Family(line, num_sets, assocs), family))
-    return units
-
-
 def _plan_bundles(n: int, jobs: int) -> List[List[int]]:
-    """Cut ``n`` families (ordered by line size, then set count) into
-    ``min(jobs, n)`` contiguous, near-equal bundles of indices, one per
-    worker.
+    """Cut ``n`` work items (ordered by line size) into ``min(jobs, n)``
+    contiguous, near-equal bundles of indices, one per worker.
 
     Every bundle streams the whole trace once.  Keeping each bundle
-    contiguous keeps a line size's families together, so they share the
-    per-chunk line addresses and precollapse; over the paper grid
-    (10 families per line size) ``jobs=2`` gives one bundle per line
-    size.
+    contiguous keeps a line size's items together, so its families
+    share the per-chunk line addresses and set sorts; over the paper
+    grid (10 families per line size) ``jobs=2`` gives one bundle per
+    line size.
     """
     count = min(max(jobs, 1), n)
-    bounds = [n * k // count for k in range(count + 1)]
-    return [list(range(bounds[k], bounds[k + 1])) for k in range(count)]
+    return [list(range(n * k // count, n * (k + 1) // count))
+            for k in range(count)]
 
 
 def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
@@ -474,17 +501,19 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
                    ) -> List[SweepPoint]:
     """The configuration sweep, fanned out over worker processes.
 
-    Without ``configs`` this runs the paper grid: the (line size, set
-    count) families are cut into ``min(jobs, families)`` bundles, each
-    worker streams the trace once for its bundle, and every family is
-    one vectorized stack pass over that stream (results match
-    :func:`sweep_paper_grid` exactly).  With ``configs`` — any
-    policy/write-mode mix, e.g. the ablation grid — the configurations
-    that share size, line size, associativity and policy form one
-    dynamically scheduled unit: it streams the trace once and runs one
-    simulation per write-allocate mode, from which both write policies'
-    points follow (see :func:`_group_unit_impl`).  The returned points
-    follow ``configs`` and carry write-back/write-through counts.
+    Without ``configs`` this runs the paper grid, read-only: the points
+    carry no write-back or write-through counts, and match
+    :func:`sweep_paper_grid` exactly.  With ``configs`` — any
+    policy/write-mode mix, e.g. the ablation grid — the points follow
+    ``configs`` and carry write-back/write-through counts.  Either way
+    the distinct configurations become work items (:func:`_work_items`):
+    a *depth family* serves the LRU write-allocate configurations of one
+    (line size, set count) from one stack pass, which in a configs sweep
+    also counts write-backs, and every other configuration is
+    *simulated* once as its write-back twin.  The items, ordered by line
+    size, are cut into ``min(jobs, items)`` contiguous bundles
+    (:func:`_plan_bundles`), and each worker streams the trace once for
+    its bundle (:func:`_bundle_unit_impl`).
 
     Two trace-sharing modes:
 
@@ -519,31 +548,21 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
             if len(writes) != len(addresses):
                 raise ValueError("writes mask length != trace length")
 
-    if configs is not None:
-        groups = _config_groups(configs)
-        results = _run_units(_group_unit, groups, jobs,
-                             addresses, writes, chunk_timeout,
-                             container=container, memory_only=memory_only)
-        by_config = {config: result
-                     for group, group_results in zip(groups, results)
-                     for config, result in zip(group, group_results)}
-        return [SweepPoint(c, *by_config[c]) for c in configs]
-
-    units = _grid_units(sizes, line_sizes, associativities)
-    bundles = _plan_bundles(len(units), jobs)
+    read_only = configs is None
+    if read_only:
+        configs = _grid_configs(sizes, line_sizes, associativities)
+    items = _work_items(configs, writebacks=not read_only)
+    bundles = _plan_bundles(len(items), jobs)
     results = _run_units(_bundle_unit,
-                         [tuple(units[i][0] for i in b) for b in bundles],
+                         [tuple(items[i] for i in b) for b in bundles],
                          jobs, addresses, writes, chunk_timeout,
                          container=container, memory_only=memory_only)
-    points: List[SweepPoint] = []
-    for bundle, (total_refs, misses_list) in zip(bundles, results):
-        for i, misses in zip(bundle, misses_list):
-            for config in units[i][1]:
-                points.append(SweepPoint(config=config, accesses=total_refs,
-                                         misses=misses[config.associativity]))
-    points.sort(key=lambda p: (p.config.line_size, p.config.size,
-                               p.config.associativity))
-    return points
+    by_config = {}
+    for bundle, (total, outcomes) in zip(bundles, results):
+        for i, outcome in zip(bundle, outcomes):
+            for config, counts in zip(items[i].configs, outcome):
+                by_config[config] = SweepPoint(config, total, *counts)
+    return [by_config[config] for config in configs]
 
 
 def grid_by_config(points: Sequence[SweepPoint]) -> Dict[tuple, SweepPoint]:

@@ -30,7 +30,7 @@ from repro.cache.kernels import (
     simulate,
     simulate_auto,
 )
-from repro.cache.stackdist import lru_family_stats, to_line_addresses
+from repro.cache.stackdist import to_line_addresses
 from repro.device.memmap import (
     KIND_FETCH,
     KIND_READ,
@@ -72,6 +72,7 @@ from repro.traces.dinero import (
     write_dinero,
     write_dinero_chunks,
 )
+from tests.cache_oracles import lru_family_stats
 
 CODECS = [c for c in available_codecs() if c in ("raw", "zlib")]
 

@@ -10,6 +10,7 @@ worker dies.
 """
 
 import glob
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from repro.cache import (
     WRITE_THROUGH,
     kernel_misses_by_associativity,
     lru_depth_histogram,
-    lru_family_stats,
     lru_hit_depths,
     misses_by_associativity,
     simulate,
@@ -369,8 +369,8 @@ class TestDepthPass:
     def test_pingpong_collapse_keeps_stack_state(self, tags, kept, dropped):
         sets = np.zeros(len(tags), dtype=np.int32)
         tags = np.array(tags, dtype=np.int32)
-        got_sets, got_tags, got_dropped = kernels._collapse_pingpong(sets,
-                                                                     tags)
+        got_sets, got_tags, _, got_dropped = kernels._collapse_pingpong(
+            sets, tags)
         assert got_tags.tolist() == kept and got_dropped == dropped
         assert len(got_sets) == len(kept)
         for max_depth in (1, 2, 8):
@@ -382,7 +382,7 @@ class TestDepthPass:
         depth-1 hit."""
         sets = np.array([0, 0, 1, 1], dtype=np.int32)
         tags = np.array([5, 7, 5, 7], dtype=np.int32)
-        assert kernels._collapse_pingpong(sets, tags)[2] == 0
+        assert kernels._collapse_pingpong(sets, tags)[3] == 0
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
     def test_refined_runs_match_independent_sorts(self, dtype):
@@ -395,8 +395,9 @@ class TestDepthPass:
         # One-bit steps, a 4-bit step and a 17-bit one (int32 keys).
         set_counts = [1, 2, 4, 64, 128, 1 << 24]
         collapsed_lines, _, first = kernels._precollapse(lines, None, 0)
-        for num_sets, (sets, tags, collapsed) in zip(
+        for num_sets, (sets, tags, writes, collapsed) in zip(
                 set_counts, kernels.refined_runs(lines, set_counts)):
+            assert writes is None
             sets_ref, tags_ref = kernels._split_lines(collapsed_lines,
                                                       num_sets)
             sets_ref, tags_ref, _ = kernels._sort_by_set(
@@ -408,6 +409,127 @@ class TestDepthPass:
             assert collapsed == first + more
             narrow = dtype == np.uint32 and num_sets >= 4
             assert tags.dtype == (np.int32 if narrow else np.int64)
+
+
+@st.composite
+def written_line_traces(draw):
+    """Line addresses with write flags, plus the chunk cuts to stream
+    them with.
+
+    The trace is built from segments: ping-pong stretches of two lines,
+    same-line runs (whose tail writes the run collapse ORs into the
+    head), scans over up to twelve lines of one set (more than the
+    eight ways a pass carries, so lines fall out of the carried stack
+    and come back later) and random lines.  The lines ``64 * tag +
+    offset`` of one offset share a set at every set count drawn.  Each
+    segment writes nowhere, everywhere, on its first or last reference
+    only, or where drawn, and the whole trace may be all reads or all
+    writes.
+    """
+    segments = draw(st.lists(st.tuples(
+        st.sampled_from(["pingpong", "run", "scan", "random"]),
+        st.integers(0, 11), st.integers(0, 11), st.integers(1, 16),
+        st.integers(0, 3),
+        st.sampled_from(["none", "all", "first", "last", "drawn"])),
+        min_size=1, max_size=12))
+    lines, writes = [], []
+    for kind, a, b, length, offset, mode in segments:
+        if kind == "pingpong":
+            tags = [a, b] * (length // 2) + [a] * (length % 2)
+        elif kind == "run":
+            tags = [a] * length
+        elif kind == "scan":
+            tags = [(a + i) % 12 for i in range(length)]
+        else:
+            tags = draw(st.lists(st.integers(0, 11), min_size=length,
+                                 max_size=length))
+        if mode == "drawn":
+            flags = draw(st.lists(st.booleans(), min_size=length,
+                                  max_size=length))
+        else:
+            flags = [mode == "all" or (mode == "first" and i == 0)
+                     or (mode == "last" and i == length - 1)
+                     for i in range(length)]
+        lines.extend(64 * tag + offset for tag in tags)
+        writes.extend(flags)
+    density = draw(st.sampled_from(["drawn", "reads", "writes"]))
+    if density != "drawn":
+        writes = [density == "writes"] * len(lines)
+    cuts = sorted(draw(st.lists(st.integers(0, len(lines)), max_size=6)))
+    return (np.array(lines, dtype=np.uint32), np.array(writes, dtype=bool),
+            cuts)
+
+
+class TestWriteBackDepthPass:
+    """Write-back counts from the depth pass against the scalar family
+    pass with per-associativity dirty bitmasks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=written_line_traces(),
+           max_depth=st.sampled_from([1, 2, 4, 8]))
+    def test_matches_scalar_family_pass(self, case, max_depth):
+        """Families at 1, 2, 8 and 64 sets refined from one chain, as
+        the sweep feeds them, streamed in chunks cut anywhere: after
+        every cut, the misses and write-backs of every associativity up
+        to ``max_depth`` and the carried stacks with each line's dirty
+        depth."""
+        lines, writes, cuts = case
+        set_counts = [1, 2, 8, 64]
+        assocs = list(range(1, max_depth + 1))
+        passes = [kernels.ChunkedDepthPass(num_sets, max_depth,
+                                           writebacks=True)
+                  for num_sets in set_counts]
+        begin = 0
+        for end in cuts + [len(lines)]:
+            runs = kernels.refined_runs(lines[begin:end], set_counts,
+                                        writes[begin:end])
+            for depth_pass, (sets, tags, head_writes, collapsed) in zip(
+                    passes, runs):
+                depth_pass.feed_sorted(sets, tags, collapsed, head_writes)
+            begin = end
+            for num_sets, depth_pass in zip(set_counts, passes):
+                expected = oracle.lru_family_stats(
+                    lines[:end], writes[:end], num_sets, assocs)
+                context = (num_sets, end)
+                assert depth_pass.misses(assocs) == {
+                    a: expected[a].misses for a in assocs}, context
+                assert depth_pass.writebacks(assocs) == {
+                    a: expected[a].writebacks for a in assocs}, context
+                state, dirty = depth_pass._state, depth_pass._dirty
+                got = ([[] for _ in range(num_sets)] if state is None else
+                       [[(int(t), int(r)) for t, r in zip(row, dirty_row)
+                         if t != kernels.EMPTY]
+                        for row, dirty_row in zip(state, dirty)])
+                assert got == oracle.lru_dirty_state(
+                    lines[:end], writes[:end], num_sets, max_depth), context
+
+    @pytest.mark.parametrize("writes, dropped", [
+        ([0, 0, 0, 0, 0, 0, 0], 2),     # m=5: the first two go
+        ([0, 0, 1, 0, 0, 0, 0], 0),     # a write among them: all stay
+        ([0, 0, 0, 0, 0, 1, 1], 2),     # writes in the kept tail
+        ([1, 1, 0, 0, 0, 0, 0], 2),     # writes before the stretch
+    ])
+    def test_pingpong_collapse_keeps_each_line_last_link(self, writes,
+                                                         dropped):
+        """With write flags a stretch keeps its last two heads (three
+        when odd) and drops nothing when a dropped head would write."""
+        sets = np.zeros(7, dtype=np.int32)
+        tags = np.array([1, 2, 1, 2, 1, 2, 1], dtype=np.int32)
+        writes = np.array(writes, dtype=bool)
+        _, got_tags, got_writes, got_dropped = kernels._collapse_pingpong(
+            sets, tags, writes)
+        assert got_dropped == dropped
+        keep = [i for i in range(7) if not 2 <= i < 2 + dropped]
+        assert got_tags.tolist() == tags[keep].tolist()
+        assert got_writes.tolist() == writes[keep].tolist()
+        assert kernels._collapse_pingpong(sets, tags)[3] == 4
+
+    def test_read_only_pass_counts_no_writebacks(self):
+        depth_pass = kernels.ChunkedDepthPass(4, 2)
+        depth_pass.feed(np.arange(40, dtype=np.uint32) % 9,
+                        np.ones(40, dtype=bool))
+        assert depth_pass.writebacks([1, 2]) == {1: 0, 2: 0}
+        assert depth_pass._dirty is None
 
 
 @st.composite
@@ -516,8 +638,8 @@ class TestFamilyStats:
         addresses = np.array([a for a, _ in trace], dtype=np.uint32)
         writes = np.array([w for _, w in trace], dtype=bool)
         line = 16
-        family = lru_family_stats(to_line_addresses(addresses, line),
-                                  writes, num_sets, [1, 2, 4, 8])
+        family = oracle.lru_family_stats(to_line_addresses(addresses, line),
+                                         writes, num_sets, [1, 2, 4, 8])
         for assoc, fam in family.items():
             for write_policy in (WRITE_BACK, WRITE_THROUGH):
                 config = CacheConfig(size=num_sets * line * assoc,
@@ -546,14 +668,24 @@ def _boom_on_32b_lines(bundle):
 _real_bundle_unit_impl = sweep_module._bundle_unit_impl
 
 
-def _boom_on_fifo(group):
+def _boom_on_fifo(bundle):
     # Module-level so forked workers resolve it by name.
-    if any(config.policy == POLICY_FIFO for config in group):
-        raise RuntimeError("injected group failure")
-    return _real_group_unit_impl(group)
+    if any(config.policy == POLICY_FIFO
+           for item in bundle for config in item.configs):
+        raise RuntimeError("injected bundle failure")
+    return _real_bundle_unit_impl(bundle)
 
-
-_real_group_unit_impl = sweep_module._group_unit_impl
+#: The ``ablation`` benchmark's grid: {2K, 8K, 32K} x {LRU, FIFO} x
+#: {write-through, write-back, write-back without write-allocate},
+#: 16 B lines, 4 ways.
+ABLATION_GRID = [
+    CacheConfig(size, 16, 4, policy=policy, write_policy=write_policy,
+                write_allocate=allocate)
+    for size in (2048, 8192, 32768)
+    for policy in (POLICY_LRU, POLICY_FIFO)
+    for write_policy, allocate in ((WRITE_THROUGH, True), (WRITE_BACK, True),
+                                   (WRITE_BACK, False))
+]
 
 #: A configs sweep touching every grouping rule: duplicates, random
 #: replacement (scalar, and kernel-served at one way), one way, both
@@ -625,9 +757,17 @@ class TestSweepParallel:
             assert [(p.config, p.accesses, p.misses)
                     for p in points] == expected
 
+    def _grid_items(self):
+        return sweep_module._work_items(sweep_module._grid_configs(
+            PAPER_SIZES, PAPER_LINE_SIZES, PAPER_ASSOCIATIVITIES), False)
+
     def test_container_chunks_decoded_once_per_bundle(self, tmp_path,
                                                       monkeypatch):
-        path = self._container(tmp_path, self._trace(8_000))
+        addresses, writes = self._written_trace(8_000)
+        kinds = np.where(writes, KIND_WRITE, KIND_READ) | (REGION_RAM << 4)
+        path = tmp_path / "trace.ptrc"
+        write_container(pack_tokens(addresses, kinds.astype(np.uint8)),
+                        path, chunk_tokens=997)
         with TraceContainer(path) as container:
             n_chunks = len(container.index)
         decoded = []
@@ -638,24 +778,31 @@ class TestSweepParallel:
             return decode(self, i)
 
         monkeypatch.setattr(TraceContainer, "chunk", counting_decode)
-        # jobs=1 runs in-process, one bundle holding all 20 families.
+        # jobs=1 runs in-process, one bundle holding all 20 families, or
+        # all 12 items of the ablation grid.
         sweep_parallel(container=path, jobs=1)
         assert decoded == list(range(n_chunks))
-        # The bundles planned for three workers, run in-process: each
-        # streams the trace once.
-        families = [f for f, _ in sweep_module._grid_units(
-            PAPER_SIZES, PAPER_LINE_SIZES, PAPER_ASSOCIATIVITIES)]
-        bundles = [tuple(families[i] for i in bundle)
-                   for bundle in sweep_module._plan_bundles(len(families), 3)]
         decoded.clear()
-        sweep_module._run_units(sweep_module._bundle_unit, bundles, 1,
-                                None, None, container=str(path))
-        assert sorted(decoded) == sorted(list(range(n_chunks)) * 3)
+        sweep_parallel(container=path, configs=ABLATION_GRID, jobs=1)
+        assert decoded == list(range(n_chunks))
+        # The bundles planned for several workers, run in-process: each
+        # streams the trace once, so the ablation grid at jobs=2 decodes
+        # each chunk twice.
+        for items, jobs in ((self._grid_items(), 3),
+                            (sweep_module._work_items(ABLATION_GRID, True), 2)):
+            bundles = [tuple(items[i] for i in bundle)
+                       for bundle in sweep_module._plan_bundles(len(items),
+                                                                jobs)]
+            decoded.clear()
+            sweep_module._run_units(sweep_module._bundle_unit, bundles, 1,
+                                    None, None, container=str(path))
+            assert sorted(decoded) == sorted(list(range(n_chunks)) * jobs)
 
     def test_bundle_plan(self):
-        families = [f for f, _ in sweep_module._grid_units(
-            PAPER_SIZES, PAPER_LINE_SIZES, PAPER_ASSOCIATIVITIES)]
+        families = self._grid_items()
         assert len(families) == 20
+        assert all(isinstance(f, sweep_module.Family) and not f.writebacks
+                   for f in families)
         for jobs in range(1, 25):
             plan = sweep_module._plan_bundles(len(families), jobs)
             assert len(plan) == min(jobs, 20)
@@ -663,6 +810,11 @@ class TestSweepParallel:
             assert [i for bundle in plan for i in bundle] == list(range(20))
         assert [{families[i].line for i in bundle} for bundle in
                 sweep_module._plan_bundles(len(families), 2)] == [{16}, {32}]
+        # The 18-config ablation grid (one line size) still fills both
+        # workers.
+        items = sweep_module._work_items(ABLATION_GRID, True)
+        assert [len(b) for b in sweep_module._plan_bundles(len(items), 2)] \
+            == [6, 6]
 
     def test_matches_previous_engine(self):
         addresses = self._trace()
@@ -732,29 +884,86 @@ class TestSweepParallel:
                     stats.accesses, stats.misses, stats.writebacks,
                     stats.write_throughs), point.config
 
-    def test_config_groups(self):
-        groups = sweep_module._config_groups(MIXED_CONFIGS)
-        assert [len(g) for g in groups] == [4, 3, 2, 2, 1]
-        distinct = [c for g in groups for c in g]
+    def test_work_items(self):
+        """LRU write-allocate configurations become one depth family per
+        (line size, set count); every other configuration is simulated
+        once per write-back twin; every distinct configuration is served
+        by exactly one item, ordered by line size and set count."""
+        items = sweep_module._work_items(MIXED_CONFIGS, True)
+        assert [(type(item).__name__, item.line, item.num_sets,
+                 len(item.configs)) for item in items] == [
+            ("Simulated", 16, 32, 2), ("Simulated", 16, 32, 1),
+            ("Family", 16, 64, 1), ("Simulated", 16, 64, 1),
+            ("Simulated", 16, 128, 1), ("Simulated", 16, 128, 1),
+            ("Simulated", 32, 32, 1), ("Family", 32, 64, 2),
+            ("Simulated", 32, 64, 2)]
+        distinct = [c for item in items for c in item.configs]
         assert len(distinct) == len(set(distinct)) and \
             set(distinct) == set(MIXED_CONFIGS)
+        for item in items:
+            if isinstance(item, sweep_module.Family):
+                assert item.writebacks and item.assocs == tuple(sorted(
+                    {c.associativity for c in item.configs}))
+                assert all(c.policy == POLICY_LRU and c.write_allocate
+                           for c in item.configs)
+            else:
+                assert len({replace(c, write_policy=WRITE_BACK)
+                            for c in item.configs}) == 1
 
-    def test_no_leaked_segments_after_group_unit_raises(self, monkeypatch):
-        """A failing configs unit surfaces as a SweepWorkerError naming
-        its group's configurations, and the shared segments are still
-        unlinked."""
-        monkeypatch.setattr(sweep_module, "_group_unit_impl", _boom_on_fifo)
+    def test_ablation_grid_simulates_no_lru_write_allocate(self,
+                                                           monkeypatch):
+        """Of the ablation grid's 18 configurations, the six LRU
+        write-allocate ones come out of three depth families; the
+        simulators built are the 9 FIFO and LRU no-write-allocate
+        write-back twins, and every point matches the scalar cache."""
+        built = []
+        init = kernels.ChunkedSimulator.__init__
+
+        def counting_init(self, config, *args, **kwargs):
+            built.append(config)
+            init(self, config, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.ChunkedSimulator, "__init__",
+                            counting_init)
+        addresses, writes = self._written_trace(4_000)
+        points = sweep_parallel(addresses, writes=writes,
+                                configs=ABLATION_GRID, jobs=1)
+        assert len(built) == 9 and len(set(built)) == 9
+        assert not any(c.policy == POLICY_LRU and c.write_allocate
+                       for c in built)
+        for config, point in zip(ABLATION_GRID, points):
+            expected = scalar_stats(addresses, config, writes)
+            assert (point.misses, point.writebacks, point.write_throughs) \
+                == (expected.misses, expected.writebacks,
+                    expected.write_throughs), config
+
+    def test_no_leaked_segments_after_bundle_unit_raises(self, monkeypatch):
+        """A failing configs bundle surfaces as a SweepWorkerError naming
+        its items (a family by line size and set count, a simulated item
+        by its configurations) and none of the other bundle's, and the
+        shared segments are still unlinked."""
+        monkeypatch.setattr(sweep_module, "_bundle_unit_impl", _boom_on_fifo)
+        items = sweep_module._work_items(MIXED_CONFIGS, True)
+        failing, passing = [[items[i] for i in bundle] for bundle in
+                            sweep_module._plan_bundles(len(items), 2)]
+        assert any(c.policy == POLICY_FIFO
+                   for item in failing for c in item.configs)
+        assert not any(c.policy == POLICY_FIFO
+                       for item in passing for c in item.configs)
         addresses, writes = self._written_trace(8_000)
         before = _shm_segments()
         with pytest.raises(SweepWorkerError,
-                           match="injected group failure") as info:
+                           match="injected bundle failure") as info:
             sweep_parallel(addresses, writes=writes, configs=MIXED_CONFIGS,
                            jobs=2)
         message = str(info.value)
         for config in MIXED_CONFIGS:
             if config.policy == POLICY_FIFO:
                 assert repr(config) in message
-        assert "policy='lru'" not in message
+        for item in failing:
+            assert repr(item) in message
+        for item in passing:
+            assert repr(item) not in message
         assert "policy='random'" not in message
         assert _shm_segments() == before
 
