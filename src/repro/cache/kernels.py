@@ -22,8 +22,6 @@ passes.  The design is *set-major*:
     B ...`` in one set): every head after the first two is an exact
     depth-1 hit that swaps the top two stack entries, so an even number
     of them leaves the stack as it found it (:func:`_collapse_pingpong`).
-    Its families of one line size share their set sort: each set order
-    refines the previous one by one radix step (:func:`refined_runs`).
 3.  The surviving run heads are re-ordered into *waves*: wave ``r``
     holds the ``r``-th run of every set that still has one.  Each wave
     touches each set at most once, so a whole wave is simulated with a
@@ -34,12 +32,17 @@ passes.  The design is *set-major*:
     sets are drained by a scalar per-set loop over unpacked Python
     lists (a cache with fewer sets than that is drained entirely).
 
-Steps 1 and 2 are :func:`_prepare_heads`; :class:`ChunkedSimulator`
-runs them and the waves chunk by chunk, with the way matrix carried
-between chunks, and :func:`simulate` is that simulator over one chunk.
+Steps 1 and 2 are :func:`refined_runs` for both kernels.  It drops
+program-order repeats first and then refines each set order from the
+previous one by one radix step, so one chain per chunk, line size and
+allocate mode serves every set count a sweep needs, and every consumer
+of a set count reads the same heads.  :class:`ChunkedSimulator` runs
+the waves on them chunk by chunk, with the way matrix carried between
+chunks (:meth:`ChunkedSimulator.feed` is a one-level chain), and
+:func:`simulate` is that simulator over one chunk.
 
-The LRU depth pass (:class:`ChunkedDepthPass`) shares steps 1 and 2 but
-has no waves and no drain: each set's carried stack goes in front of
+The LRU depth pass (:class:`ChunkedDepthPass`) has no waves and no
+drain: each set's carried stack goes in front of
 its run heads, and the stack depth of every head is the number of
 distinct lines since its line's previous reference, counted for all
 heads at once by a capped backward scan (:func:`_lru_depths`).  Given
@@ -104,27 +107,6 @@ def supports(config: CacheConfig) -> bool:
 # Trace preparation
 # ----------------------------------------------------------------------
 
-def _set_tag_split(addresses: np.ndarray, config: CacheConfig
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    offset_bits = config.line_size.bit_length() - 1
-    set_bits = (config.num_sets - 1).bit_length()
-    addresses = np.asarray(addresses)
-    if addresses.dtype == np.uint32 and offset_bits + set_bits >= 2:
-        # 32-bit device addresses: stay in narrow integers (the sort and
-        # the wave ops are markedly faster than on int64).  The packed
-        # way state stores ``tag << 1 | dirty``, so the tag must fit in
-        # 30 bits — true whenever at least two address bits fold into
-        # the line offset and set index.
-        lines = addresses >> np.uint32(offset_bits)
-        sets = (lines & np.uint32(config.num_sets - 1)).astype(np.int32)
-        tags = (lines >> np.uint32(set_bits)).astype(np.int32)
-    else:
-        lines = addresses.astype(np.int64) >> offset_bits
-        sets = (lines & (config.num_sets - 1)).astype(np.int32)
-        tags = lines >> set_bits
-    return sets, tags
-
-
 def _heads(same: np.ndarray, writes: Optional[np.ndarray],
            allocate: bool):
     """The run heads of a reference stream, given ``same[i]``: reference
@@ -185,94 +167,22 @@ def _run_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.append(sums[idx[1:]], sums[-1]) - sums[idx]
 
 
-def _precollapse(addresses: np.ndarray, writes: Optional[np.ndarray],
-                 offset_bits: int, allocate: bool = True):
-    """Drop references to the line the previous reference just touched
-    (in program order, whatever the set), by the rules of
-    :func:`_heads`.  Returns ``(addresses, head_writes, collapsed)``."""
-    addresses = np.asarray(addresses)
-    if len(addresses) == 0:
-        return addresses, writes, 0
-    if offset_bits == 0:
-        lines = addresses
-    else:
-        lines = addresses >> (np.uint32(offset_bits)
-                              if addresses.dtype == np.uint32 else offset_bits)
-    idx, writes, collapsed = _heads(lines[1:] == lines[:-1], writes,
-                                    allocate)
-    return (addresses if idx is None else addresses[idx]), writes, collapsed
-
-
-def _sort_by_set(sets: np.ndarray, tags: np.ndarray,
-                 writes: Optional[np.ndarray], num_sets: int):
-    """Stable partition of the references by set index.
-
-    numpy's stable argsort radix-sorts integers of 16 bits or fewer, so
-    set indices below 2**15 are sorted as ``int16`` keys (several times
-    faster than the ``int32`` timsort); the key order is the same.
-    """
-    keys = sets.astype(np.int16) if num_sets <= SORT16_MAX_SETS else sets
-    order = np.argsort(keys, kind="stable")
-    return (sets[order], tags[order],
-            None if writes is None else writes[order])
-
-
-def _collapse_runs(sets: np.ndarray, tags: np.ndarray,
-                   writes: Optional[np.ndarray], allocate: bool = True):
-    """Collapse within-set runs of the same tag of set-sorted
-    references, by the rules of :func:`_heads`.  Returns ``(sets, tags,
-    head_writes, collapsed)``."""
-    if len(sets) == 0:
-        return sets, tags, writes, 0
-    same = tags[1:] == tags[:-1]
-    same &= sets[1:] == sets[:-1]
-    idx, writes, collapsed = _heads(same, writes, allocate)
-    if idx is None:
-        return sets, tags, writes, 0
-    return sets[idx], tags[idx], writes, collapsed
-
-
-def _prepare_heads(addresses: np.ndarray, writes: Optional[np.ndarray],
-                  config: CacheConfig):
-    """One chunk of a trace as the set-sorted run heads the wave kernel
-    simulates: precollapse, set split, stable set sort, run collapse.
-
-    Returns ``(sets, tags, writes, weights, collapsed)``.  ``writes`` is
-    each head's write flag (``None`` without a mask).  ``weights`` is
-    ``None`` under write-allocate; without it, it holds the references
-    each head stands for (``int32``: a write group's size, 1 for a
-    read), and a hit scores the head's weight.  ``collapsed`` counts
-    the references dropped as guaranteed hits.
-    """
-    allocate = config.write_allocate
-    addresses, writes, collapsed = _precollapse(
-        addresses, writes, config.line_size.bit_length() - 1, allocate)
-    sets, tags = _set_tag_split(addresses, config)
-    sets, tags, writes = _sort_by_set(sets, tags, writes, config.num_sets)
-    sets, tags, writes, more = _collapse_runs(sets, tags, writes, allocate)
-    weights = None
-    if writes is not None and not allocate:
-        weights = np.maximum(writes, 1, dtype=np.int32)
-        writes = writes != 0
-    return sets, tags, writes, weights, collapsed + more
-
-
 def _refine(lines: np.ndarray, from_bits: int, to_bits: int,
-            writes: Optional[np.ndarray] = None):
+            writes: Optional[np.ndarray] = None, allocate: bool = True):
     """Re-sort line addresses from set order at ``2**from_bits`` sets to
-    set order at ``2**to_bits`` sets, then drop adjacent repeats.
+    set order at ``2**to_bits`` sets, then collapse adjacent repeats by
+    the rules of :func:`_heads`.
 
     ``lines`` is grouped by its low ``from_bits`` bits, program order
     within a group (at 0 bits, one set, that is program order).  A
     stable sort on the set-index bits that grouping lacks is one LSD
     radix step: it yields set order at ``2**to_bits`` sets with program
     order still kept within each set.  A reference equal to its
-    predecessor in that order is a depth-0 hit in its set, and stays
-    one in every finer set partition (the references between it and its
-    predecessor only shrink).  Write flags, when given, move with their
-    lines, and a kept line ORs the flags of the repeats it absorbs
-    (:func:`_heads` under write-allocate).  Returns ``(lines, writes,
-    dropped)``.
+    predecessor in that order follows it with nothing between them in
+    its set, and stays so in every finer set partition (the references
+    between them only shrink).  Write flags or counts, when given, move
+    with their lines and aggregate as :func:`_heads` says for
+    ``allocate``.  Returns ``(lines, writes, dropped)``.
     """
     span = to_bits - from_bits
     if span:
@@ -284,13 +194,17 @@ def _refine(lines: np.ndarray, from_bits: int, to_bits: int,
         lines = lines[order]
         if writes is not None:
             writes = writes[order]
-    return _precollapse(lines, writes, 0)
+    if len(lines) == 0:
+        return lines, writes, 0
+    idx, writes, dropped = _heads(lines[1:] == lines[:-1], writes, allocate)
+    return (lines if idx is None else lines[idx]), writes, dropped
 
 
 def _split_lines(lines: np.ndarray, num_sets: int
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(sets, tags)`` of line addresses at ``num_sets`` sets, with the
-    ``int32`` tags of :func:`_set_tag_split` where they fit."""
+    """``(sets, tags)`` of line addresses at ``num_sets`` sets: ``int32``
+    tags for ``uint32`` lines at four sets or more, where ``tag << 1 |
+    dirty`` fits the packed way state, else ``int64``."""
     set_bits = num_sets.bit_length() - 1
     if lines.dtype == np.uint32 and set_bits >= 2:
         sets = (lines & np.uint32(num_sets - 1)).astype(np.int32)
@@ -303,24 +217,42 @@ def _split_lines(lines: np.ndarray, num_sets: int
 
 
 def refined_runs(line_addrs, set_counts: Sequence[int],
-                 writes: Optional[np.ndarray] = None):
+                 writes: Optional[np.ndarray] = None, allocate: bool = True):
     """Set-sorted run heads of one chunk of line addresses at each of
-    ``set_counts`` (powers of two, ascending).
+    ``set_counts`` (powers of two, ascending): steps 1 and 2 of both
+    kernels.
 
-    Yields ``(sets, tags, writes, collapsed)`` per set count, ``writes``
-    each head's write flag (the OR over the references it absorbed;
-    ``None`` without a mask) and ``collapsed`` counting the references
-    dropped as depth-0 hits on the way (the input for
-    :meth:`ChunkedDepthPass.feed_sorted`).  Each set order is refined
-    from the previous one (:func:`_refine`), so the families of one
-    line size share a single sort instead of one each, and each sort
+    Yields ``(sets, tags, writes, collapsed)`` per set count, the input
+    of :meth:`ChunkedDepthPass.feed_sorted` and
+    :meth:`ChunkedSimulator.feed_sorted`.  ``collapsed`` counts the
+    references dropped as guaranteed hits on the way; ``writes`` is
+    ``None`` without a mask, each head's write flag (the OR over the
+    references it absorbed) under write-allocate, and each head's
+    ``int32`` write count without it (:func:`_heads`; the mask itself
+    while nothing has collapsed).  The chain first
+    drops program-order repeats, then refines each set order from the
+    previous one (:func:`_refine`), so every consumer of one line size
+    and allocate mode shares a single sort per set count, and each sort
     sees only the heads the coarser sets left.
+
+    Collapsing in stages gives the heads, write counts and
+    ``collapsed`` that one stable set sort and one run collapse give at
+    the final set count.  A group :func:`_heads` collapses (a run under
+    write-allocate; without it, a stretch of one line with one write
+    flag) is adjacent in its coarser set order, so it is still adjacent,
+    with the same flag, in every finer one: each group collapsed early
+    lies inside one group of the final order, whose head is its first
+    reference either way.  Flags OR and write counts add, so the head
+    carries the same flag or count however the group was assembled,
+    and the dropped references (every tail under write-allocate; the
+    dropped reads without it) are the same ones.
     """
-    lines, writes, collapsed = _refine(np.asarray(line_addrs), 0, 0, writes)
+    lines, writes, collapsed = _refine(np.asarray(line_addrs), 0, 0, writes,
+                                       allocate)
     bits = 0
     for num_sets in set_counts:
         to_bits = num_sets.bit_length() - 1
-        lines, writes, more = _refine(lines, bits, to_bits, writes)
+        lines, writes, more = _refine(lines, bits, to_bits, writes, allocate)
         collapsed += more
         bits = to_bits
         yield _split_lines(lines, num_sets) + (writes, collapsed)
@@ -481,8 +413,9 @@ def _run_waves(sets, tags, writes, config: CacheConfig,
     ``state`` is the packed ``(num_sets, assoc)`` way matrix, mutated in
     place.  ``fifo_ptr`` carries the per-set FIFO insertion pointers;
     passing it in (mutated in place) lets the out-of-core path resume
-    replacement state across chunk boundaries.  ``weights`` (from :func:`_prepare_heads`) gives the
-    references each head stands for: a hit scores its head's weight.
+    replacement state across chunk boundaries.  ``weights`` (from
+    :meth:`ChunkedSimulator.feed_sorted`) gives the references each head
+    stands for: a hit scores its head's weight.
     """
     assoc = state.shape[1]
     fifo = config.policy == POLICY_FIFO
@@ -683,7 +616,9 @@ class ChunkedSimulator:
         self._write_throughs = 0
 
     def feed(self, addresses, writes=None) -> None:
-        """Simulate the next chunk of the trace."""
+        """Simulate the next chunk of the trace: its run heads at this
+        cache's set count (a one-level :func:`refined_runs` chain) go to
+        :meth:`feed_sorted`."""
         addresses = np.asarray(addresses)
         n = len(addresses)
         if n == 0:
@@ -695,15 +630,49 @@ class ChunkedSimulator:
                 raise ValueError("writes mask length != chunk length")
             if not self._write_back:
                 self._write_throughs += int(np.count_nonzero(writes))
+        offset_bits = config.line_size.bit_length() - 1
+        if addresses.dtype == np.uint32:
+            lines = addresses >> np.uint32(offset_bits)
+        else:
+            lines = addresses.astype(np.int64) >> offset_bits
+        (sets, tags, head_writes, collapsed), = refined_runs(
+            lines, [config.num_sets], writes, config.write_allocate)
+        set_bits = config.num_sets.bit_length() - 1
+        if addresses.dtype == np.uint32 and offset_bits + set_bits >= 2:
+            # The tag of a 32-bit byte address fits in 30 bits whenever
+            # two of its bits fold into the line offset and set index.
+            tags = tags.astype(np.int32, copy=False)
+        self.feed_sorted(sets, tags, collapsed, head_writes, n)
+
+    def feed_sorted(self, sets: np.ndarray, tags: np.ndarray,
+                    collapsed: int, writes: Optional[np.ndarray],
+                    accesses: int) -> None:
+        """Simulate the next chunk of ``accesses`` references as its
+        set-sorted run heads at this cache's set count, as
+        :func:`refined_runs` yields them under this cache's allocate
+        mode.  The sweep refines one chain per chunk, line size and
+        allocate mode and feeds every simulator of a set count the same
+        heads, so they are read here and never written.  Write-throughs
+        are counted by :meth:`feed`; the heads no longer hold them.
+
+        Without write-allocate the heads' write counts become weights
+        (a write group's size, 1 for a read: a hit scores its head's
+        weight) and write flags.
+        """
+        config = self.config
+        weights = None
+        if writes is not None and not config.write_allocate:
+            weights = np.maximum(writes, 1, dtype=np.int32)
+            writes = writes != 0
         if self._write_back and writes is None:
             # Dirty state from earlier chunks must keep being tracked
             # through write-free chunks, so the write-back path always
             # carries a mask (all-False is semantically writes=None).
-            writes = np.zeros(n, dtype=bool)
-        self._accesses += n
-        sets, tags, writes, weights, collapsed = _prepare_heads(
-            addresses, writes, config)
+            writes = np.zeros(len(sets), dtype=bool)
+        self._accesses += accesses
         self._hits += collapsed
+        if len(sets) == 0:
+            return
         if self._state is None:
             dtype = (tags.dtype if tags.dtype == np.int32 else np.int64)
             self._state = np.full(
@@ -949,8 +918,8 @@ class ChunkedDepthPass:
         :func:`refined_runs` yields them; ``collapsed`` counts the
         references already dropped as depth-0 hits, and ``writes`` holds
         the heads' write flags (``None``: no writes).  The sweep refines
-        one chunk through every family of a line size and feeds each
-        family here.
+        one chain per chunk and line size for its families and
+        write-allocate simulators, and feeds each family here.
 
         The heads, behind the carried stacks (:func:`_prepend_stacks`),
         get their depths from one backward scan (:func:`_lru_depths`).

@@ -304,57 +304,71 @@ def _bundle_unit_impl(bundle: Tuple[WorkItem, ...]
                       ) -> Tuple[int, List[List[Tuple[int, int, int]]]]:
     """One worker's bundle of items, sharing one trace stream.
 
-    The trace is decoded once per bundle.  Per chunk and line size, the
-    bundle's depth families get their set-sorted run heads in ascending
-    set count, each refined from the previous family's
-    (:func:`~repro.cache.kernels.refined_runs`), with write flags when
-    they count write-backs; every simulator is fed the decoded chunk.
-    Returns the reference count (the parent cannot know the post-filter
-    count of a container without decoding it) and, per item, ``(misses,
-    writebacks, write_throughs)`` for each configuration it serves: a
-    write-back configuration takes its cache's writebacks, and a
-    write-through one writes through every write of the trace.  A
-    read-only family (the paper grid) reads no write flags.
+    The trace is decoded once per bundle.  Per chunk and line size the
+    bundle computes line addresses once and refines one chain of set
+    sorts (:func:`~repro.cache.kernels.refined_runs`) per allocate mode
+    its items need, over the ascending set counts they use, with write
+    flags when any item reads them.  Every depth family and
+    write-allocate simulator of a set count reads the write-allocate
+    chain's heads there, and every no-write-allocate simulator the
+    other chain's; only random replacement, on the scalar
+    :class:`Cache`, gets the decoded chunk.  Returns the reference
+    count (the parent cannot know the post-filter count of a container
+    without decoding it) and, per item, ``(misses, writebacks,
+    write_throughs)`` for each configuration it serves: a write-back
+    configuration takes its cache's writebacks, and a write-through one
+    writes through every write of the trace.  A read-only family (the
+    paper grid) reads no write flags.
     """
     from .kernels import (ChunkedDepthPass, ChunkedSimulator, refined_runs,
                           supports)
 
     runners: List = []
-    chains: Dict[int, list] = {}
-    feeds = []
+    # line size -> allocate mode -> set count -> the runners fed there
+    chains: Dict[int, Dict[bool, Dict[int, list]]] = {}
+    scalar = []
     for item in bundle:
+        config = replace(item.configs[0], write_policy=WRITE_BACK)
         if isinstance(item, Family):
             runner = ChunkedDepthPass(item.num_sets, max(item.assocs),
                                       writebacks=item.writebacks)
-            chains.setdefault(item.line, []).append(runner)
+        elif supports(config):
+            runner = ChunkedSimulator(config)
         else:
-            config = replace(item.configs[0], write_policy=WRITE_BACK)
-            if supports(config):
-                runner = ChunkedSimulator(config)
-                feeds.append(runner.feed)
-            else:
-                runner = Cache(config)
-                feeds.append(runner.run)
+            runner = Cache(config)
         runners.append(runner)
-    for passes in chains.values():
-        passes.sort(key=lambda depth_pass: depth_pass.num_sets)
+        if isinstance(runner, Cache):
+            scalar.append(runner)
+        else:
+            chains.setdefault(item.line, {}).setdefault(
+                config.write_allocate, {}).setdefault(
+                    item.num_sets, []).append(runner)
     reads_writes = any(not isinstance(item, Family) or item.writebacks
                        for item in bundle)
     total = writes_total = 0
     for addresses, writes in _trace_chunks():
-        total += len(addresses)
+        n = len(addresses)
+        total += n
         if not reads_writes:
             writes = None
         elif writes is not None:
             writes_total += int(np.count_nonzero(writes))
-        for line, passes in chains.items():
-            runs = refined_runs(to_line_addresses(addresses, line),
-                                [p.num_sets for p in passes], writes)
-            for depth_pass, (sets, tags, head_writes, collapsed) in zip(
-                    passes, runs):
-                depth_pass.feed_sorted(sets, tags, collapsed, head_writes)
-        for feed in feeds:
-            feed(addresses, writes)
+        for line, modes in chains.items():
+            line_addrs = to_line_addresses(addresses, line)
+            for allocate, by_sets in modes.items():
+                set_counts = sorted(by_sets)
+                runs = refined_runs(line_addrs, set_counts, writes, allocate)
+                for num_sets, (sets, tags, head_writes, collapsed) in zip(
+                        set_counts, runs):
+                    for runner in by_sets[num_sets]:
+                        if isinstance(runner, ChunkedDepthPass):
+                            runner.feed_sorted(sets, tags, collapsed,
+                                               head_writes)
+                        else:
+                            runner.feed_sorted(sets, tags, collapsed,
+                                               head_writes, n)
+        for cache in scalar:
+            cache.run(addresses, writes)
     outcomes = []
     for item, runner in zip(bundle, runners):
         if isinstance(item, Family):
@@ -397,8 +411,10 @@ def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
                chunk_timeout: Optional[float] = None,
                container: Optional[str] = None,
                memory_only: bool = True) -> List:
-    """Map ``worker`` over ``units`` with ``jobs`` forked processes
-    sharing the trace, or serially in-process.
+    """Map ``worker`` over ``units`` with ``min(jobs, len(units))``
+    forked processes sharing the trace, or serially in-process.  No
+    units start no pool and share no trace; one unit at ``jobs > 1``
+    still runs in a one-worker pool, so ``chunk_timeout`` holds.
 
     With ``container`` set (by-chunk sharding mode) there is no shared
     memory at all: workers stream chunks from the PTRC file/archive on
@@ -416,14 +432,17 @@ def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
     call.
     """
     units = list(units)
+    if not units:
+        return []
     if jobs > 1:
+        workers = min(jobs, len(units))
         try:
             import multiprocessing
             from multiprocessing import shared_memory
 
             ctx = multiprocessing.get_context("fork")
             if container is not None:
-                with ctx.Pool(jobs, initializer=_pool_init_container,
+                with ctx.Pool(workers, initializer=_pool_init_container,
                               initargs=(container, memory_only)) as pool:
                     return _collect(pool, worker, units, chunk_timeout)
             shm = shared_memory.SharedMemory(create=True,
@@ -440,7 +459,7 @@ def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
                                buffer=wshm.buf)[:] = writes
                     writes_name = wshm.name
                 with ctx.Pool(
-                        jobs, initializer=_pool_init,
+                        workers, initializer=_pool_init,
                         initargs=(shm.name, len(addresses),
                                   addresses.dtype.str, writes_name)) as pool:
                     return _collect(pool, worker, units, chunk_timeout)

@@ -1066,7 +1066,11 @@ def cmd_trace(args) -> int:
     if args.action == "info":
         path = Path(args.path)
         if path.is_dir():
-            archive = TraceArchive(path)
+            try:
+                archive = TraceArchive(path)
+            except TraceContainerError as exc:
+                print(f"not a readable archive: {exc}", file=sys.stderr)
+                return 1
             meta = archive.meta
             print(f"archive      : {path} "
                   f"({meta.get('format', 'PTRC-archive')})")

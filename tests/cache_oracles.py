@@ -18,6 +18,12 @@ per-associativity dirty bitmasks; the vectorized depth pass's
 write-back counts must match it.  :func:`lru_dirty_state` gives the
 final stacks of such a pass with each line's dirty depth, the state
 :class:`~repro.cache.kernels.ChunkedDepthPass` carries between chunks.
+
+:func:`prepare_heads` is the per-configuration head preparation the
+wave kernel had before every kernel took its heads from
+:func:`~repro.cache.kernels.refined_runs`: precollapse in program
+order, set split, one stable set sort, one run collapse.  The chain
+must give the same heads, write counts and collapsed count.
 """
 
 from dataclasses import dataclass
@@ -25,7 +31,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.cache.kernels import EMPTY, as_chunk_iter
+from repro.cache.kernels import EMPTY, SORT16_MAX_SETS, _heads, as_chunk_iter
 
 
 def drain_lru(tags, writes, row, assoc, allocate, track_dirty,
@@ -266,3 +272,86 @@ def lru_dirty_state(line_addrs, writes, num_sets, max_depth):
         stack.insert(0, (tag, 0 if write else max(dirty, depth)))
         del stack[max_depth:]
     return [[(t << 1, r) for t, r in stack] for stack in stacks]
+
+
+def set_tag_split(addresses, config):
+    """``(sets, tags)`` of byte addresses: ``int32`` tags for ``uint32``
+    addresses once two address bits fold into the line offset and set
+    index (the tag then fits in 30 bits), else ``int64``."""
+    offset_bits = config.line_size.bit_length() - 1
+    set_bits = (config.num_sets - 1).bit_length()
+    addresses = np.asarray(addresses)
+    if addresses.dtype == np.uint32 and offset_bits + set_bits >= 2:
+        lines = addresses >> np.uint32(offset_bits)
+        sets = (lines & np.uint32(config.num_sets - 1)).astype(np.int32)
+        tags = (lines >> np.uint32(set_bits)).astype(np.int32)
+    else:
+        lines = addresses.astype(np.int64) >> offset_bits
+        sets = (lines & (config.num_sets - 1)).astype(np.int32)
+        tags = lines >> set_bits
+    return sets, tags
+
+
+def precollapse(addresses, writes, offset_bits, allocate=True):
+    """Drop references to the line the previous reference just touched
+    (in program order, whatever the set), by the rules of
+    :func:`~repro.cache.kernels._heads`.  Returns ``(addresses,
+    head_writes, collapsed)``."""
+    addresses = np.asarray(addresses)
+    if len(addresses) == 0:
+        return addresses, writes, 0
+    if offset_bits == 0:
+        lines = addresses
+    else:
+        lines = addresses >> (np.uint32(offset_bits)
+                              if addresses.dtype == np.uint32 else offset_bits)
+    idx, writes, collapsed = _heads(lines[1:] == lines[:-1], writes,
+                                    allocate)
+    return (addresses if idx is None else addresses[idx]), writes, collapsed
+
+
+def sort_by_set(sets, tags, writes, num_sets):
+    """Stable partition of the references by set index, on ``int16``
+    keys up to ``SORT16_MAX_SETS`` sets (numpy radix-sorts them)."""
+    keys = sets.astype(np.int16) if num_sets <= SORT16_MAX_SETS else sets
+    order = np.argsort(keys, kind="stable")
+    return (sets[order], tags[order],
+            None if writes is None else writes[order])
+
+
+def collapse_runs(sets, tags, writes, allocate=True):
+    """Collapse within-set runs of the same tag of set-sorted
+    references, by the rules of :func:`~repro.cache.kernels._heads`.
+    Returns ``(sets, tags, head_writes, collapsed)``."""
+    if len(sets) == 0:
+        return sets, tags, writes, 0
+    same = tags[1:] == tags[:-1]
+    same &= sets[1:] == sets[:-1]
+    idx, writes, collapsed = _heads(same, writes, allocate)
+    if idx is None:
+        return sets, tags, writes, 0
+    return sets[idx], tags[idx], writes, collapsed
+
+
+def prepare_heads(addresses, writes, config):
+    """One chunk of a trace as the set-sorted run heads the wave kernel
+    simulates: precollapse, set split, stable set sort, run collapse.
+
+    Returns ``(sets, tags, writes, weights, collapsed)``.  ``writes`` is
+    each head's write flag (``None`` without a mask).  ``weights`` is
+    ``None`` under write-allocate; without it, it holds the references
+    each head stands for (``int32``: a write group's size, 1 for a
+    read), and a hit scores the head's weight.  ``collapsed`` counts
+    the references dropped as guaranteed hits.
+    """
+    allocate = config.write_allocate
+    addresses, writes, collapsed = precollapse(
+        addresses, writes, config.line_size.bit_length() - 1, allocate)
+    sets, tags = set_tag_split(addresses, config)
+    sets, tags, writes = sort_by_set(sets, tags, writes, config.num_sets)
+    sets, tags, writes, more = collapse_runs(sets, tags, writes, allocate)
+    weights = None
+    if writes is not None and not allocate:
+        weights = np.maximum(writes, 1, dtype=np.int32)
+        writes = writes != 0
+    return sets, tags, writes, weights, collapsed + more

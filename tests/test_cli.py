@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -83,6 +88,26 @@ class TestSweepPipeline:
         assert out_path.exists()
         rc = main(["sweep", "--trace", str(out_path)])
         assert rc == 0
+
+
+class TestTraceInfo:
+    @pytest.mark.parametrize("manifest", ['{"bogus": 1', '{"bogus": 1}'])
+    def test_malformed_archive_manifest_is_one_line(self, tmp_path,
+                                                    manifest):
+        """A bad ``archive.json`` prints one line on stderr and exits 1,
+        as a bad ``.ptrc`` does, with no traceback."""
+        (tmp_path / "archive.json").write_text(manifest)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "info", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "archive.json" in proc.stderr
 
 
 class TestRom:

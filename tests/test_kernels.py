@@ -394,15 +394,15 @@ class TestDepthPass:
         lines[1::3] = lines[::3][:len(lines[1::3])]  # ping-pong material
         # One-bit steps, a 4-bit step and a 17-bit one (int32 keys).
         set_counts = [1, 2, 4, 64, 128, 1 << 24]
-        collapsed_lines, _, first = kernels._precollapse(lines, None, 0)
+        collapsed_lines, _, first = oracle.precollapse(lines, None, 0)
         for num_sets, (sets, tags, writes, collapsed) in zip(
                 set_counts, kernels.refined_runs(lines, set_counts)):
             assert writes is None
             sets_ref, tags_ref = kernels._split_lines(collapsed_lines,
                                                       num_sets)
-            sets_ref, tags_ref, _ = kernels._sort_by_set(
+            sets_ref, tags_ref, _ = oracle.sort_by_set(
                 sets_ref, tags_ref, None, num_sets)
-            sets_ref, tags_ref, _, more = kernels._collapse_runs(
+            sets_ref, tags_ref, _, more = oracle.collapse_runs(
                 sets_ref, tags_ref, None)
             assert np.array_equal(sets, sets_ref)
             assert np.array_equal(tags, tags_ref)
@@ -532,6 +532,116 @@ class TestWriteBackDepthPass:
         assert depth_pass._dirty is None
 
 
+#: Byte-address traces with write flags and chunk cuts: same-line runs
+#: of write bursts and alternations, and line traces of ping-pongs,
+#: runs and scans (at 16 B lines).
+written_byte_traces = st.one_of(
+    run_traces(),
+    written_line_traces().map(lambda case: (case[0] * np.uint32(16),
+                                            case[1], case[2])))
+
+SHARED_SET_COUNTS = [1, 2, 8, 64]
+
+
+def _read_only(heads):
+    """A chain's heads with every array made read-only, so a consumer
+    that writes into shared heads fails."""
+    for array in heads[:3]:
+        if array is not None:
+            array.setflags(write=False)
+    return heads
+
+
+class TestSharedHeads:
+    """Every kernel takes its set-sorted run heads from one
+    :func:`kernels.refined_runs` chain per chunk and allocate mode."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=written_byte_traces, allocate=st.booleans())
+    def test_chain_matches_per_config_preparation(self, case, allocate):
+        """At 1, 2, 8 and 64 sets one chain gives, array for array, what
+        the per-configuration preparation gives: heads, write flags,
+        weights (from the no-write-allocate write counts) and the
+        collapsed count.  Every reference is collapsed or scored by one
+        head's weight."""
+        addresses, writes, _ = case
+        runs = kernels.refined_runs(to_line_addresses(addresses, 16),
+                                    SHARED_SET_COUNTS, writes, allocate)
+        for num_sets, (sets, tags, head_writes, collapsed) in zip(
+                SHARED_SET_COUNTS, runs):
+            config = CacheConfig(16 * num_sets, 16, 1,
+                                 write_allocate=allocate)
+            sets_ref, tags_ref, writes_ref, weights_ref, collapsed_ref = \
+                oracle.prepare_heads(addresses, writes, config)
+            assert np.array_equal(sets, sets_ref), num_sets
+            assert np.array_equal(tags, tags_ref), num_sets
+            assert collapsed == collapsed_ref, num_sets
+            if allocate:
+                assert weights_ref is None
+                assert np.array_equal(head_writes, writes_ref), num_sets
+            else:
+                assert np.array_equal(np.maximum(head_writes, 1),
+                                      weights_ref), num_sets
+                assert np.array_equal(head_writes != 0, writes_ref), num_sets
+            weight = len(sets) if allocate else int(weights_ref.sum())
+            assert weight + collapsed == len(addresses), num_sets
+            if num_sets >= 4:
+                assert tags.dtype == tags_ref.dtype == np.int32
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_feed_keeps_the_tag_dtype_rule(self, dtype):
+        """A one-level chain in :meth:`ChunkedSimulator.feed` keeps the
+        per-configuration tag width: ``int32`` for ``uint32`` addresses
+        (at 16 B lines even with one or two sets), else ``int64``."""
+        addresses = (np.arange(64) * 48).astype(dtype)
+        for num_sets in SHARED_SET_COUNTS:
+            config = CacheConfig(16 * num_sets, 16, 1)
+            sim = kernels.ChunkedSimulator(config)
+            sim.feed(addresses)
+            assert sim._state.dtype == \
+                oracle.set_tag_split(addresses, config)[1].dtype == (
+                    np.int32 if dtype == np.uint32 else np.int64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=written_byte_traces, assoc=st.sampled_from([1, 2, 4]))
+    def test_shared_chains_feed_exact_simulators(self, case, assoc):
+        """LRU and FIFO simulators, with and without write-allocate, at
+        1, 2, 8 and 64 sets, all fed read-only heads from one chain per
+        chunk and allocate mode, streamed in chunks cut anywhere: each
+        equals the scalar cache of its write-back configuration, and
+        its misses those of the write-through twin, which writes
+        through every write."""
+        addresses, writes, cuts = case
+        sims = {allocate: [kernels.ChunkedSimulator(CacheConfig(
+                    16 * num_sets * assoc, 16, assoc, policy=policy,
+                    write_policy=WRITE_BACK, write_allocate=allocate))
+                    for num_sets in SHARED_SET_COUNTS
+                    for policy in (POLICY_LRU, POLICY_FIFO)]
+                for allocate in (True, False)}
+        begin = 0
+        for end in cuts + [len(addresses)]:
+            line_addrs = to_line_addresses(addresses[begin:end], 16)
+            for allocate, group in sims.items():
+                runs = kernels.refined_runs(line_addrs, SHARED_SET_COUNTS,
+                                            writes[begin:end], allocate)
+                by_sets = dict(zip(SHARED_SET_COUNTS, map(_read_only, runs)))
+                for sim in group:
+                    sets, tags, head_writes, collapsed = \
+                        by_sets[sim.config.num_sets]
+                    sim.feed_sorted(sets, tags, collapsed, head_writes,
+                                    end - begin)
+            begin = end
+        for sim in sims[True] + sims[False]:
+            config = sim.config
+            got = sim.finish()
+            assert_stats_equal(scalar_stats(addresses, config, writes), got,
+                               context=config.label())
+            through = scalar_stats(addresses, replace(
+                config, write_policy=WRITE_THROUGH), writes)
+            assert (through.misses, through.write_throughs) == (
+                got.misses, int(writes.sum())), config.label()
+
+
 @st.composite
 def drain_cases(draw):
     """One set's packed row (distinct tags, some EMPTY ways, dirty bits),
@@ -613,19 +723,28 @@ class TestScalarDrains:
     @pytest.mark.parametrize("num_sets", [kernels.SORT16_MAX_SETS,
                                           2 * kernels.SORT16_MAX_SETS])
     def test_sort_by_set_matches_int32_stable_argsort(self, num_sets):
-        """At the 16-bit boundary the keys are radix-sorted as int16;
-        beyond it they stay int32.  Both must equal the stable int32
-        order (one distinct tag per reference exposes any reordering
-        within a set)."""
+        """A refinement step spanning up to the 16-bit boundary sorts
+        its keys as int16 (radix); a wider one keeps them int32.  Both
+        must equal the stable int32 order, as the oracle's set sort
+        does (one distinct line per reference exposes any reordering
+        within a set, and drops none)."""
         rng = np.random.default_rng(num_sets)
         sets = rng.integers(0, num_sets, 20_000).astype(np.int32)
         sets[:3] = (num_sets - 1, 0, num_sets - 1)
         tags = np.arange(len(sets), dtype=np.int32)
         writes = rng.random(len(sets)) < 0.3
         order = np.argsort(sets, kind="stable")
-        got = kernels._sort_by_set(sets, tags, writes, num_sets)
-        for got_array, array in zip(got, (sets, tags, writes)):
-            assert np.array_equal(got_array, array[order])
+        set_bits = num_sets.bit_length() - 1
+        lines = (tags.astype(np.uint32) << np.uint32(set_bits)) \
+            | sets.astype(np.uint32)
+        got_lines, got_writes, dropped = kernels._refine(
+            lines, 0, set_bits, writes)
+        assert dropped == 0
+        assert np.array_equal(got_lines, lines[order])
+        assert np.array_equal(got_writes, writes[order])
+        ref = oracle.sort_by_set(sets, tags, writes, num_sets)
+        for ref_array, array in zip(ref, (sets, tags, writes)):
+            assert np.array_equal(ref_array, array[order])
 
 
 class TestFamilyStats:
@@ -911,11 +1030,17 @@ class TestSweepParallel:
                             for c in item.configs}) == 1
 
     def test_ablation_grid_simulates_no_lru_write_allocate(self,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           tmp_path):
         """Of the ablation grid's 18 configurations, the six LRU
         write-allocate ones come out of three depth families; the
         simulators built are the 9 FIFO and LRU no-write-allocate
-        write-back twins, and every point matches the scalar cache."""
+        write-back twins, and every point matches the scalar cache.
+
+        The sharing is structural: a one-bundle sweep refines exactly
+        two chains per chunk, one per allocate mode, and not one per
+        simulator, and every consumer reads their heads as read-only
+        arrays."""
         built = []
         init = kernels.ChunkedSimulator.__init__
 
@@ -923,19 +1048,47 @@ class TestSweepParallel:
             built.append(config)
             init(self, config, *args, **kwargs)
 
+        chains = []
+        refined_runs = kernels.refined_runs
+
+        def read_only_runs(line_addrs, set_counts, writes=None,
+                           allocate=True):
+            chains.append((len(line_addrs), allocate, tuple(set_counts)))
+            for heads in refined_runs(line_addrs, set_counts, writes,
+                                      allocate):
+                yield _read_only(heads)
+
         monkeypatch.setattr(kernels.ChunkedSimulator, "__init__",
                             counting_init)
+        monkeypatch.setattr(kernels, "refined_runs", read_only_runs)
         addresses, writes = self._written_trace(4_000)
         points = sweep_parallel(addresses, writes=writes,
                                 configs=ABLATION_GRID, jobs=1)
         assert len(built) == 9 and len(set(built)) == 9
         assert not any(c.policy == POLICY_LRU and c.write_allocate
                        for c in built)
+        assert sorted(chains) == [(len(addresses), False, (32, 128, 512)),
+                                  (len(addresses), True, (32, 128, 512))]
         for config, point in zip(ABLATION_GRID, points):
             expected = scalar_stats(addresses, config, writes)
             assert (point.misses, point.writebacks, point.write_throughs) \
                 == (expected.misses, expected.writebacks,
                     expected.write_throughs), config
+        # Streamed from a container: two chains for every chunk.
+        kinds = np.where(writes, KIND_WRITE, KIND_READ) | (REGION_RAM << 4)
+        path = tmp_path / "trace.ptrc"
+        write_container(pack_tokens(addresses, kinds.astype(np.uint8)),
+                        path, chunk_tokens=997)
+        with TraceContainer(path) as container:
+            n_chunks = len(container.index)
+        chains.clear()
+        streamed = sweep_parallel(container=path, configs=ABLATION_GRID,
+                                  jobs=1)
+        assert len(chains) == 2 * n_chunks
+        for first, second in zip(chains[::2], chains[1::2]):
+            assert first[0] == second[0]
+            assert {first[1], second[1]} == {True, False}
+        assert streamed == points
 
     def test_no_leaked_segments_after_bundle_unit_raises(self, monkeypatch):
         """A failing configs bundle surfaces as a SweepWorkerError naming

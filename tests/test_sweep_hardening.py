@@ -2,6 +2,7 @@
 and shared-memory cleanup on every exit path."""
 
 import glob
+import multiprocessing
 import os
 import signal
 import time
@@ -40,6 +41,10 @@ def _suicide_unit(unit):
 
 def _guarded_suicide_unit(unit):
     return sweep_mod._guard(_suicide_unit, unit)
+
+
+def _echo_unit(unit):
+    return unit
 
 
 def _slow_unit(unit):
@@ -98,3 +103,32 @@ class TestSweepStillCorrect:
                 for p in fast] == \
                [(p.config.size, p.config.associativity, p.misses)
                 for p in reference]
+
+
+class TestPoolSize:
+    def test_pool_has_no_more_workers_than_units(self, monkeypatch):
+        """An empty sweep forks no pool and makes no shared segment; a
+        pool is sized to its units, down to one worker for one unit."""
+        sizes = []
+        context = type(multiprocessing.get_context("fork"))
+        pool = context.Pool
+
+        def recording_pool(self, processes=None, *args, **kwargs):
+            sizes.append(processes)
+            return pool(self, processes, *args, **kwargs)
+
+        monkeypatch.setattr(context, "Pool", recording_pool)
+        addresses = _addresses()
+        before = _shm_segments()
+        assert sweep_parallel(addresses, configs=[], jobs=2) == []
+        assert sweep_mod._run_units(_echo_unit, [], 2, addresses, None) == []
+        assert sizes == []
+        assert _shm_segments() == before
+        grid = dict(sizes=[1024], line_sizes=[16], associativities=[1])
+        assert [p.misses for p in sweep_parallel(addresses, jobs=4,
+                                                 **grid)] == \
+            [p.misses for p in sweep_paper_grid(addresses, **grid)]
+        assert sweep_mod._run_units(_echo_unit, ["u0", "u1", "u2"], 8,
+                                    addresses, None) == ["u0", "u1", "u2"]
+        assert sizes == [1, 3]
+        assert _shm_segments() == before
