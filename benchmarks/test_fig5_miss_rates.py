@@ -92,13 +92,14 @@ def test_results_typical_across_sessions(table1_runs, benchmark):
 def test_fast_sweep_agrees_with_reference(case_study_trace, benchmark):
     once(benchmark, lambda: None)
     """Cross-check three grid points against the reference simulator."""
-    from repro.cache import CacheConfig, sweep_reference, grid_by_config
+    from repro.cache import Cache, CacheConfig, grid_by_config
 
     prefix = case_study_trace[:200_000]
     fast = grid_by_config(sweep_parallel(prefix))
     sample = [CacheConfig(2048, 16, 2), CacheConfig(16384, 32, 4),
               CacheConfig(65536, 16, 8)]
-    for point in sweep_reference(prefix, sample):
-        key = (point.config.size, point.config.line_size,
-               point.config.associativity)
-        assert fast[key].misses == point.misses, point.config.label()
+    for config in sample:
+        stats = Cache(config).run(prefix)
+        key = (config.size, config.line_size, config.associativity)
+        assert fast[key].misses == stats.misses, config.label()
+        assert fast[key].accesses == stats.accesses, config.label()

@@ -28,8 +28,6 @@ from .cache import (
     CacheConfig,
     RegionMix,
     paper_configurations,
-    sweep_paper_grid,
-    sweep_reference,
 )
 from .device import Button, PalmDevice
 from .emulator import (
@@ -62,8 +60,6 @@ __all__ = [
     "CacheConfig",
     "RegionMix",
     "paper_configurations",
-    "sweep_paper_grid",
-    "sweep_reference",
     "Button",
     "PalmDevice",
     "Emulator",

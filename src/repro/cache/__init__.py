@@ -19,18 +19,11 @@ from .hierarchy import (
     effective_access_time_eq1,
     no_cache_access_time,
 )
-from .stackdist import (
-    collapse_consecutive,
-    lru_depth_histogram,
-    misses_by_associativity,
-    to_line_addresses,
-)
 from .kernels import (
     KernelUnsupported,
-    kernel_misses_by_associativity,
-    lru_hit_depths,
     simulate,
     simulate_auto,
+    to_line_addresses,
 )
 from .sampling import (
     SampleEstimate,
@@ -53,9 +46,7 @@ from .sweep import (
     grid_by_config,
     paper_configurations,
     subsample_trace,
-    sweep_paper_grid,
     sweep_parallel,
-    sweep_reference,
 )
 
 __all__ = [
@@ -75,14 +66,9 @@ __all__ = [
     "effective_access_time_eq1",
     "no_cache_access_time",
     "to_line_addresses",
-    "collapse_consecutive",
-    "lru_depth_histogram",
-    "misses_by_associativity",
     "KernelUnsupported",
     "simulate",
     "simulate_auto",
-    "lru_hit_depths",
-    "kernel_misses_by_associativity",
     "PAPER_SIZES",
     "PAPER_LINE_SIZES",
     "PAPER_ASSOCIATIVITIES",
@@ -94,9 +80,7 @@ __all__ = [
     "sampling_error_study",
     "paper_configurations",
     "SweepWorkerError",
-    "sweep_paper_grid",
     "sweep_parallel",
-    "sweep_reference",
     "grid_by_config",
     "subsample_trace",
     "WriteBuffer",

@@ -3,8 +3,9 @@
 A set-associative cache with configurable size, line size,
 associativity, replacement policy (LRU as in the paper, plus FIFO and
 random for the ablation study), and write policy.  This is the
-straightforward, obviously-correct model; the single-pass fast path in
-:mod:`repro.cache.stackdist` is validated against it.
+straightforward, obviously-correct model: the vectorized kernels in
+:mod:`repro.cache.kernels` are differential-tested against it, and it
+runs random replacement, trace sampling and the write buffer.
 """
 
 from __future__ import annotations

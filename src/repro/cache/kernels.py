@@ -216,6 +216,12 @@ def _split_lines(lines: np.ndarray, num_sets: int
     return sets, tags
 
 
+def to_line_addresses(addresses: np.ndarray, line_size: int) -> np.ndarray:
+    """Convert byte addresses to line numbers."""
+    shift = line_size.bit_length() - 1
+    return (np.asarray(addresses, dtype=np.uint32) >> shift).astype(np.uint32)
+
+
 def refined_runs(line_addrs, set_counts: Sequence[int],
                  writes: Optional[np.ndarray] = None, allocate: bool = True):
     """Set-sorted run heads of one chunk of line addresses at each of
@@ -866,8 +872,8 @@ def _lru_depths(back: np.ndarray, ahead: np.ndarray,
 
 class ChunkedDepthPass:
     """One LRU stack pass with ``max_depth`` ways over a stream of
-    line-address chunks, recording the stack depth of every hit (the
-    engine behind :func:`lru_hit_depths`; an in-RAM array is one chunk).
+    line-address chunks, recording the stack depth of every hit (an
+    in-RAM array is one chunk).
 
     Stack state persists across feeds, so any chunking yields the same
     histogram as the whole trace.
@@ -1093,38 +1099,3 @@ def simulate_auto(addresses, config: CacheConfig, writes=None,
     if flush:
         cache.flush_dirty()
     return cache.stats
-
-
-def lru_hit_depths(line_addrs: np.ndarray, num_sets: int, max_depth: int
-                   ) -> Tuple[np.ndarray, int]:
-    """Vectorized :func:`repro.cache.stackdist.lru_depth_histogram`.
-
-    One depth pass with ``max_depth`` ways records the stack depth of
-    every hit, yielding the miss count of every associativity up to
-    ``max_depth`` at once (the LRU stack property).
-
-    ``line_addrs`` may be a chunk iterator of line-address arrays (the
-    out-of-core family pass), streamed with persistent stack state.
-    """
-    return _depth_pass(line_addrs, num_sets, max_depth).finish()
-
-
-def _depth_pass(line_addrs, num_sets: int, max_depth: int
-                ) -> ChunkedDepthPass:
-    """A :class:`ChunkedDepthPass` fed every chunk of ``line_addrs`` (a
-    chunk iterator, or an in-RAM array as its one chunk)."""
-    chunk_iter = as_chunk_iter(line_addrs)
-    depth_pass = ChunkedDepthPass(num_sets, max_depth)
-    for chunk in [line_addrs] if chunk_iter is None else chunk_iter:
-        depth_pass.feed(chunk)
-    return depth_pass
-
-
-def kernel_misses_by_associativity(line_addrs: np.ndarray, num_sets: int,
-                                   associativities: Sequence[int]
-                                   ) -> Dict[int, int]:
-    """Vectorized counterpart of
-    :func:`repro.cache.stackdist.misses_by_associativity`.  Accepts
-    the same chunk iterators as :func:`lru_hit_depths`."""
-    return _depth_pass(line_addrs, num_sets,
-                       max(associativities)).misses(associativities)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .cache import POLICY_LRU, WRITE_BACK, Cache, CacheConfig
 from .hierarchy import RegionMix
-from .stackdist import collapse_consecutive, misses_by_associativity, to_line_addresses
 
 PAPER_SIZES = [1024 << i for i in range(7)]       # 1 KB .. 64 KB
 PAPER_LINE_SIZES = [16, 32]
@@ -59,66 +58,16 @@ class SweepPoint:
         return mix.cached_time(self.miss_rate)
 
 
-def sweep_reference(addresses: np.ndarray,
-                    configs: Sequence[CacheConfig]) -> List[SweepPoint]:
-    """Simulate each configuration independently (slow, trusted)."""
-    points = []
-    for config in configs:
-        cache = Cache(config)
-        stats = cache.run(addresses)
-        points.append(SweepPoint(config, stats.accesses, stats.misses))
-    return points
-
-
-def sweep_paper_grid(addresses: np.ndarray,
-                     sizes: Sequence[int] = PAPER_SIZES,
-                     line_sizes: Sequence[int] = PAPER_LINE_SIZES,
-                     associativities: Sequence[int] = PAPER_ASSOCIATIVITIES,
-                     ) -> List[SweepPoint]:
-    """All size x line x associativity LRU configurations, fast.
-
-    Configurations sharing (line size, set count) are simulated in one
-    stack pass; consecutive same-line references are collapsed first
-    (they hit in any cache of that line size).
-    """
-    addresses = np.asarray(addresses, dtype=np.uint32)
-    total_refs = len(addresses)
-    points: List[SweepPoint] = []
-    for line in line_sizes:
-        line_addrs = to_line_addresses(addresses, line)
-        collapsed, _guaranteed_hits = collapse_consecutive(line_addrs)
-        # Group the grid by set count.
-        by_sets: Dict[int, List[CacheConfig]] = {}
-        for size in sizes:
-            for assoc in associativities:
-                if size < line * assoc:
-                    continue
-                config = CacheConfig(size=size, line_size=line,
-                                     associativity=assoc)
-                by_sets.setdefault(config.num_sets, []).append(config)
-        for num_sets, family in sorted(by_sets.items()):
-            assocs = sorted({c.associativity for c in family})
-            misses = misses_by_associativity(collapsed, num_sets, assocs)
-            for config in family:
-                points.append(SweepPoint(
-                    config=config,
-                    accesses=total_refs,
-                    misses=misses[config.associativity],
-                ))
-    points.sort(key=lambda p: (p.config.line_size, p.config.size,
-                               p.config.associativity))
-    return points
-
-
 # ----------------------------------------------------------------------
 # Parallel sweep engine
 # ----------------------------------------------------------------------
 #
 # Workers read the trace as a chunk stream: from a PTRC container on
-# disk, or from a ``multiprocessing.shared_memory`` segment the parent
-# fills once (forked workers attach read-only numpy views, and the
-# array is a single chunk).  There is one unit kind, a *bundle* of work
-# items, and one pool loop.  An item is a depth family (LRU
+# disk, or the parent's in-RAM arrays as a single chunk.  Either source
+# is set in :data:`_SHARED` before the pool forks, so workers inherit
+# it; they only read the arrays, so copy-on-write copies no trace
+# pages.  There is one unit kind, a *bundle* of work items, and one
+# pool loop.  An item is a depth family (LRU
 # write-allocate configurations of one line size and set count, every
 # associativity and its write-backs out of one stack pass) or one
 # simulated configuration (FIFO, LRU without write-allocate, random).
@@ -128,7 +77,8 @@ def sweep_paper_grid(addresses: np.ndarray,
 # the returned list — is identical for any job count, including the
 # serial fallback.
 
-#: Worker-side views of the shared trace, set by :func:`_pool_init`.
+#: The trace source of a running sweep, set by :func:`_run_units`: the
+#: container path, or the in-RAM ``addresses`` and ``writes``.
 _SHARED: dict = {}
 
 #: First element of a worker's in-band error report (see :func:`_guard`).
@@ -140,9 +90,9 @@ class SweepWorkerError(RuntimeError):
     per-chunk timeout.
 
     Deliberately a ``RuntimeError``: the serial fallback in
-    :func:`_run_units` swallows ``ValueError`` (shared-memory setup
-    failures), and a worker's *computation* failing must never be
-    mistaken for the *fan-out machinery* being unavailable.
+    :func:`_run_units` swallows ``ValueError`` (no fork start method),
+    and a worker's *computation* failing must never be mistaken for
+    the *fan-out machinery* being unavailable.
     """
 
 
@@ -174,39 +124,11 @@ def _check_result(result, unit) -> object:
     return result
 
 
-def _pool_init_container(container_path: str, memory_only: bool) -> None:
-    """Worker init for the by-chunk sharding mode: no shared memory at
-    all — each worker streams chunks straight from the PTRC container
-    (or archive) on disk, so its resident footprint is one decode
-    window regardless of trace size."""
-    _SHARED.update(container=container_path, memory_only=memory_only,
-                   addresses=None, writes=None, segments=())
-
-
-def _pool_init(shm_name: str, n: int, dtype: str,
-               writes_shm_name: Optional[str]) -> None:
-    from multiprocessing import shared_memory
-
-    # Workers are forked, so they share the parent's resource tracker:
-    # attaching re-registers the same name idempotently and the
-    # parent's unlink cleans it up exactly once.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    addresses = np.ndarray((n,), dtype=np.dtype(dtype), buffer=shm.buf)
-    writes = None
-    wshm = None
-    if writes_shm_name is not None:
-        wshm = shared_memory.SharedMemory(name=writes_shm_name)
-        writes = np.ndarray((n,), dtype=bool, buffer=wshm.buf)
-    # Keep the SharedMemory objects alive for the worker's lifetime;
-    # dropping them would invalidate the views.
-    _SHARED.update(addresses=addresses, writes=writes,
-                   segments=(shm, wshm))
-
-
 def _trace_chunks() -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
     """The worker's trace as ``(addresses, writes)`` chunks: streamed
-    from the PTRC container on disk (one decode window resident), or
-    the shared in-RAM arrays as a single chunk."""
+    from the PTRC container on disk (one decode window resident,
+    hardware references dropped), or the in-RAM arrays as a single
+    chunk."""
     container = _SHARED.get("container")
     if container is None:
         yield _SHARED["addresses"], _SHARED["writes"]
@@ -215,7 +137,7 @@ def _trace_chunks() -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
 
     src = open_chunk_source(container)
     try:
-        yield from src.cache_chunks(memory_only=_SHARED["memory_only"])
+        yield from src.cache_chunks()
     finally:
         if hasattr(src, "close"):
             src.close()
@@ -321,7 +243,7 @@ def _bundle_unit_impl(bundle: Tuple[WorkItem, ...]
     paper grid) reads no write flags.
     """
     from .kernels import (ChunkedDepthPass, ChunkedSimulator, refined_runs,
-                          supports)
+                          supports, to_line_addresses)
 
     runners: List = []
     # line size -> allocate mode -> set count -> the runners fed there
@@ -409,71 +331,40 @@ def _plan_bundles(n: int, jobs: int) -> List[List[int]]:
 def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
                writes: Optional[np.ndarray],
                chunk_timeout: Optional[float] = None,
-               container: Optional[str] = None,
-               memory_only: bool = True) -> List:
+               container: Optional[str] = None) -> List:
     """Map ``worker`` over ``units`` with ``min(jobs, len(units))``
-    forked processes sharing the trace, or serially in-process.  No
-    units start no pool and share no trace; one unit at ``jobs > 1``
-    still runs in a one-worker pool, so ``chunk_timeout`` holds.
+    forked processes, or serially in-process.  No units start no pool;
+    one unit at ``jobs > 1`` still runs in a one-worker pool, so
+    ``chunk_timeout`` holds.
 
-    With ``container`` set (by-chunk sharding mode) there is no shared
-    memory at all: workers stream chunks from the PTRC file/archive on
-    disk, and ``addresses``/``writes`` are unused.
+    The trace source (``container``, a PTRC file or archive on disk,
+    else ``addresses``/``writes``) goes into :data:`_SHARED` before the
+    pool forks, so serial and forked workers read the same source, and
+    it is cleared on every exit path.
 
-    Serial fallback triggers on ``jobs <= 1`` and whenever fork or
-    shared memory is unavailable.  A worker that raises surfaces as a
-    typed :class:`SweepWorkerError`; with ``chunk_timeout`` set, so
-    does a worker that takes longer than that many seconds on one unit
-    (the way a SIGKILLed worker shows up: its unit simply never
-    finishes, because ``Pool`` respawns the process but the task is
-    lost).  The shared segments are closed and unlinked on *every*
-    exit path — normal, worker failure, timeout, KeyboardInterrupt —
-    via the ``finally`` below, so no ``/dev/shm`` segment outlives the
-    call.
+    Serial fallback triggers on ``jobs <= 1`` and whenever fork is
+    unavailable.  A worker that raises surfaces as a typed
+    :class:`SweepWorkerError`; with ``chunk_timeout`` set, so does a
+    worker that takes longer than that many seconds on one unit (the
+    way a SIGKILLed worker shows up: its unit simply never finishes,
+    because ``Pool`` respawns the process but the task is lost).
     """
     units = list(units)
     if not units:
         return []
-    if jobs > 1:
-        workers = min(jobs, len(units))
-        try:
-            import multiprocessing
-            from multiprocessing import shared_memory
-
-            ctx = multiprocessing.get_context("fork")
-            if container is not None:
-                with ctx.Pool(workers, initializer=_pool_init_container,
-                              initargs=(container, memory_only)) as pool:
-                    return _collect(pool, worker, units, chunk_timeout)
-            shm = shared_memory.SharedMemory(create=True,
-                                             size=max(1, addresses.nbytes))
-            wshm = None
-            try:
-                np.ndarray(addresses.shape, dtype=addresses.dtype,
-                           buffer=shm.buf)[:] = addresses
-                writes_name = None
-                if writes is not None:
-                    wshm = shared_memory.SharedMemory(
-                        create=True, size=max(1, writes.nbytes))
-                    np.ndarray(writes.shape, dtype=bool,
-                               buffer=wshm.buf)[:] = writes
-                    writes_name = wshm.name
-                with ctx.Pool(
-                        workers, initializer=_pool_init,
-                        initargs=(shm.name, len(addresses),
-                                  addresses.dtype.str, writes_name)) as pool:
-                    return _collect(pool, worker, units, chunk_timeout)
-            finally:
-                shm.close()
-                shm.unlink()
-                if wshm is not None:
-                    wshm.close()
-                    wshm.unlink()
-        except (ImportError, OSError, ValueError):
-            pass  # no fork / no shared memory: fall through to serial
-    _SHARED.update(container=container, memory_only=memory_only,
-                   addresses=addresses, writes=writes, segments=())
+    _SHARED.update(container=container, addresses=addresses, writes=writes)
     try:
+        if jobs > 1:
+            import multiprocessing
+
+            try:
+                pool = multiprocessing.get_context("fork").Pool(
+                    min(jobs, len(units)))
+            except (OSError, ValueError):
+                pass  # no fork: fall through to serial
+            else:
+                with pool:
+                    return _collect(pool, worker, units, chunk_timeout)
         return [_check_result(worker(u), u) for u in units]
     finally:
         _SHARED.clear()
@@ -516,13 +407,11 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
                    associativities: Sequence[int] = PAPER_ASSOCIATIVITIES,
                    chunk_timeout: Optional[float] = None,
                    container: Union[str, "os.PathLike", None] = None,
-                   memory_only: bool = True,
                    ) -> List[SweepPoint]:
     """The configuration sweep, fanned out over worker processes.
 
     Without ``configs`` this runs the paper grid, read-only: the points
-    carry no write-back or write-through counts, and match
-    :func:`sweep_paper_grid` exactly.  With ``configs`` — any
+    carry no write-back or write-through counts.  With ``configs`` — any
     policy/write-mode mix, e.g. the ablation grid — the points follow
     ``configs`` and carry write-back/write-through counts.  Either way
     the distinct configurations become work items (:func:`_work_items`):
@@ -536,15 +425,15 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
 
     Two trace-sharing modes:
 
-    *  **In-RAM** (``addresses``): the trace (and write mask) is shared
-       with workers through ``multiprocessing.shared_memory``.
+    *  **In-RAM** (``addresses``): forked workers inherit the trace
+       (and write mask) from the parent and read it as one chunk.
     *  **By-chunk sharding** (``container``): pass a PTRC container
        file (or archive directory) instead of arrays.  Workers stream
        chunks from disk through the out-of-core kernels — resident
        memory stays bounded by the chunk decode window however large
        the archived trace is, and results are bit-identical to the
-       in-RAM pass on the same references.  ``memory_only`` mirrors
-       ``ReferenceTrace.memory_only()`` (drop hardware references).
+       in-RAM pass on the same references.  Hardware references are
+       dropped, as ``ReferenceTrace.memory_only()`` drops them.
 
     Result order is deterministic and independent of ``jobs``;
     ``jobs <= 1`` or an unavailable fork start method degrades
@@ -575,7 +464,7 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
     results = _run_units(_bundle_unit,
                          [tuple(items[i] for i in b) for b in bundles],
                          jobs, addresses, writes, chunk_timeout,
-                         container=container, memory_only=memory_only)
+                         container=container)
     by_config = {}
     for bundle, (total, outcomes) in zip(bundles, results):
         for i, outcome in zip(bundle, outcomes):

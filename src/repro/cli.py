@@ -102,13 +102,20 @@ def _add_validate(sub) -> None:
     p.add_argument("--jitter", type=int, default=None)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_sweep(sub) -> None:
     p = sub.add_parser("sweep", help="run the 56-configuration cache "
                                      "study on a trace")
     p.add_argument("--trace", required=True,
                    help=".npz reference trace, or a .ptrc container / "
                         "archive directory (streamed out-of-core)")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_positive_int, default=None,
                    help="cap the number of references")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan the sweep out over N worker processes "
@@ -721,41 +728,57 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import zipfile
+
     from .analysis import format_access_times, format_miss_rates
-    from .cache import RegionMix, sweep_parallel
+    from .cache import RegionMix, SweepWorkerError, sweep_parallel
     from .emulator import ReferenceTrace
+    from .traces.container import open_chunk_source
 
     jobs = max(1, args.jobs)
     how = f"{jobs} workers" if jobs > 1 else "in-process"
     path = Path(args.trace)
-    if path.is_dir() or path.suffix == ".ptrc":
-        # Out-of-core: workers stream chunks straight off the container
-        # (or archive directory); the trace is never fully resident.
-        from .traces.container import open_chunk_source
-        if args.limit:
-            print("--limit does not apply to container sweeps "
-                  "(the trace is streamed, not loaded)", file=sys.stderr)
-            return 2
-        with_src = open_chunk_source(args.trace)
-        try:
-            counts = with_src.counts()
-        finally:
-            closer = getattr(with_src, "close", None)
-            if closer is not None:
-                closer()
+    out_of_core = path.is_dir() or path.suffix == ".ptrc"
+    if out_of_core and args.limit:
+        print("--limit does not apply to container sweeps "
+              "(the trace is streamed, not loaded)", file=sys.stderr)
+        return 2
+    try:
+        if out_of_core:
+            # Workers stream chunks straight off the container (or
+            # archive directory); the trace is never fully resident.
+            with_src = open_chunk_source(args.trace)
+            try:
+                counts = with_src.counts()
+            finally:
+                closer = getattr(with_src, "close", None)
+                if closer is not None:
+                    closer()
+        else:
+            trace = ReferenceTrace.load(args.trace).memory_only()
+            counts = trace.counts()
+    # TraceContainerError is a ValueError; the rest are np.load's.
+    except (OSError, EOFError, KeyError, ValueError,
+            zipfile.BadZipFile) as exc:
+        print(f"not a readable trace: {args.trace}: "
+              f"{str(exc).splitlines()[0]}", file=sys.stderr)
+        return 1
+    if out_of_core:
         total = counts["ram"] + counts["flash"]
         print(f"sweeping {total:,} references out-of-core ({how}) ...")
-        points = sweep_parallel(container=args.trace, jobs=jobs,
-                                chunk_timeout=args.chunk_timeout)
+        source = dict(container=args.trace)
     else:
-        trace = ReferenceTrace.load(args.trace).memory_only()
-        counts = trace.counts()
         addresses = trace.addresses
         if args.limit:
             addresses = addresses[:args.limit]
         print(f"sweeping {len(addresses):,} references ({how}) ...")
-        points = sweep_parallel(addresses, jobs=jobs,
+        source = dict(addresses=addresses)
+    try:
+        points = sweep_parallel(**source, jobs=jobs,
                                 chunk_timeout=args.chunk_timeout)
+    except SweepWorkerError as exc:
+        print(f"sweep failed: {str(exc).splitlines()[0]}", file=sys.stderr)
+        return 1
     print(format_miss_rates(points))
     print()
     mix = RegionMix(counts["ram"], counts["flash"])

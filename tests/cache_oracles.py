@@ -1,10 +1,12 @@
-"""Reference implementations of the cache kernels' scalar tail drains.
+"""Reference implementations the cache kernels and sweeps are tested
+against.
 
-These are the original list-walking drains: they keep the packed
-``tag << 1 | dirty`` words in the row and scan it way by way.  The
-production drains in :mod:`repro.cache.kernels` unpack the row into
-parallel tag/dirty lists instead; the differential tests require both
-to produce identical counts, rows and FIFO pointers.  A head's optional
+:func:`drain_lru` and :func:`drain_fifo` are the original
+list-walking tail drains: they keep the packed ``tag << 1 | dirty``
+words in the row and scan it way by way.  The production drains in
+:mod:`repro.cache.kernels` unpack the row into parallel tag/dirty
+lists instead; the differential tests require both to produce
+identical counts, rows and FIFO pointers.  A head's optional
 weight is the number of references it stands for: a hit scores it.
 :func:`drain_depths` has no production drain left: a one-set
 ``ChunkedDepthPass`` resumed from the same row must match it.
@@ -24,14 +26,38 @@ wave kernel had before every kernel took its heads from
 :func:`~repro.cache.kernels.refined_runs`: precollapse in program
 order, set split, one stable set sort, one run collapse.  The chain
 must give the same heads, write counts and collapsed count.
+
+:func:`lru_depth_histogram` and :func:`misses_by_associativity` are the
+scalar single-pass stack simulation (one Python list per set) the
+depth pass replaced; :class:`~repro.cache.kernels.ChunkedDepthPass`
+must give the same histogram and misses (:func:`fed_depth_pass` feeds
+one a list of chunks).  :func:`sweep_reference` simulates each
+configuration on its own scalar :class:`Cache`, and
+:func:`sweep_paper_grid` is the paper grid out of those stack passes;
+:func:`~repro.cache.sweep_parallel` must return the same points.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.kernels import EMPTY, SORT16_MAX_SETS, _heads, as_chunk_iter
+from repro.cache import (
+    PAPER_ASSOCIATIVITIES,
+    PAPER_LINE_SIZES,
+    PAPER_SIZES,
+    Cache,
+    CacheConfig,
+    SweepPoint,
+)
+from repro.cache.kernels import (
+    EMPTY,
+    SORT16_MAX_SETS,
+    ChunkedDepthPass,
+    _heads,
+    as_chunk_iter,
+    to_line_addresses,
+)
 
 
 def drain_lru(tags, writes, row, assoc, allocate, track_dirty,
@@ -355,3 +381,133 @@ def prepare_heads(addresses, writes, config):
         weights = np.maximum(writes, 1, dtype=np.int32)
         writes = writes != 0
     return sets, tags, writes, weights, collapsed + more
+
+
+def fed_depth_pass(chunks, num_sets: int, max_depth: int):
+    """A :class:`~repro.cache.kernels.ChunkedDepthPass` with
+    ``max_depth`` ways and ``num_sets`` sets, fed each line-address
+    chunk of ``chunks`` in order."""
+    depth_pass = ChunkedDepthPass(num_sets, max_depth)
+    for chunk in chunks:
+        depth_pass.feed(chunk)
+    return depth_pass
+
+
+def collapse_consecutive(line_addrs: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Drop immediately-repeated line references.
+
+    A reference to the line just touched hits in every cache with that
+    line size, so only transitions need simulating.  Returns the
+    collapsed array and the number of guaranteed hits removed.
+    """
+    if len(line_addrs) == 0:
+        return line_addrs, 0
+    keep = np.empty(len(line_addrs), dtype=bool)
+    keep[0] = True
+    np.not_equal(line_addrs[1:], line_addrs[:-1], out=keep[1:])
+    collapsed = line_addrs[keep]
+    return collapsed, int(len(line_addrs) - len(collapsed))
+
+
+def lru_depth_histogram(line_addrs: np.ndarray, num_sets: int,
+                        max_depth: int) -> Tuple[np.ndarray, int]:
+    """One pass of per-set LRU stacks.
+
+    Returns ``(hist, cold)`` where ``hist[d]`` counts hits at stack
+    depth ``d`` (0 = most recently used) for depths below ``max_depth``
+    and ``cold`` counts references that missed at every depth
+    (capacity beyond ``max_depth`` ways, or compulsory).
+    """
+    set_mask = num_sets - 1
+    tag_shift = num_sets.bit_length() - 1
+    stacks: Dict[int, list] = {s: [] for s in range(num_sets)}
+    hist = np.zeros(max_depth, dtype=np.int64)
+    cold = 0
+    for line in line_addrs:
+        line = int(line)
+        stack = stacks[line & set_mask]
+        tag = line >> tag_shift
+        try:
+            depth = stack.index(tag)
+        except ValueError:
+            depth = -1
+        if 0 <= depth < max_depth:
+            hist[depth] += 1
+            del stack[depth]
+        else:
+            cold += 1
+            if depth >= 0:
+                del stack[depth]
+            if len(stack) >= max_depth:
+                stack.pop()
+        stack.insert(0, tag)
+    return hist, cold
+
+
+def misses_by_associativity(line_addrs: np.ndarray, num_sets: int,
+                            associativities: Sequence[int]) -> Dict[int, int]:
+    """Miss counts for several associativities in one pass.
+
+    All requested associativities share (line size, set count); the
+    total cache size is ``num_sets * line_size * assoc``.
+    """
+    max_assoc = max(associativities)
+    hist, cold = lru_depth_histogram(line_addrs, num_sets, max_assoc)
+    total = len(line_addrs)
+    out = {}
+    for assoc in associativities:
+        hits = int(hist[:assoc].sum())
+        out[assoc] = total - hits
+    assert all(cold <= m for m in out.values())
+    return out
+
+
+def sweep_reference(addresses: np.ndarray,
+                    configs: Sequence[CacheConfig]) -> List[SweepPoint]:
+    """Simulate each configuration independently (slow, trusted)."""
+    points = []
+    for config in configs:
+        cache = Cache(config)
+        stats = cache.run(addresses)
+        points.append(SweepPoint(config, stats.accesses, stats.misses))
+    return points
+
+
+def sweep_paper_grid(addresses: np.ndarray,
+                     sizes: Sequence[int] = PAPER_SIZES,
+                     line_sizes: Sequence[int] = PAPER_LINE_SIZES,
+                     associativities: Sequence[int] = PAPER_ASSOCIATIVITIES,
+                     ) -> List[SweepPoint]:
+    """All size x line x associativity LRU configurations, fast.
+
+    Configurations sharing (line size, set count) are simulated in one
+    stack pass; consecutive same-line references are collapsed first
+    (they hit in any cache of that line size).
+    """
+    addresses = np.asarray(addresses, dtype=np.uint32)
+    total_refs = len(addresses)
+    points: List[SweepPoint] = []
+    for line in line_sizes:
+        line_addrs = to_line_addresses(addresses, line)
+        collapsed, _guaranteed_hits = collapse_consecutive(line_addrs)
+        # Group the grid by set count.
+        by_sets: Dict[int, List[CacheConfig]] = {}
+        for size in sizes:
+            for assoc in associativities:
+                if size < line * assoc:
+                    continue
+                config = CacheConfig(size=size, line_size=line,
+                                     associativity=assoc)
+                by_sets.setdefault(config.num_sets, []).append(config)
+        for num_sets, family in sorted(by_sets.items()):
+            assocs = sorted({c.associativity for c in family})
+            misses = misses_by_associativity(collapsed, num_sets, assocs)
+            for config in family:
+                points.append(SweepPoint(
+                    config=config,
+                    accesses=total_refs,
+                    misses=misses[config.associativity],
+                ))
+    points.sort(key=lambda p: (p.config.line_size, p.config.size,
+                               p.config.associativity))
+    return points

@@ -14,16 +14,18 @@ from repro.cache import (
     POLICY_RANDOM,
     RegionMix,
     WRITE_BACK,
-    collapse_consecutive,
     effective_access_time,
-    misses_by_associativity,
     no_cache_access_time,
     paper_configurations,
-    sweep_paper_grid,
-    sweep_reference,
     to_line_addresses,
 )
 from repro.traces import generate_desktop_trace
+from tests.cache_oracles import (
+    collapse_consecutive,
+    misses_by_associativity,
+    sweep_paper_grid,
+    sweep_reference,
+)
 
 
 def small_cache(**kwargs) -> Cache:

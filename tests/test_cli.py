@@ -10,6 +10,48 @@ import pytest
 from repro.cli import main
 
 
+def run_cli(*args, script=None):
+    """Run ``python -m repro ARGS`` (or ``python -c SCRIPT ARGS``) in a
+    fresh process with the source tree on the path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    command = ["-m", "repro"] if script is None else ["-c", script]
+    return subprocess.run([sys.executable, *command, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def assert_one_line_failure(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+#: Runs the CLI with every container's chunk stream failing to decode
+#: after its first chunk, as a container that goes bad while a sweep
+#: worker streams it would.  ``counts()`` decodes through ``chunks()``
+#: and still succeeds, so only the sweep's workers see the failure.
+DECODE_FAILS_IN_WORKER = """
+import sys
+from repro.traces import container
+
+cache_chunks = container.TraceContainer.cache_chunks
+
+def failing_cache_chunks(self, *args, **kwargs):
+    for index, chunk in enumerate(cache_chunks(self, *args, **kwargs)):
+        if index:
+            raise container.TraceContainerError(
+                f"{self.path}: chunk {index}: injected decode failure")
+        yield chunk
+
+container.TraceContainer.cache_chunks = failing_cache_chunks
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 @pytest.fixture(scope="module")
 def archive(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "session"
@@ -90,6 +132,65 @@ class TestSweepPipeline:
         assert rc == 0
 
 
+@pytest.fixture(scope="module")
+def desktop_container(tmp_path_factory):
+    """A desktop trace as an ``.npz`` and as a 15-chunk ``.ptrc``."""
+    root = tmp_path_factory.mktemp("bad-traces")
+    npz, ptrc = root / "d.npz", root / "d.ptrc"
+    assert main(["desktop-trace", "--out", str(npz),
+                 "--length", "30000", "--seed", "1"]) == 0
+    assert main(["trace", "convert", str(npz), str(ptrc),
+                 "--chunk-tokens", "2000"]) == 0
+    return npz, ptrc
+
+
+class TestSweepBadInput:
+    """A trace the sweep cannot read prints one line on stderr and
+    exits 1, with no traceback, in-process and with forked workers."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_container(self, desktop_container, tmp_path, jobs):
+        data = bytearray(desktop_container[1].read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        flipped = tmp_path / "flip.ptrc"
+        flipped.write_bytes(bytes(data))
+        proc = run_cli("sweep", "--trace", flipped, "--jobs", jobs)
+        assert_one_line_failure(proc)
+        assert "flip.ptrc: chunk" in proc.stderr
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_file(self, tmp_path, jobs):
+        proc = run_cli("sweep", "--trace", tmp_path / "missing.ptrc",
+                       "--jobs", jobs)
+        assert_one_line_failure(proc)
+        assert "missing.ptrc" in proc.stderr
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_garbage_npz(self, tmp_path, jobs):
+        garbage = tmp_path / "garbage.npz"
+        garbage.write_bytes(bytes(range(256)) * 4)
+        proc = run_cli("sweep", "--trace", garbage, "--jobs", jobs)
+        assert_one_line_failure(proc)
+        assert "garbage.npz" in proc.stderr
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_decode_failure(self, desktop_container, jobs):
+        proc = run_cli("sweep", "--trace", desktop_container[1],
+                       "--jobs", jobs, script=DECODE_FAILS_IN_WORKER)
+        assert_one_line_failure(proc)
+        assert "sweep worker failed" in proc.stderr
+        assert "chunk 1: injected decode failure" in proc.stderr
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_limit_below_one_is_rejected(self, desktop_container, limit,
+                                         capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--trace", str(desktop_container[0]),
+                  "--limit", limit])
+        assert info.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
+
 class TestTraceInfo:
     @pytest.mark.parametrize("manifest", ['{"bogus": 1', '{"bogus": 1}'])
     def test_malformed_archive_manifest_is_one_line(self, tmp_path,
@@ -97,16 +198,8 @@ class TestTraceInfo:
         """A bad ``archive.json`` prints one line on stderr and exits 1,
         as a bad ``.ptrc`` does, with no traceback."""
         (tmp_path / "archive.json").write_text(manifest)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "trace", "info", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stdout + proc.stderr
-        assert len(proc.stderr.strip().splitlines()) == 1
+        proc = run_cli("trace", "info", tmp_path)
+        assert_one_line_failure(proc)
         assert "archive.json" in proc.stderr
 
 

@@ -24,13 +24,7 @@ from repro.cache.cache import (
     WRITE_BACK,
     WRITE_THROUGH,
 )
-from repro.cache.kernels import (
-    kernel_misses_by_associativity,
-    lru_hit_depths,
-    simulate,
-    simulate_auto,
-)
-from repro.cache.stackdist import to_line_addresses
+from repro.cache.kernels import simulate, simulate_auto, to_line_addresses
 from repro.device.memmap import (
     KIND_FETCH,
     KIND_READ,
@@ -72,7 +66,7 @@ from repro.traces.dinero import (
     write_dinero,
     write_dinero_chunks,
 )
-from tests.cache_oracles import lru_family_stats
+from tests.cache_oracles import fed_depth_pass, lru_family_stats
 
 CODECS = [c for c in available_codecs() if c in ("raw", "zlib")]
 
@@ -276,8 +270,9 @@ class TestOutOfCoreKernels:
     def test_lru_hit_depths_chunked(self):
         addrs, _ = random_accesses(2000, seed=5)
         lines = to_line_addresses(addrs, 16)
-        whole_hist, whole_cold = lru_hit_depths(lines, 32, 8)
-        hist, cold = lru_hit_depths(iter(chunked(lines, 111)), 32, 8)
+        whole_hist, whole_cold = fed_depth_pass([lines], 32, 8).finish()
+        hist, cold = fed_depth_pass(iter(chunked(lines, 111)), 32,
+                                    8).finish()
         assert np.array_equal(hist, whole_hist) and cold == whole_cold
 
     def test_family_stats_chunked(self):
@@ -290,9 +285,9 @@ class TestOutOfCoreKernels:
     def test_kernel_misses_chunked(self):
         addrs, _ = random_accesses(1500, seed=8)
         lines = to_line_addresses(addrs, 32)
-        whole = kernel_misses_by_associativity(lines, 16, (1, 2, 8))
+        whole = fed_depth_pass([lines], 16, 8).misses((1, 2, 8))
         parts = iter(chunked(lines, 190))
-        assert kernel_misses_by_associativity(parts, 16, (1, 2, 8)) == whole
+        assert fed_depth_pass(parts, 16, 8).misses((1, 2, 8)) == whole
 
     def test_container_simulate_matches_in_ram(self, tmp_path):
         tokens = random_tokens(4000, seed=11, pool=96)

@@ -29,14 +29,9 @@ from repro.cache import (
     POLICY_RANDOM,
     WRITE_BACK,
     WRITE_THROUGH,
-    kernel_misses_by_associativity,
-    lru_depth_histogram,
-    lru_hit_depths,
-    misses_by_associativity,
     simulate,
     simulate_auto,
     SweepWorkerError,
-    sweep_paper_grid,
     sweep_parallel,
     to_line_addresses,
 )
@@ -45,6 +40,12 @@ import repro.cache.sweep as sweep_module
 from repro.device.memmap import KIND_READ, KIND_WRITE, REGION_RAM
 from repro.traces.container import TraceContainer, pack_tokens, write_container
 from tests import cache_oracles as oracle
+from tests.cache_oracles import (
+    fed_depth_pass,
+    lru_depth_histogram,
+    misses_by_associativity,
+    sweep_paper_grid,
+)
 
 STAT_FIELDS = ("accesses", "hits", "misses", "writebacks",
                "write_throughs")
@@ -196,11 +197,11 @@ class TestKernelDifferential:
         arr = np.array(lines, dtype=np.uint32)
         hist_ref, cold_ref = lru_depth_histogram(
             arr.astype(np.int64), num_sets, max_depth)
-        hist, cold = lru_hit_depths(arr, num_sets, max_depth)
+        hist, cold = fed_depth_pass([arr], num_sets, max_depth).finish()
         assert np.array_equal(np.asarray(hist_ref), hist)
         assert cold == cold_ref
         chunks = np.split(arr, sorted(min(c, len(arr)) for c in cuts))
-        hist, cold = lru_hit_depths(chunks, num_sets, max_depth)
+        hist, cold = fed_depth_pass(chunks, num_sets, max_depth).finish()
         assert np.array_equal(np.asarray(hist_ref), hist)
         assert cold == cold_ref
 
@@ -209,7 +210,7 @@ class TestKernelDifferential:
         addrs = rng.integers(0, 1 << 18, 5000, dtype=np.uint64)
         lines = to_line_addresses(addrs.astype(np.uint32), 16)
         ref = misses_by_associativity(lines, 64, [1, 2, 4, 8])
-        got = kernel_misses_by_associativity(lines, 64, [1, 2, 4, 8])
+        got = fed_depth_pass([lines], 64, 8).misses([1, 2, 4, 8])
         assert ref == got
 
 
@@ -282,10 +283,10 @@ def assert_depth_pass_matches_scalar(lines, cuts, num_sets, max_depth):
     hist_ref, cold_ref = lru_depth_histogram(lines.astype(np.int64),
                                              num_sets, max_depth)
     state_ref = oracle.lru_depth_state(lines, num_sets, max_depth)
-    hist, cold = lru_hit_depths(lines, num_sets, max_depth)
+    hist, cold = fed_depth_pass([lines], num_sets, max_depth).finish()
     assert np.array_equal(hist, hist_ref) and cold == cold_ref
-    for source in (lines, np.split(lines, cuts)):
-        depth_pass = kernels._depth_pass(source, num_sets, max_depth)
+    for source in ([lines], np.split(lines, cuts)):
+        depth_pass = fed_depth_pass(source, num_sets, max_depth)
         hist, cold = depth_pass.finish()
         assert np.array_equal(hist, hist_ref) and cold == cold_ref
         state = depth_pass._state
@@ -1127,9 +1128,9 @@ class TestSweepParallel:
 
     def test_no_leaked_segments_after_worker_raises(self, monkeypatch):
         """A worker exception surfaces as a SweepWorkerError naming the
-        failing bundle's families, and the shared trace segments are
-        still unlinked (workers are forked, so the monkeypatched bundle
-        worker crosses into them)."""
+        failing bundle's families, and no shared-memory segment appears
+        (workers are forked, so the monkeypatched bundle worker crosses
+        into them)."""
 
         monkeypatch.setattr(sweep_module, "_bundle_unit_impl",
                             _boom_on_32b_lines)

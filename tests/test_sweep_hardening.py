@@ -1,5 +1,6 @@
 """Hardened sweep fan-out: typed worker errors, per-chunk timeouts,
-and shared-memory cleanup on every exit path."""
+and no shared-memory segment on any exit path (forked workers inherit
+the trace)."""
 
 import glob
 import multiprocessing
@@ -10,8 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.cache import SweepWorkerError, sweep_paper_grid, sweep_parallel
+from repro.cache import SweepWorkerError, sweep_parallel
 from repro.cache import sweep as sweep_mod
+from tests.cache_oracles import sweep_paper_grid
+from tests.test_kernels import ABLATION_GRID
 
 
 def _shm_segments() -> set:
@@ -58,8 +61,8 @@ def _guarded_slow_unit(unit):
 
 class TestSweepWorkerError:
     def test_is_not_a_value_error(self):
-        """The serial fallback swallows ValueError (shared-memory setup
-        failures); a worker *computation* failure must never qualify."""
+        """The serial fallback swallows ValueError (no fork start
+        method); a worker *computation* failure must never qualify."""
         assert issubclass(SweepWorkerError, RuntimeError)
         assert not issubclass(SweepWorkerError, ValueError)
 
@@ -105,19 +108,26 @@ class TestSweepStillCorrect:
                 for p in reference]
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every fork-context ``Pool`` the test starts."""
+    sizes = []
+    context = type(multiprocessing.get_context("fork"))
+    pool = context.Pool
+
+    def recording_pool(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(context, "Pool", recording_pool)
+    return sizes
+
+
 class TestPoolSize:
-    def test_pool_has_no_more_workers_than_units(self, monkeypatch):
+    def test_pool_has_no_more_workers_than_units(self, pool_sizes):
         """An empty sweep forks no pool and makes no shared segment; a
         pool is sized to its units, down to one worker for one unit."""
-        sizes = []
-        context = type(multiprocessing.get_context("fork"))
-        pool = context.Pool
-
-        def recording_pool(self, processes=None, *args, **kwargs):
-            sizes.append(processes)
-            return pool(self, processes, *args, **kwargs)
-
-        monkeypatch.setattr(context, "Pool", recording_pool)
+        sizes = pool_sizes
         addresses = _addresses()
         before = _shm_segments()
         assert sweep_parallel(addresses, configs=[], jobs=2) == []
@@ -131,4 +141,28 @@ class TestPoolSize:
         assert sweep_mod._run_units(_echo_unit, ["u0", "u1", "u2"], 8,
                                     addresses, None) == ["u0", "u1", "u2"]
         assert sizes == [1, 3]
+        assert _shm_segments() == before
+
+    def test_in_ram_pool_needs_no_shared_memory(self, monkeypatch,
+                                                pool_sizes):
+        """Forked workers inherit the in-RAM trace: with shared memory
+        unavailable, an ablation-grid sweep with writes at ``jobs=2``
+        still forks a 2-worker pool, equals the ``jobs=1`` points and
+        leaves no ``/dev/shm`` segment."""
+        from multiprocessing import shared_memory
+
+        def no_shared_memory(*args, **kwargs):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_shared_memory)
+        addresses = _addresses()
+        writes = np.random.default_rng(8).random(len(addresses)) < 0.3
+        before = _shm_segments()
+        forked = sweep_parallel(addresses, writes=writes,
+                                configs=ABLATION_GRID, jobs=2,
+                                chunk_timeout=120.0)
+        assert pool_sizes == [2]
+        assert forked == sweep_parallel(addresses, writes=writes,
+                                        configs=ABLATION_GRID, jobs=1)
+        assert pool_sizes == [2]
         assert _shm_segments() == before
