@@ -135,12 +135,8 @@ def _trace_chunks() -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
         return
     from ..traces.container import open_chunk_source
 
-    src = open_chunk_source(container)
-    try:
+    with open_chunk_source(container) as src:
         yield from src.cache_chunks()
-    finally:
-        if hasattr(src, "close"):
-            src.close()
 
 
 class Family(NamedTuple):

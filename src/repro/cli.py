@@ -31,13 +31,11 @@ def _add_replay(sub) -> None:
     p.add_argument("--session", required=True, help="archive directory")
     p.add_argument("--no-profile", action="store_true",
                    help="skip profiling (faster)")
-    p.add_argument("--trace", default=None,
-                   help="write the reference trace to this .npz file")
     p.add_argument("--trace-out", default=None, metavar="FILE.ptrc",
                    help="stream the reference trace into a PTRC "
                         "container during the replay (bounded memory "
-                        "unless --trace or checkpointing also needs "
-                        "the in-RAM copy)")
+                        "unless checkpointing also needs the in-RAM "
+                        "copy)")
     p.add_argument("--trace-codec", default="zlib",
                    help="PTRC codec for --trace-out: raw, zlib, or "
                         "zstd when available (default zlib)")
@@ -113,10 +111,8 @@ def _add_sweep(sub) -> None:
     p = sub.add_parser("sweep", help="run the 56-configuration cache "
                                      "study on a trace")
     p.add_argument("--trace", required=True,
-                   help=".npz reference trace, or a .ptrc container / "
-                        "archive directory (streamed out-of-core)")
-    p.add_argument("--limit", type=_positive_int, default=None,
-                   help="cap the number of references")
+                   help=".ptrc container or PTRC archive directory "
+                        "(streamed out-of-core)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan the sweep out over N worker processes "
                         "sharing the trace (default: in-process)")
@@ -130,8 +126,9 @@ def _add_sweep(sub) -> None:
 def _add_desktop(sub) -> None:
     p = sub.add_parser("desktop-trace", help="generate a synthetic "
                                              "desktop trace (Figure 7)")
-    p.add_argument("--out", required=True, help="output .npz file")
-    p.add_argument("--length", type=int, default=1_000_000)
+    p.add_argument("--out", required=True,
+                   help="output .ptrc container (all RAM data reads)")
+    p.add_argument("--length", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -248,22 +245,22 @@ def _add_trace(sub) -> None:
 
     conv = act.add_parser(
         "convert",
-        help="convert between trace formats by extension: .npz "
-             "(ReferenceTrace), .din (dinero text), .ptrc (container); "
-             "dinero<->PTRC conversion streams chunk by chunk")
+        help="convert between trace formats by extension: .ptrc "
+             "(container; also the source format for anything not "
+             ".din) and .din (dinero text); streams chunk by chunk")
     conv.add_argument("src")
     conv.add_argument("dst")
     conv.add_argument("--codec", default="zlib",
                       help="PTRC codec when the destination is .ptrc "
                            "(raw, zlib, or zstd when available)")
-    conv.add_argument("--chunk-tokens", type=int, default=None,
+    conv.add_argument("--chunk-tokens", type=_positive_int, default=None,
                       metavar="N", help="PTRC chunk size in tokens")
 
     cat = act.add_parser("cat", help="print references as text lines "
                                      "(kind, region, hex address)")
     cat.add_argument("path")
-    cat.add_argument("--limit", type=int, default=None, metavar="N",
-                     help="stop after N references")
+    cat.add_argument("--limit", type=_positive_int, default=None,
+                     metavar="N", help="stop after N references")
 
     ver = act.add_parser(
         "verify",
@@ -498,9 +495,7 @@ def cmd_replay(args) -> int:
             sanitize_elide=not args.no_sanitize_elide,
             validate_codegen=args.validate_codegen,
             trace_sink=trace_writer,
-            # --trace still needs the in-RAM copy; otherwise the trace
-            # lives only in the container and the replay runs bounded.
-            trace_spill=trace_writer is not None and not args.trace)
+            trace_spill=trace_writer is not None)
     except BaseException:
         if trace_writer is not None:
             trace_writer.abort()
@@ -522,9 +517,6 @@ def cmd_replay(args) -> int:
               f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
         print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
               f"(paper Table 1: 2.35-2.39)")
-        if args.trace:
-            profiler.reference_trace().save(args.trace)
-            print(f"trace written: {args.trace}")
     if trace_writer is not None:
         _report_trace_out(trace_writer.close(), args.trace_out)
     if args.hot:
@@ -678,9 +670,6 @@ def _replay_resilient(args, jitter) -> int:
               f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
         print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
               f"(paper Table 1: 2.35-2.39)")
-        if args.trace:
-            profiler.reference_trace().save(args.trace)
-            print(f"trace written: {args.trace}")
         if args.trace_out:
             # Drained after the replay rather than streamed: PRCKPT01
             # checkpoints carry the in-RAM trace, so spilling it would
@@ -728,53 +717,25 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import zipfile
-
     from .analysis import format_access_times, format_miss_rates
     from .cache import RegionMix, SweepWorkerError, sweep_parallel
-    from .emulator import ReferenceTrace
-    from .traces.container import open_chunk_source
+    from .traces.container import TraceContainerError, open_chunk_source
 
     jobs = max(1, args.jobs)
     how = f"{jobs} workers" if jobs > 1 else "in-process"
-    path = Path(args.trace)
-    out_of_core = path.is_dir() or path.suffix == ".ptrc"
-    if out_of_core and args.limit:
-        print("--limit does not apply to container sweeps "
-              "(the trace is streamed, not loaded)", file=sys.stderr)
-        return 2
     try:
-        if out_of_core:
-            # Workers stream chunks straight off the container (or
-            # archive directory); the trace is never fully resident.
-            with_src = open_chunk_source(args.trace)
-            try:
-                counts = with_src.counts()
-            finally:
-                closer = getattr(with_src, "close", None)
-                if closer is not None:
-                    closer()
-        else:
-            trace = ReferenceTrace.load(args.trace).memory_only()
-            counts = trace.counts()
-    # TraceContainerError is a ValueError; the rest are np.load's.
-    except (OSError, EOFError, KeyError, ValueError,
-            zipfile.BadZipFile) as exc:
+        with open_chunk_source(args.trace) as source:
+            counts = source.counts()
+    except (OSError, TraceContainerError) as exc:
         print(f"not a readable trace: {args.trace}: "
               f"{str(exc).splitlines()[0]}", file=sys.stderr)
         return 1
-    if out_of_core:
-        total = counts["ram"] + counts["flash"]
-        print(f"sweeping {total:,} references out-of-core ({how}) ...")
-        source = dict(container=args.trace)
-    else:
-        addresses = trace.addresses
-        if args.limit:
-            addresses = addresses[:args.limit]
-        print(f"sweeping {len(addresses):,} references ({how}) ...")
-        source = dict(addresses=addresses)
+    total = counts["ram"] + counts["flash"]
+    print(f"sweeping {total:,} references out-of-core ({how}) ...")
     try:
-        points = sweep_parallel(**source, jobs=jobs,
+        # Workers stream chunks straight off the container (or
+        # archive directory); the trace is never fully resident.
+        points = sweep_parallel(container=args.trace, jobs=jobs,
                                 chunk_timeout=args.chunk_timeout)
     except SweepWorkerError as exc:
         print(f"sweep failed: {str(exc).splitlines()[0]}", file=sys.stderr)
@@ -789,14 +750,16 @@ def cmd_sweep(args) -> int:
 def cmd_desktop(args) -> int:
     import numpy as np
 
+    from .device.memmap import KIND_READ, REGION_RAM
     from .traces import generate_desktop_trace
+    from .traces.container import pack_tokens, write_container
 
-    trace = generate_desktop_trace(args.length, seed=args.seed)
-    # Store in the ReferenceTrace container (all data reads, RAM).
-    from .emulator import ReferenceTrace
-    kinds = np.ones(len(trace), dtype=np.uint8)
-    ReferenceTrace(addresses=trace, kinds=kinds).save(args.out)
-    print(f"wrote {len(trace):,} references to {args.out}")
+    addresses = generate_desktop_trace(args.length, seed=args.seed)
+    kinds = np.full(len(addresses), KIND_READ | REGION_RAM << 4,
+                    dtype=np.uint8)
+    write_container(pack_tokens(addresses, kinds), args.out,
+                    session={"source": "desktop-trace", "seed": args.seed})
+    print(f"wrote {len(addresses):,} references to {args.out}")
     return 0
 
 
@@ -1059,103 +1022,88 @@ _REGION_NAMES = {0: "ram", 1: "flash", 2: "hw", 3: "card"}
 
 
 def _trace_reference_stream(path: Path):
-    """``(addresses, kinds)`` chunk pairs from any trace format."""
-    if path.is_dir() or path.suffix == ".ptrc":
-        from .traces.container import open_chunk_source, unpack_tokens
-        src = open_chunk_source(path)
-        try:
-            for chunk in src.chunks():
-                yield unpack_tokens(chunk)
-        finally:
-            closer = getattr(src, "close", None)
-            if closer is not None:
-                closer()
-    elif path.suffix == ".din":
+    """``(addresses, kinds)`` chunk pairs from a ``.din`` file, or
+    from a PTRC container or archive directory (any other path)."""
+    if path.suffix == ".din":
         from .traces.dinero import read_dinero_chunks
         yield from read_dinero_chunks(path)
-    else:
-        from .emulator import ReferenceTrace
-        yield from ReferenceTrace.load(path).chunks()
+        return
+    from .traces.container import open_chunk_source, unpack_tokens
+    with open_chunk_source(path) as src:
+        for chunk in src.chunks():
+            yield unpack_tokens(chunk)
 
 
 def cmd_trace(args) -> int:
-    from .traces.container import (
-        TraceArchive,
-        TraceContainer,
-        TraceContainerError,
-        open_chunk_source,
-    )
+    from .traces.container import TraceContainerError
+    from .traces.dinero import DineroFormatError
 
-    if args.action == "info":
-        path = Path(args.path)
-        if path.is_dir():
-            try:
-                archive = TraceArchive(path)
-            except TraceContainerError as exc:
-                print(f"not a readable archive: {exc}", file=sys.stderr)
-                return 1
-            meta = archive.meta
-            print(f"archive      : {path} "
-                  f"({meta.get('format', 'PTRC-archive')})")
-            print(f"members      : {len(archive.members())}, "
-                  f"{archive.total_tokens:,} tokens total")
-            for record in archive.members():
-                print(f"  {record['id']:12s} {record['tokens']:>12,} "
-                      f"tokens  {record['file']}  "
-                      f"digest {record['digest'][:12]}…")
-            return 0
-        try:
-            with TraceContainer(path) as container:
-                manifest = container.manifest
-                ratio = (manifest["payload_bytes"]
-                         / max(1, 8 * manifest["tokens"]))
-                print(f"container    : {path} (PTRC v{manifest['version']})")
-                print(f"codec        : {manifest['codec']}, "
-                      f"{manifest['chunk_tokens']:,} tokens/chunk")
-                print(f"tokens       : {manifest['tokens']:,} in "
-                      f"{manifest['chunks']} chunk(s)")
-                print(f"payload      : {manifest['payload_bytes']:,} bytes "
-                      f"({ratio:.3f}x of raw)")
-                print(f"digest       : {manifest['digest']}")
-                for key, value in sorted(manifest.get("session",
-                                                      {}).items()):
-                    print(f"session.{key:<12s}: {value}")
-        except TraceContainerError as exc:
-            print(f"not a readable container: {exc}\n"
-                  f"(try `trace verify --salvage OUT.ptrc {path}`)",
-                  file=sys.stderr)
-            return 1
-        return 0
-
-    if args.action == "convert":
-        return _cmd_trace_convert(args)
-
-    if args.action == "cat":
-        left = args.limit
-        for addresses, kinds in _trace_reference_stream(Path(args.path)):
-            if left is not None:
-                addresses, kinds = addresses[:left], kinds[:left]
-            for addr, kind in zip(addresses, kinds):
-                print(f"{_KIND_NAMES.get(int(kind) & 0x0F, '?'):5s} "
-                      f"{_REGION_NAMES.get(int(kind) >> 4, '?'):5s} "
-                      f"{int(addr):#010x}")
-            if left is not None:
-                left -= len(addresses)
-                if left <= 0:
-                    return 0
-        return 0
-
-    # verify
+    action = {"info": _trace_info, "convert": _trace_convert,
+              "cat": _trace_cat, "verify": _trace_verify}[args.action]
     try:
-        src = open_chunk_source(args.path)
-        try:
+        return action(args)
+    except (OSError, TraceContainerError, DineroFormatError) as exc:
+        print(f"trace {args.action} failed: {str(exc).splitlines()[0]}",
+              file=sys.stderr)
+        return 1
+
+
+def _trace_info(args) -> int:
+    from .traces.container import TraceArchive, TraceContainer
+
+    path = Path(args.path)
+    if path.is_dir():
+        archive = TraceArchive(path)
+        meta = archive.meta
+        print(f"archive      : {path} "
+              f"({meta.get('format', 'PTRC-archive')})")
+        print(f"members      : {len(archive.members())}, "
+              f"{archive.total_tokens:,} tokens total")
+        for record in archive.members():
+            print(f"  {record['id']:12s} {record['tokens']:>12,} "
+                  f"tokens  {record['file']}  "
+                  f"digest {record['digest'][:12]}…")
+        return 0
+    with TraceContainer(path) as container:
+        manifest = container.manifest
+    ratio = manifest["payload_bytes"] / max(1, 8 * manifest["tokens"])
+    print(f"container    : {path} (PTRC v{manifest['version']})")
+    print(f"codec        : {manifest['codec']}, "
+          f"{manifest['chunk_tokens']:,} tokens/chunk")
+    print(f"tokens       : {manifest['tokens']:,} in "
+          f"{manifest['chunks']} chunk(s)")
+    print(f"payload      : {manifest['payload_bytes']:,} bytes "
+          f"({ratio:.3f}x of raw)")
+    print(f"digest       : {manifest['digest']}")
+    for key, value in sorted(manifest.get("session", {}).items()):
+        print(f"session.{key:<12s}: {value}")
+    return 0
+
+
+def _trace_cat(args) -> int:
+    left = args.limit
+    for addresses, kinds in _trace_reference_stream(Path(args.path)):
+        if left is not None:
+            addresses, kinds = addresses[:left], kinds[:left]
+        for addr, kind in zip(addresses, kinds):
+            print(f"{_KIND_NAMES.get(int(kind) & 0x0F, '?'):5s} "
+                  f"{_REGION_NAMES.get(int(kind) >> 4, '?'):5s} "
+                  f"{int(addr):#010x}")
+        if left is not None:
+            left -= len(addresses)
+            if left <= 0:
+                return 0
+    return 0
+
+
+def _trace_verify(args) -> int:
+    from .traces.container import TraceContainerError, open_chunk_source
+
+    try:
+        with open_chunk_source(args.path) as src:
             report = src.verify(deep=not args.no_deep)
-        finally:
-            closer = getattr(src, "close", None)
-            if closer is not None:
-                closer()
     except TraceContainerError as exc:
-        print(f"verify FAILED: {exc}")
+        print(f"verify FAILED: {str(exc).splitlines()[0]}", file=sys.stderr)
         if not args.salvage:
             return 1
         from .resilience import salvage_container
@@ -1176,57 +1124,35 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_trace_convert(args) -> int:
-    from .traces.container import TraceContainerError
+def _trace_convert(args) -> int:
+    from .storage import replacing
 
     src = Path(args.src)
     dst = Path(args.dst)
-    src_kind = "ptrc" if (src.is_dir() or src.suffix == ".ptrc") \
-        else src.suffix.lstrip(".")
-    dst_kind = "ptrc" if dst.suffix == ".ptrc" else dst.suffix.lstrip(".")
-    writer_kwargs = {"codec": args.codec}
-    if args.chunk_tokens:
-        writer_kwargs["chunk_tokens"] = args.chunk_tokens
-    try:
-        if dst_kind == "ptrc":
-            from .traces.container import ContainerWriter
-            with ContainerWriter(dst, session={"source": str(src)},
-                                 **writer_kwargs) as writer:
+    if dst.suffix not in (".ptrc", ".din"):
+        print(f"unknown destination format {dst.suffix!r} "
+              f"(use .ptrc or .din)", file=sys.stderr)
+        return 2
+    # Written to a sibling and renamed over ``dst`` only once complete:
+    # a failed conversion leaves no file, or the previous one intact.
+    with replacing(dst) as tmp:
+        if dst.suffix == ".ptrc":
+            from .traces.container import DEFAULT_CHUNK_TOKENS, ContainerWriter
+            with ContainerWriter(
+                    tmp, codec=args.codec, session={"source": str(src)},
+                    chunk_tokens=args.chunk_tokens or DEFAULT_CHUNK_TOKENS,
+                    ) as writer:
                 for addresses, kinds in _trace_reference_stream(src):
                     writer.append_reference(addresses, kinds)
             manifest = writer.manifest
-            print(f"wrote {dst}: {manifest['tokens']:,} tokens, "
-                  f"{manifest['chunks']} chunk(s), codec "
-                  f"{manifest['codec']}, digest {manifest['digest'][:12]}…")
-        elif dst_kind == "din":
-            from .traces.dinero import write_dinero_chunks
-            count = write_dinero_chunks(dst, _trace_reference_stream(src))
-            print(f"wrote {dst}: {count:,} records")
-        elif dst_kind == "npz":
-            import numpy as np
-
-            from .emulator import ReferenceTrace
-            addr_chunks, kind_chunks = [], []
-            for addresses, kinds in _trace_reference_stream(src):
-                addr_chunks.append(addresses)
-                kind_chunks.append(kinds)
-            trace = ReferenceTrace(
-                addresses=(np.concatenate(addr_chunks) if addr_chunks
-                           else np.empty(0, dtype=np.uint32)),
-                kinds=(np.concatenate(kind_chunks) if kind_chunks
-                       else np.empty(0, dtype=np.uint8)))
-            trace.save(dst)
-            print(f"wrote {dst}: {len(trace.addresses):,} references")
+            done = (f"{manifest['tokens']:,} tokens, {manifest['chunks']} "
+                    f"chunk(s), codec {manifest['codec']}, "
+                    f"digest {manifest['digest'][:12]}…")
         else:
-            print(f"unknown destination format {dst.suffix!r} "
-                  f"(use .npz, .din or .ptrc)", file=sys.stderr)
-            return 2
-    except (TraceContainerError, OSError) as exc:
-        print(f"convert failed: {exc}", file=sys.stderr)
-        return 1
-    if src_kind not in ("ptrc", "din", "npz"):
-        print(f"note: guessed source format from contents of "
-              f"{src.suffix!r}", file=sys.stderr)
+            from .traces.dinero import write_dinero_chunks
+            count = write_dinero_chunks(tmp, _trace_reference_stream(src))
+            done = f"{count:,} records"
+    print(f"wrote {dst}: {done}")
     return 0
 
 

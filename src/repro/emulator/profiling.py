@@ -307,11 +307,11 @@ class Profiler:
         if len(tail):
             yield tail
 
-    def cache_chunks(self, memory_only: bool = True):
+    def cache_chunks(self):
         """``(addresses, writes)`` pairs per chunk for the out-of-core
-        cache kernels, hardware references dropped by default."""
+        cache kernels, hardware references dropped."""
         from ..traces.container import cache_chunks
-        return cache_chunks(self.chunks(), memory_only=memory_only)
+        return cache_chunks(self.chunks())
 
     @property
     def trace_tokens(self) -> int:
@@ -323,22 +323,7 @@ class Profiler:
         (derived from the flat counters).  ``memory_only`` excludes
         hardware references from the kind totals, matching
         ``reference_trace().memory_only().counts()``."""
-        snapshot = self._counts_snapshot()
-        out = {}
-        for region, name in [(REGION_RAM, "ram"), (REGION_FLASH, "flash"),
-                             (REGION_HW, "hw")]:
-            base = region << 4
-            out[name] = int(snapshot[base:base + 16].sum())
-        hw_base = REGION_HW << 4
-        for kind, name in [(KIND_FETCH, "fetch"), (KIND_READ, "read"),
-                           (KIND_WRITE, "write")]:
-            total = int(snapshot[kind::16].sum())
-            if memory_only:
-                total -= int(snapshot[hw_base + kind])
-            out[name] = total
-        if memory_only:
-            out["hw"] = 0
-        return out
+        return kind_totals(self._counts_snapshot(), memory_only)
 
     def _counts_snapshot(self) -> np.ndarray:
         """The 256 flat counters as a uint64 array (derived from the
@@ -374,53 +359,44 @@ class Profiler:
         return {(i & 0x0F, i >> 4): int(n)
                 for i, n in enumerate(self._counts_snapshot()) if n}
 
-    def _region_total(self, region: int) -> int:
-        base = region << 4
-        return int(self._counts_snapshot()[base:base + 16].sum())
-
     @property
     def ram_refs(self) -> int:
-        return self._region_total(REGION_RAM)
+        return self.counts_dict()["ram"]
 
     @property
     def flash_refs(self) -> int:
-        return self._region_total(REGION_FLASH)
+        return self.counts_dict()["flash"]
 
     @property
     def hw_refs(self) -> int:
-        return self._region_total(REGION_HW)
+        return self.counts_dict()["hw"]
 
     @property
     def card_refs(self) -> int:
-        return self._region_total(REGION_CARD)
+        return self.counts_dict()["card"]
 
     @property
     def total_refs(self) -> int:
         return int(self._counts_snapshot().sum())
 
-    def _kind_total(self, kind: int) -> int:
-        return int(self._counts_snapshot()[kind::16].sum())
-
     @property
     def fetch_refs(self) -> int:
-        return self._kind_total(KIND_FETCH)
+        return self.counts_dict()["fetch"]
 
     @property
     def read_refs(self) -> int:
-        return self._kind_total(KIND_READ)
+        return self.counts_dict()["read"]
 
     @property
     def write_refs(self) -> int:
-        return self._kind_total(KIND_WRITE)
+        return self.counts_dict()["write"]
 
     def average_memory_cycles(self) -> float:
         """Equation 3: average effective memory access time without a
         cache, in cycles per reference."""
-        snapshot = self._counts_snapshot()
-        ram = int(snapshot[:16].sum())      # registers behave like RAM
-        ram += int(snapshot[REGION_HW << 4:(REGION_HW << 4) + 16].sum())
-        flash = int(snapshot[REGION_FLASH << 4:(REGION_FLASH << 4) + 16].sum())
-        flash += int(snapshot[REGION_CARD << 4:(REGION_CARD << 4) + 16].sum())
+        totals = self.counts_dict()
+        ram = totals["ram"] + totals["hw"]  # registers behave like RAM
+        flash = totals["flash"] + totals["card"]
         total = ram + flash
         if total == 0:
             return 0.0
@@ -540,6 +516,24 @@ def _kind_histogram(tokens: np.ndarray) -> np.ndarray:
     return np.bincount(kinds, minlength=256).astype(np.uint64)
 
 
+def kind_totals(histogram: np.ndarray,
+                memory_only: bool = False) -> Dict[str, int]:
+    """The ``ram``/``flash``/``hw``/``card`` region and ``fetch``/
+    ``read``/``write`` kind totals of a 256-bin ``kind | region << 4``
+    histogram.  ``memory_only`` leaves out the hardware-register
+    references, as :meth:`ReferenceTrace.memory_only` does."""
+    if memory_only:
+        histogram = histogram.copy()
+        histogram[REGION_HW << 4:(REGION_HW + 1) << 4] = 0
+    out = {name: int(histogram[region << 4:(region + 1) << 4].sum())
+           for region, name in [(REGION_RAM, "ram"), (REGION_FLASH, "flash"),
+                                (REGION_HW, "hw"), (REGION_CARD, "card")]}
+    for kind, name in [(KIND_FETCH, "fetch"), (KIND_READ, "read"),
+                       (KIND_WRITE, "write")]:
+        out[name] = int(histogram[kind::16].sum())
+    return out
+
+
 class TraceSnapshot(NamedTuple):
     """A profiler's trace at one instant (:meth:`Profiler.
     trace_snapshot`): the sealed chunks, shared by reference, and a
@@ -590,22 +584,12 @@ class ReferenceTrace:
         return ReferenceTrace(self.addresses[mask], self.kinds[mask])
 
     def counts(self) -> dict:
-        # One histogram over the packed bytes; region and kind totals
-        # are nibble slices of it (six full passes before).  Chunked so
-        # the uint8 histogram never needs the whole kinds array resident
-        # at once on views of very large traces.
-        packed = np.zeros(256, dtype=np.int64)
+        # Chunked so the histogram never needs the whole kinds array
+        # widened at once on views of very large traces.
+        histogram = np.zeros(256, dtype=np.int64)
         for _addrs, kinds in self.chunks():
-            packed += np.bincount(kinds, minlength=256)
-        out = {}
-        for region, name in [(REGION_RAM, "ram"), (REGION_FLASH, "flash"),
-                             (REGION_HW, "hw")]:
-            base = region << 4
-            out[name] = int(packed[base:base + 16].sum())
-        for kind, name in [(KIND_FETCH, "fetch"), (KIND_READ, "read"),
-                           (KIND_WRITE, "write")]:
-            out[name] = int(packed[kind::16].sum())
-        return out
+            histogram += np.bincount(kinds, minlength=256)
+        return kind_totals(histogram)
 
     # -- streaming access ----------------------------------------------
     def chunks(self, chunk_tokens: int = TRACE_CHUNK):
@@ -617,24 +601,3 @@ class ReferenceTrace:
         for start in range(0, n, chunk_tokens):
             yield (self.addresses[start:start + chunk_tokens],
                    self.kinds[start:start + chunk_tokens])
-
-    def cache_chunks(self, memory_only: bool = True,
-                     chunk_tokens: int = TRACE_CHUNK):
-        """``(addresses, writes)`` pairs per window for the out-of-core
-        cache kernels (hardware references dropped by default)."""
-        for addrs, kinds in self.chunks(chunk_tokens):
-            if memory_only:
-                mask = (kinds >> 4) != REGION_HW
-                addrs = addrs[mask]
-                kinds = kinds[mask]
-            if len(addrs):
-                yield addrs, (kinds & 0x0F) == KIND_WRITE
-
-    # -- persistence ---------------------------------------------------------
-    def save(self, path) -> None:
-        np.savez_compressed(path, addresses=self.addresses, kinds=self.kinds)
-
-    @classmethod
-    def load(cls, path) -> "ReferenceTrace":
-        data = np.load(path)
-        return cls(addresses=data["addresses"], kinds=data["kinds"])

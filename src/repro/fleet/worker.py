@@ -145,7 +145,7 @@ def run_session(plan: SessionPlan, *, policy: str = "resync",
     counts = profiler.counts_dict(memory_only=True)
     config = CacheConfig(size=cell.cache_size, line_size=cell.cache_line,
                          associativity=cell.cache_assoc)
-    stats = simulate_auto(profiler.cache_chunks(memory_only=True), config)
+    stats = simulate_auto(profiler.cache_chunks(), config)
     mix = RegionMix(counts["ram"], counts["flash"])
 
     trace_digest = None

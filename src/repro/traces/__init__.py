@@ -12,7 +12,6 @@ from .container import (
     available_codecs,
     from_reference_trace,
     open_chunk_source,
-    open_container,
     recover_container,
     scan_frames,
     write_container,
@@ -40,7 +39,6 @@ __all__ = [
     "available_codecs",
     "from_reference_trace",
     "open_chunk_source",
-    "open_container",
     "recover_container",
     "scan_frames",
     "write_container",

@@ -217,7 +217,6 @@ def unpack_tokens(tokens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def cache_chunks(token_chunks: Iterable[np.ndarray],
-                 memory_only: bool = True,
                  ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Adapt a token-chunk stream for the out-of-core cache kernels:
     yields ``(addresses, writes)`` per chunk, with hardware-register
@@ -226,10 +225,8 @@ def cache_chunks(token_chunks: Iterable[np.ndarray],
     information in them."""
     for chunk in token_chunks:
         addrs, kinds = unpack_tokens(np.asarray(chunk, dtype=np.uint64))
-        if memory_only:
-            mask = (kinds >> 4) != REGION_HW
-            addrs = addrs[mask]
-            kinds = kinds[mask]
+        mask = (kinds >> 4) != REGION_HW
+        addrs, kinds = addrs[mask], kinds[mask]
         if len(addrs):
             yield addrs, (kinds & 0x0F) == KIND_WRITE
 
@@ -237,22 +234,11 @@ def cache_chunks(token_chunks: Iterable[np.ndarray],
 def reference_counts(token_chunks: Iterable[np.ndarray]) -> dict:
     """``ReferenceTrace.counts()``-shaped region/kind totals from a
     token-chunk stream, one chunk resident at a time."""
-    from ..device.memmap import (KIND_FETCH, KIND_READ, REGION_FLASH,
-                                 REGION_RAM)
-    packed = np.zeros(256, dtype=np.int64)
+    from ..emulator.profiling import _kind_histogram, kind_totals
+    histogram = np.zeros(256, dtype=np.uint64)
     for chunk in token_chunks:
-        kinds = (np.asarray(chunk, dtype=np.uint64)
-                 >> np.uint64(32)).astype(np.uint8)
-        packed += np.bincount(kinds, minlength=256)
-    out = {}
-    for region, name in [(REGION_RAM, "ram"), (REGION_FLASH, "flash"),
-                         (REGION_HW, "hw")]:
-        base = region << 4
-        out[name] = int(packed[base:base + 16].sum())
-    for kind, name in [(KIND_FETCH, "fetch"), (KIND_READ, "read"),
-                       (KIND_WRITE, "write")]:
-        out[name] = int(packed[kind::16].sum())
-    return out
+        histogram += _kind_histogram(np.asarray(chunk, dtype=np.uint64))
+    return kind_totals(histogram)
 
 
 # -- writer ---------------------------------------------------------------
@@ -541,11 +527,10 @@ class TraceContainer:
         for chunk in self.chunks():
             yield unpack_tokens(chunk)
 
-    def cache_chunks(self, memory_only: bool = True,
-                     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    def cache_chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Iterate ``(addresses, writes)`` pairs for the out-of-core
-        cache kernels (hardware references dropped by default)."""
-        return cache_chunks(self.chunks(), memory_only=memory_only)
+        cache kernels (hardware references dropped)."""
+        return cache_chunks(self.chunks())
 
     def counts(self) -> dict:
         """``ReferenceTrace.counts()``-shaped totals, streamed chunk by
@@ -614,10 +599,6 @@ class TraceContainer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def open_container(path) -> TraceContainer:
-    return TraceContainer(path)
 
 
 def open_chunk_source(path) -> Union[TraceContainer, "TraceArchive"]:
@@ -882,9 +863,8 @@ class TraceArchive:
                     os.path.join(self.root, record["file"])) as container:
                 yield from container.chunks()
 
-    def cache_chunks(self, memory_only: bool = True,
-                     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        return cache_chunks(self.chunks(), memory_only=memory_only)
+    def cache_chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        return cache_chunks(self.chunks())
 
     def counts(self) -> dict:
         """Archive-wide ``ReferenceTrace.counts()``-shaped totals,
@@ -906,3 +886,14 @@ class TraceArchive:
                         f"{container.digest[:12]}…")
                 reports[record["id"]] = container.verify(deep=deep)
         return reports
+
+    # Members are opened per call, so there is nothing to release; the
+    # context protocol matches TraceContainer's for open_chunk_source.
+    def close(self) -> None:
+        pass
+
+    def __enter__(self) -> "TraceArchive":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass

@@ -185,12 +185,16 @@ def read_dinero_chunks(path: Union[str, Path]):
     :class:`DineroFormatError` on malformed records.
     """
     lineno = 1
-    with open(path) as handle:
+    # Undecodable bytes become U+FFFD and fail as a bad label or address.
+    with open(path, encoding="ascii", errors="replace") as handle:
         while True:
             lines = handle.readlines(_CHUNK * 12)
             if not lines:
                 break
-            addresses, kinds = _parse_chunk(lines, lineno)
+            try:
+                addresses, kinds = _parse_chunk(lines, lineno)
+            except DineroFormatError as exc:
+                raise DineroFormatError(f"{path}: {exc}") from None
             lineno += len(lines)
             if len(addresses):
                 region = np.where(addresses < (16 << 20), 0, 1) \

@@ -82,11 +82,14 @@ class TestReplay:
         assert "references" in out
 
     def test_replay_writes_trace(self, archive, tmp_path, capsys):
-        trace_path = tmp_path / "trace.npz"
+        from repro.traces import TraceContainer
+
+        trace_path = tmp_path / "trace.ptrc"
         rc = main(["replay", "--session", str(archive),
-                   "--trace", str(trace_path)])
+                   "--trace-out", str(trace_path)])
         assert rc == 0
-        assert trace_path.exists()
+        with TraceContainer(trace_path) as container:
+            assert container.verify()["tokens"] > 0
 
     def test_no_profile_mode(self, archive, capsys):
         rc = main(["replay", "--session", str(archive), "--no-profile"])
@@ -112,18 +115,17 @@ class TestValidate:
 
 class TestSweepPipeline:
     def test_trace_to_sweep(self, archive, tmp_path, capsys):
-        trace_path = tmp_path / "t.npz"
+        trace_path = tmp_path / "t.ptrc"
         assert main(["replay", "--session", str(archive),
-                     "--trace", str(trace_path)]) == 0
+                     "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
-        rc = main(["sweep", "--trace", str(trace_path),
-                   "--limit", "120000"])
+        rc = main(["sweep", "--trace", str(trace_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Figure 5" in out and "Figure 6" in out
 
     def test_desktop_trace_generation(self, tmp_path, capsys):
-        out_path = tmp_path / "d.npz"
+        out_path = tmp_path / "d.ptrc"
         rc = main(["desktop-trace", "--out", str(out_path),
                    "--length", "50000", "--seed", "1"])
         assert rc == 0
@@ -131,17 +133,45 @@ class TestSweepPipeline:
         rc = main(["sweep", "--trace", str(out_path)])
         assert rc == 0
 
+    def test_desktop_sweep_matches_in_ram_sweep(self, tmp_path, capsys):
+        """The CLI's container sweep of a desktop trace prints the
+        tables of the in-RAM sweep of the same generated addresses."""
+        from repro.analysis import format_access_times, format_miss_rates
+        from repro.cache import RegionMix, sweep_parallel
+        from repro.traces import generate_desktop_trace
+
+        path = tmp_path / "d.ptrc"
+        assert main(["desktop-trace", "--out", str(path),
+                     "--length", "20000", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        points = sweep_parallel(generate_desktop_trace(20000, seed=3))
+        tables = (format_miss_rates(points) + "\n\n"
+                  + format_access_times(points, RegionMix(20000, 0)) + "\n")
+        assert out.split("\n", 1)[1] == tables
+
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_desktop_length_below_one_is_rejected(self, tmp_path, length,
+                                                  capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["desktop-trace", "--out", str(tmp_path / "d.ptrc"),
+                  "--length", length])
+        assert info.value.code == 2
+        assert "--length" in capsys.readouterr().err
+        assert not (tmp_path / "d.ptrc").exists()
+
 
 @pytest.fixture(scope="module")
 def desktop_container(tmp_path_factory):
-    """A desktop trace as an ``.npz`` and as a 15-chunk ``.ptrc``."""
+    """A desktop trace as a 15-chunk ``.ptrc``."""
     root = tmp_path_factory.mktemp("bad-traces")
-    npz, ptrc = root / "d.npz", root / "d.ptrc"
-    assert main(["desktop-trace", "--out", str(npz),
+    whole, ptrc = root / "whole.ptrc", root / "d.ptrc"
+    assert main(["desktop-trace", "--out", str(whole),
                  "--length", "30000", "--seed", "1"]) == 0
-    assert main(["trace", "convert", str(npz), str(ptrc),
+    assert main(["trace", "convert", str(whole), str(ptrc),
                  "--chunk-tokens", "2000"]) == 0
-    return npz, ptrc
+    return ptrc
 
 
 class TestSweepBadInput:
@@ -150,7 +180,7 @@ class TestSweepBadInput:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_corrupt_container(self, desktop_container, tmp_path, jobs):
-        data = bytearray(desktop_container[1].read_bytes())
+        data = bytearray(desktop_container.read_bytes())
         data[len(data) // 2] ^= 0xFF
         flipped = tmp_path / "flip.ptrc"
         flipped.write_bytes(bytes(data))
@@ -175,20 +205,63 @@ class TestSweepBadInput:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_decode_failure(self, desktop_container, jobs):
-        proc = run_cli("sweep", "--trace", desktop_container[1],
+        proc = run_cli("sweep", "--trace", desktop_container,
                        "--jobs", jobs, script=DECODE_FAILS_IN_WORKER)
         assert_one_line_failure(proc)
         assert "sweep worker failed" in proc.stderr
         assert "chunk 1: injected decode failure" in proc.stderr
 
-    @pytest.mark.parametrize("limit", ["0", "-5"])
-    def test_limit_below_one_is_rejected(self, desktop_container, limit,
-                                         capsys):
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A missing ``.ptrc``, an 18-byte garbage ``.ptrc`` and a ``.din``
+    that is not dinero text."""
+    root = tmp_path_factory.mktemp("bad-inputs")
+    (root / "garbage.ptrc").write_bytes(bytes(range(18)))
+    (root / "garbage.din").write_bytes(b"garbage\x00\xff\xfe\n")
+    return root
+
+
+class TestTraceBadInput:
+    """Every ``trace`` action prints one stderr line and exits 1 on an
+    input it cannot read, and a failed conversion leaves no torn
+    destination behind."""
+
+    @pytest.mark.parametrize("action", ["info", "verify", "cat", "convert"])
+    @pytest.mark.parametrize("name", ["missing.ptrc", "garbage.ptrc",
+                                      "garbage.din"])
+    def test_one_line_failure(self, bad_inputs, tmp_path, action, name):
+        dst = [tmp_path / "out.ptrc"] if action == "convert" else []
+        proc = run_cli("trace", action, bad_inputs / name, *dst)
+        assert_one_line_failure(proc)
+        assert name in proc.stderr
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("suffix", [".ptrc", ".din"])
+    def test_failed_convert_keeps_existing_destination(
+            self, bad_inputs, desktop_container, tmp_path, suffix):
+        dst = tmp_path / f"out{suffix}"
+        assert main(["trace", "convert", str(desktop_container),
+                     str(dst)]) == 0
+        before = dst.read_bytes()
+        proc = run_cli("trace", "convert", bad_inputs / "garbage.din", dst)
+        assert_one_line_failure(proc)
+        assert dst.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [dst.name]
+
+    @pytest.mark.parametrize("action, option",
+                             [("convert", "--chunk-tokens"),
+                              ("cat", "--limit")])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_rejected(self, desktop_container, tmp_path,
+                                         action, option, count, capsys):
+        dst = [str(tmp_path / "o.ptrc")] if action == "convert" else []
         with pytest.raises(SystemExit) as info:
-            main(["sweep", "--trace", str(desktop_container[0]),
-                  "--limit", limit])
+            main(["trace", action, str(desktop_container), *dst,
+                  option, count])
         assert info.value.code == 2
-        assert "--limit" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestTraceInfo:

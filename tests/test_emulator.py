@@ -10,12 +10,12 @@ from repro.emulator import (
     JitterModel,
     PlaybackDriver,
     Profiler,
-    ReferenceTrace,
     RomMismatchError,
     replay_session,
 )
 from repro.emulator.playback import _KeyStateQueue, PlaybackResult
 from repro.tracelog import LogEventType, LogRecord, read_activity_log
+from repro.traces import TraceContainer, from_reference_trace
 from repro.workloads.scripts import UserScript
 from repro.workloads.sessions import collect_session
 
@@ -154,8 +154,9 @@ class TestProfiling:
             session.initial_state, session.log, apps=APPS,
             emulator_kwargs=EMU_KW)
         trace = profiler.reference_trace()
-        trace.save(tmp_path / "trace.npz")
-        back = ReferenceTrace.load(tmp_path / "trace.npz")
+        from_reference_trace(trace, tmp_path / "trace.ptrc")
+        with TraceContainer(tmp_path / "trace.ptrc") as container:
+            back = container.reference_trace()
         assert np.array_equal(back.addresses, trace.addresses)
         assert np.array_equal(back.kinds, trace.kinds)
 
