@@ -87,25 +87,17 @@ def _quickstart_script() -> Any:
             .tap(50, 10).wait(40).tap(90, 50).wait(40))
 
 
-def _load_archive(directory: Union[str, Path]) -> Tuple[Any, Any]:
-    from ...tracelog import ActivityLog, InitialState
-
-    root = Path(directory)
-    state = InitialState.load(root / "initial_state")
-    log = ActivityLog.load(root / "activity_log.pdb")
-    return state, log
-
-
-def collect_provenances(session_dir: Optional[str] = None,
+def collect_provenances(session: Optional[Tuple[Any, Any]] = None,
                         sanitize: bool = True,
                         progress: Optional[Callable[[str], None]] = None
                         ) -> Tuple[List[Any], frozenset, float]:
     """Replay the corpus session with ``fuse_threshold=1`` and return
     ``(provenances, claimed_sanitizer_elision_pcs, replay_wall)``.
 
-    ``session_dir`` names a collected archive; without one the
-    standard quickstart session is collected in-process (the same
-    script ``palm-repro collect --session quickstart`` freezes).
+    ``session`` is a collected archive's ``(initial_state, log)``;
+    without one the standard quickstart session is collected
+    in-process (the same script ``palm-repro collect --session
+    quickstart`` freezes).
 
     The replay itself runs without the sanitizer — fused codegen is
     disabled under an attached sanitizer (fused bodies bypass shadow
@@ -119,8 +111,8 @@ def collect_provenances(session_dir: Optional[str] = None,
     from ...emulator.playback import _session_sanitizer, replay_session
 
     apps = standard_apps()
-    if session_dir is not None:
-        state, log = _load_archive(session_dir)
+    if session is not None:
+        state, log = session
     else:
         if progress:
             progress("collecting quickstart session ...")
@@ -184,7 +176,7 @@ def _fresh_sanitizer_safe() -> frozenset:
     return elision.safe_pcs
 
 
-def verify_codegen(session_dir: Optional[str] = None,
+def verify_codegen(session: Optional[Tuple[Any, Any]] = None,
                    run_selftest: bool = True,
                    audit_elisions: bool = True,
                    progress: Optional[Callable[[str], None]] = None
@@ -193,7 +185,7 @@ def verify_codegen(session_dir: Optional[str] = None,
     stats = VerifyStats()
     report = Report()
     provs, claimed, stats.replay_wall = collect_provenances(
-        session_dir, sanitize=audit_elisions, progress=progress)
+        session, sanitize=audit_elisions, progress=progress)
     unique = _dedupe(provs, stats)
     if progress:
         progress(f"validating {len(unique)} distinct fused block(s) "

@@ -8,6 +8,7 @@ regenerate the cache study.
 from __future__ import annotations
 
 import argparse
+import struct
 import sys
 import time
 from pathlib import Path
@@ -27,15 +28,20 @@ def _add_collect(sub) -> None:
 
 
 def _add_replay(sub) -> None:
-    p = sub.add_parser("replay", help="replay an archived session")
+    p = sub.add_parser(
+        "replay", help="replay an archived session",
+        description="Replay an archived session with profiling.  Any "
+                    "resilience option runs the same replay with "
+                    "checkpoints and the divergence watchdog, and adds "
+                    "their lines to the same report.")
     p.add_argument("--session", required=True, help="archive directory")
     p.add_argument("--no-profile", action="store_true",
                    help="skip profiling (faster)")
     p.add_argument("--trace-out", default=None, metavar="FILE.ptrc",
-                   help="stream the reference trace into a PTRC "
-                        "container during the replay (bounded memory "
-                        "unless checkpointing also needs the in-RAM "
-                        "copy)")
+                   help="write the reference trace as a PTRC container: "
+                        "streamed during the replay in bounded memory, "
+                        "or written after it when a resilience option "
+                        "keeps the in-RAM trace for checkpoints")
     p.add_argument("--trace-codec", default="zlib",
                    help="PTRC codec for --trace-out: raw, zlib, or "
                         "zstd when available (default zlib)")
@@ -82,7 +88,8 @@ def _add_replay(sub) -> None:
     san.add_argument("--sanitize", action="store_true",
                      help="replay with the guest memory sanitizer "
                           "attached (shadow checking, heap red zones, "
-                          "leak check at exit)")
+                          "leak check at exit; not combinable with the "
+                          "resilience options)")
     san.add_argument("--no-sanitize-elide", action="store_true",
                      help="disable the static check-elision set "
                           "(full shadow checking on every access)")
@@ -90,7 +97,8 @@ def _add_replay(sub) -> None:
                    help="run the translation validator inline on every "
                         "superblock the replay fuses; exit 1 on any "
                         "error-severity finding (fast core only, not "
-                        "combinable with --sanitize)")
+                        "combinable with --sanitize or the resilience "
+                        "options)")
 
 
 def _add_validate(sub) -> None:
@@ -413,13 +421,32 @@ def cmd_collect(args) -> int:
     return 0
 
 
-def _load_archive(directory: str):
+def _load_archive(directory: str, salvage: Optional[bool] = None):
+    """``(state, log)`` of an archive, or None after one stderr line
+    when it cannot be read.  ``salvage=True`` loads the log leniently
+    and prints what was repaired; ``False`` names ``--salvage`` when
+    the log is corrupt; None is for commands without that option."""
+    from .resilience import TraceFormatError, salvage_file
     from .tracelog import ActivityLog, InitialState
 
     root = Path(directory)
-    state = InitialState.load(root / "initial_state")
-    log = ActivityLog.load(root / "activity_log.pdb")
-    return state, log
+    try:
+        state = InitialState.load(root / "initial_state")
+        if salvage:
+            result = salvage_file(root / "activity_log.pdb")
+            print(f"salvage      : {result.summary()}")
+            return state, result.log
+        return state, ActivityLog.load(root / "activity_log.pdb")
+    except TraceFormatError as exc:
+        hint = ("; re-run with --salvage to repair/skip bad records"
+                if salvage is False else "")
+        print(f"{'unsalvageable' if salvage else 'corrupt'} activity log: "
+              f"{str(exc).splitlines()[0]}{hint}", file=sys.stderr)
+    except (OSError, ValueError, KeyError, struct.error) as exc:
+        print(f"cannot read archive {directory}: "
+              f"{(str(exc) or type(exc).__name__).splitlines()[0]}",
+              file=sys.stderr)
+    return None
 
 
 def _load_final_state(directory: str):
@@ -440,67 +467,100 @@ def _resilience_active(args) -> bool:
                 args.reset_timeout is not None))
 
 
-def _open_trace_writer(args):
-    """A PTRC writer for ``--trace-out``, or an error message."""
-    from .traces.container import ContainerWriter, TraceContainerError
+def _replay_flag_error(args) -> Optional[str]:
+    """Why ``replay``'s flags do not combine, or None."""
+    from .traces.container import available_codecs
 
-    try:
-        return ContainerWriter(
-            args.trace_out, codec=args.trace_codec,
-            session={"source": "replay", "archive": str(args.session)}), None
-    except TraceContainerError as exc:
-        return None, str(exc)
-
-
-def _report_trace_out(manifest, path) -> None:
-    print(f"trace-out    : {path} ({manifest['tokens']:,} tokens, "
-          f"{manifest['chunks']} chunk(s), codec {manifest['codec']}, "
-          f"digest {manifest['digest'][:12]}…)")
+    if args.trace_out and args.no_profile:
+        return "--trace-out needs profiling (drop --no-profile)"
+    if args.trace_out and args.trace_codec not in available_codecs():
+        return (f"--trace-codec {args.trace_codec!r} is not available "
+                f"(choose from {', '.join(available_codecs())})")
+    if _resilience_active(args) and (args.sanitize or args.validate_codegen):
+        return (f"--{'sanitize' if args.sanitize else 'validate-codegen'} "
+                "does not combine with the resilience options "
+                "(checkpoints exclude shadow memory and codegen reports)")
+    if args.validate_codegen and (args.sanitize or args.core != "fast"):
+        return ("--validate-codegen requires the fast core without "
+                "--sanitize (fused codegen is disabled under shadow "
+                "checking)")
+    return None
 
 
 def cmd_replay(args) -> int:
     from .apps import standard_apps
     from .emulator import JitterModel, replay_session
+    from .resilience import (DivergenceError, FaultPlan, FaultSpecError,
+                             GuestResetTimeout, ReplayFault,
+                             resilient_replay)
+    from .traces import container
 
-    jitter = JitterModel(seed=args.jitter) if args.jitter is not None else None
-    if args.trace_out and args.no_profile:
-        print("--trace-out needs profiling (drop --no-profile)",
-              file=sys.stderr)
+    error = _replay_flag_error(args)
+    try:
+        plan = FaultPlan.parse(args.faults) if args.faults else None
+    except FaultSpecError as exc:
+        error = f"bad --faults spec: {exc}"
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
-    if _resilience_active(args):
-        if args.sanitize:
-            print("--sanitize does not combine with the resilience "
-                  "options (checkpoint state excludes shadow memory)",
-                  file=sys.stderr)
+    loaded = _load_archive(args.session, salvage=args.salvage)
+    if loaded is None:
+        return 1
+    state, log = loaded
+    resilient = _resilience_active(args)
+    trace_meta = {"source": "replay", "archive": str(args.session)}
+    writer = None
+    if args.trace_out and not resilient:
+        try:
+            writer = container.ContainerWriter(
+                args.trace_out, codec=args.trace_codec, session=trace_meta)
+        except OSError as exc:
+            print(f"--trace-out: {exc}", file=sys.stderr)
             return 2
-        return _replay_resilient(args, jitter)
-    if args.validate_codegen and (args.sanitize or args.core != "fast"):
-        print("--validate-codegen requires the fast core without "
-              "--sanitize (fused codegen is disabled under shadow "
-              "checking)", file=sys.stderr)
-        return 2
-    trace_writer = None
-    if args.trace_out:
-        trace_writer, err = _open_trace_writer(args)
-        if trace_writer is None:
-            print(f"--trace-out: {err}", file=sys.stderr)
-            return 2
-    state, log = _load_archive(args.session)
+    options = dict(
+        apps=standard_apps(), profile=not args.no_profile,
+        jitter=(JitterModel(seed=args.jitter)
+                if args.jitter is not None else None),
+        emulator_kwargs={**_EMU_KW, "core": args.core})
+    outcome = None
     start = time.time()
     try:
-        emulator, profiler, result = replay_session(
-            state, log, apps=standard_apps(), profile=not args.no_profile,
-            jitter=jitter, emulator_kwargs={**_EMU_KW, "core": args.core},
-            sanitize=args.sanitize,
-            sanitize_elide=not args.no_sanitize_elide,
-            validate_codegen=args.validate_codegen,
-            trace_sink=trace_writer,
-            trace_spill=trace_writer is not None)
-    except BaseException:
-        if trace_writer is not None:
-            trace_writer.abort()
-        raise
+        if resilient:
+            for name in ("checkpoint_every", "reset_timeout"):
+                if getattr(args, name) is not None:
+                    options[name] = getattr(args, name)
+            outcome = resilient_replay(
+                state, log, **options, faults=plan,
+                on_divergence=args.on_divergence or "strict",
+                retry_budget=args.retry_budget,
+                checkpoint_dir=args.checkpoint_dir)
+            emulator, profiler, result = (outcome.emulator,
+                                          outcome.profiler, outcome.result)
+        else:
+            # The trace streams into the writer and spills: it never
+            # stays in RAM.
+            emulator, profiler, result = replay_session(
+                state, log, **options, sanitize=args.sanitize,
+                sanitize_elide=not args.no_sanitize_elide,
+                validate_codegen=args.validate_codegen,
+                trace_sink=writer, trace_spill=True)
+    except BaseException as exc:
+        if writer is not None:
+            writer.abort()
+        if isinstance(exc, DivergenceError):
+            message = ("replay diverged from the recorded session:\n"
+                       + exc.report.format())
+        elif isinstance(exc, ReplayFault):
+            message = f"injected fault was not recovered: {exc}"
+        elif isinstance(exc, GuestResetTimeout):
+            message = f"guest reset timed out: {exc}"
+        else:
+            raise
+        print(message, file=sys.stderr)
+        return 1
     elapsed = time.time() - start
+    for note in outcome.fault_notes if outcome is not None else ():
+        print(f"fault        : {note}")
     if args.screenshot:
         from .analysis import screenshot_ppm
         screenshot_ppm(emulator.kernel, args.screenshot)
@@ -509,6 +569,18 @@ def cmd_replay(args) -> int:
         from .analysis import screen_ascii
         print(screen_ascii(emulator.kernel))
     print(f"replayed {result.events_injected} events in {elapsed:.1f}s")
+    if outcome is not None:
+        ticks = outcome.checkpoints.ticks
+        print(f"checkpoints  : {len(ticks)} kept "
+              f"(ticks {ticks[0]}..{ticks[-1]})" if ticks
+              else "checkpoints  : none captured")
+        if outcome.retries:
+            print(f"retries      : {outcome.retries} "
+                  "(recovered from checkpoint)")
+        if outcome.tainted:
+            print("TAINTED      : replay diverged and continued under "
+                  "--on-divergence degrade")
+            print(outcome.report.format())
     if profiler is not None:
         total = profiler.total_refs
         print(f"instructions : {profiler.instructions:,}")
@@ -517,8 +589,20 @@ def cmd_replay(args) -> int:
               f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
         print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
               f"(paper Table 1: 2.35-2.39)")
-    if trace_writer is not None:
-        _report_trace_out(trace_writer.close(), args.trace_out)
+    if args.trace_out:
+        try:
+            # The resilient run drains after the fact: PRCKPT01
+            # checkpoints hold the in-RAM trace a resync rolls back.
+            manifest = (writer.close() if writer is not None
+                        else container.write_container(
+                            profiler.chunks(), args.trace_out,
+                            codec=args.trace_codec, session=trace_meta))
+        except OSError as exc:
+            print(f"--trace-out: {exc}", file=sys.stderr)
+            return 1
+        print(f"trace-out    : {args.trace_out} ({manifest['tokens']:,} "
+              f"tokens, {manifest['chunks']} chunk(s), codec "
+              f"{manifest['codec']}, digest {manifest['digest'][:12]}…)")
     if args.hot:
         _print_hot(emulator, profiler, args.hot)
     if args.sanitize:
@@ -582,110 +666,6 @@ def _print_hot(emulator, profiler, n: int) -> None:
             f"{name(t)} ({c:,})" for t, c in traps) or "(none)"))
 
 
-def _replay_resilient(args, jitter) -> int:
-    from .apps import standard_apps
-    from .resilience import (DivergenceError, FaultPlan, FaultSpecError,
-                             GuestResetTimeout, ReplayFault, TraceFormatError,
-                             resilient_replay, salvage_file)
-    from .tracelog import ActivityLog, InitialState
-
-    try:
-        plan = FaultPlan.parse(args.faults) if args.faults else None
-    except FaultSpecError as exc:
-        print(f"bad --faults spec: {exc}", file=sys.stderr)
-        return 2
-    root = Path(args.session)
-    state = InitialState.load(root / "initial_state")
-    log_path = root / "activity_log.pdb"
-    salvage_result = None
-    if args.salvage:
-        # Lenient load: recover what the strict decoder would refuse.
-        try:
-            salvage_result = salvage_file(log_path)
-        except TraceFormatError as exc:
-            print(f"unsalvageable activity log: {exc}", file=sys.stderr)
-            return 1
-        log = salvage_result.log
-        print(f"salvage      : {salvage_result.summary()}")
-    else:
-        try:
-            log = ActivityLog.load(log_path)
-        except TraceFormatError as exc:
-            print(f"corrupt activity log: {exc}\n"
-                  f"(re-run with --salvage to repair/skip bad records)",
-                  file=sys.stderr)
-            return 1
-    kwargs = dict(
-        apps=standard_apps(), profile=not args.no_profile, jitter=jitter,
-        emulator_kwargs={**_EMU_KW, "core": args.core},
-        on_divergence=args.on_divergence or "strict",
-        retry_budget=args.retry_budget, faults=plan,
-        checkpoint_dir=args.checkpoint_dir)
-    if args.checkpoint_every is not None:
-        kwargs["checkpoint_every"] = args.checkpoint_every
-    if args.reset_timeout is not None:
-        kwargs["reset_timeout"] = args.reset_timeout
-    start = time.time()
-    try:
-        out = resilient_replay(state, log, **kwargs)
-    except DivergenceError as exc:
-        print("replay diverged from the recorded session:", file=sys.stderr)
-        print(exc.report.format(), file=sys.stderr)
-        return 1
-    except ReplayFault as exc:
-        print(f"injected fault was not recovered: {exc}", file=sys.stderr)
-        return 1
-    except GuestResetTimeout as exc:
-        print(f"guest reset timed out: {exc}", file=sys.stderr)
-        return 1
-    elapsed = time.time() - start
-    for note in out.fault_notes:
-        print(f"fault        : {note}")
-    if args.screenshot:
-        from .analysis import screenshot_ppm
-        screenshot_ppm(out.emulator.kernel, args.screenshot)
-        print(f"screenshot    : {args.screenshot}")
-    if args.screen:
-        from .analysis import screen_ascii
-        print(screen_ascii(out.emulator.kernel))
-    result = out.result
-    print(f"replayed {result.events_injected} events in {elapsed:.1f}s")
-    if out.checkpoints:
-        ticks = out.checkpoints.ticks
-        print(f"checkpoints  : {len(ticks)} kept "
-              f"(ticks {ticks[0]}..{ticks[-1]})" if ticks
-              else "checkpoints  : none captured")
-    if out.retries:
-        print(f"retries      : {out.retries} (recovered from checkpoint)")
-    if out.tainted:
-        print("TAINTED      : replay diverged and continued under "
-              "--on-divergence degrade")
-        print(out.report.format())
-    profiler = out.profiler
-    if profiler is not None:
-        total = profiler.total_refs
-        print(f"instructions : {profiler.instructions:,}")
-        print(f"references   : {total:,} "
-              f"(RAM {100 * profiler.ram_refs / max(1, total):.1f}%, "
-              f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
-        print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
-              f"(paper Table 1: 2.35-2.39)")
-        if args.trace_out:
-            # Drained after the replay rather than streamed: PRCKPT01
-            # checkpoints carry the in-RAM trace, so spilling it would
-            # break the resync/retry machinery.  chunks() still streams
-            # the write itself.
-            trace_writer, err = _open_trace_writer(args)
-            if trace_writer is None:
-                print(f"--trace-out: {err}", file=sys.stderr)
-                return 2
-            with trace_writer:
-                for chunk in profiler.chunks():
-                    trace_writer.append_tokens(chunk)
-            _report_trace_out(trace_writer.manifest, args.trace_out)
-    return 0
-
-
 def cmd_validate(args) -> int:
     from .analysis import format_validation
     from .apps import standard_apps
@@ -693,7 +673,10 @@ def cmd_validate(args) -> int:
     from .tracelog import read_activity_log
     from .validation import correlate_final_states, correlate_logs
 
-    state, log = _load_archive(args.session)
+    loaded = _load_archive(args.session)
+    if loaded is None:
+        return 1
+    state, log = loaded
     device_final = _load_final_state(args.session)
     jitter = JitterModel(seed=args.jitter) if args.jitter is not None else None
     emulator, _, _ = replay_session(state, log, apps=standard_apps(),
@@ -727,8 +710,9 @@ def cmd_sweep(args) -> int:
         with open_chunk_source(args.trace) as source:
             counts = source.counts()
     except (OSError, TraceContainerError) as exc:
-        print(f"not a readable trace: {args.trace}: "
-              f"{str(exc).splitlines()[0]}", file=sys.stderr)
+        # The message names the file already.
+        print(f"not a readable trace: {str(exc).splitlines()[0]}",
+              file=sys.stderr)
         return 1
     total = counts["ram"] + counts["flash"]
     print(f"sweeping {total:,} references out-of-core ({how}) ...")
@@ -837,7 +821,10 @@ def cmd_audit(args) -> int:
         from .apps import standard_apps
         from .emulator import replay_session
 
-        state, log = _load_archive(args.session)
+        loaded = _load_archive(args.session)
+        if loaded is None:
+            return 1
+        state, log = loaded
         _, profiler, _ = replay_session(
             state, log, apps=standard_apps(), profile=True,
             trace_references=False, track_opcode_addresses=True,
@@ -888,8 +875,13 @@ def cmd_verify_codegen(args) -> int:
     from .analysis.transval import (load_baseline, new_findings_against,
                                     save_baseline, verify_codegen)
 
+    session = None
+    if args.session is not None:
+        session = _load_archive(args.session)
+        if session is None:
+            return 1
     report, stats = verify_codegen(
-        session_dir=args.session,
+        session=session,
         run_selftest=not args.no_selftest,
         audit_elisions=not args.no_elision_audit,
         progress=lambda msg: print(msg, file=sys.stderr))

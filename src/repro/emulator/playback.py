@@ -40,6 +40,10 @@ from .pose import Emulator
 #: Default budget `_await_guest_reset` waits for a recorded soft reset
 #: (was a hardcoded ``min(max_ticks, 100_000)`` deadline).
 DEFAULT_RESET_TIMEOUT = 100_000
+#: Ticks an epoch's drain runs past its last scheduled event.
+IDLE_GRACE_TICKS = 200
+#: Tick budget of the final run to idle (and cap on the reset wait).
+MAX_TICKS = 100_000_000
 
 
 class GuestResetTimeout(RuntimeError):
@@ -228,8 +232,6 @@ class PlaybackDriver:
         self._randoms: Optional[_RandomQueue] = None
         self._drift: Optional[int] = None
         self._current_epoch = 0
-        self._idle_grace_ticks = 200
-        self._max_ticks = 100_000_000
         #: Armed by the fault-injection harness: pretend the recorded
         #: reset never happens, driving the GuestResetTimeout path.
         self._fault_stall_reset = False
@@ -292,8 +294,7 @@ class PlaybackDriver:
                                                   key=lambda e: e[0])]
 
     # -- the run -----------------------------------------------------------
-    def run(self, idle_grace_ticks: int = 200,
-            max_ticks: int = 100_000_000, reset: bool = False) -> PlaybackResult:
+    def run(self, reset: bool = False) -> PlaybackResult:
         """Replay the log.
 
         With ``reset=True`` the driver performs the session-start soft
@@ -305,8 +306,6 @@ class PlaybackDriver:
         emulator = self.emulator
         kernel = emulator.kernel
         device = emulator.device
-        self._idle_grace_ticks = idle_grace_ticks
-        self._max_ticks = max_ticks
 
         result = PlaybackResult()
         self._install_overrides(result, random_pos=0)
@@ -320,14 +319,14 @@ class PlaybackDriver:
 
         try:
             self._run_epochs(result, start_epoch=0, resume_drain=None)
-            device.run_until_idle(max_ticks=max_ticks)
+            device.run_until_idle(max_ticks=MAX_TICKS)
         finally:
             self._clear_overrides()
 
         return self._finalize(result)
 
-    def resume_from(self, checkpoint, disable_jitter: bool = False,
-                    max_ticks: Optional[int] = None) -> PlaybackResult:
+    def resume_from(self, checkpoint,
+                    disable_jitter: bool = False) -> PlaybackResult:
         """Restart a replay from a checkpoint and run it to completion.
 
         The emulator must have been built with the same application set
@@ -347,10 +346,6 @@ class PlaybackDriver:
 
         kernel = self.emulator.kernel
         device = self.emulator.device
-        self._idle_grace_ticks = driver_state["idle_grace_ticks"]
-        self._max_ticks = (max_ticks if max_ticks is not None
-                           else driver_state["max_ticks"])
-
         result = PlaybackResult(**driver_state["result"])
         jitter_state = driver_state.get("jitter")
         if jitter_state is not None and not disable_jitter:
@@ -390,7 +385,7 @@ class PlaybackDriver:
                 self._run_epochs(result, start_epoch=epoch_index,
                                  resume_drain=(drain["target"],
                                                drain["stop_at_reset"]))
-            device.run_until_idle(max_ticks=self._max_ticks)
+            device.run_until_idle(max_ticks=MAX_TICKS)
         finally:
             self._clear_overrides()
 
@@ -462,7 +457,7 @@ class PlaybackDriver:
         device = self.emulator.device
         self._current_epoch = epoch_index
         start = device.tick
-        deadline = start + min(self._max_ticks, self.reset_timeout)
+        deadline = start + min(MAX_TICKS, self.reset_timeout)
         every = self.checkpoint_every
         while kernel.boot_count <= prev_boots or self._fault_stall_reset:
             if device.tick >= deadline:
@@ -527,7 +522,7 @@ class PlaybackDriver:
             result.events_injected += 1
             last_tick = max(last_tick, tick)
 
-        return last_tick + self._idle_grace_ticks
+        return last_tick + IDLE_GRACE_TICKS
 
     def _drain_epoch(self, index: int, result: PlaybackResult,
                      target: int, stop_at_reset: bool) -> None:
@@ -587,8 +582,8 @@ class PlaybackDriver:
         state["jitter"] = (self.jitter.state_dict()
                            if self.jitter is not None else None)
         state["drift"] = self._drift
-        state["idle_grace_ticks"] = self._idle_grace_ticks
-        state["max_ticks"] = self._max_ticks
+        state["idle_grace_ticks"] = IDLE_GRACE_TICKS
+        state["max_ticks"] = MAX_TICKS
         checkpoint.manifest["driver"] = state
         return checkpoint
 
@@ -646,9 +641,53 @@ def replay_session(state, log: ActivityLog, apps=(), profile: bool = True,
     kwargs = dict(emulator_kwargs or {})
     if core is not None:
         kwargs["core"] = core
+    emulator, profiler = replay_machine(
+        apps, kwargs, state=state, jitter=jitter, profile=profile,
+        trace_references=trace_references,
+        track_opcode_addresses=track_opcode_addresses,
+        track_reference_pcs=track_reference_pcs,
+        trace_sink=trace_sink, trace_spill=trace_spill,
+        sanitize=sanitize, sanitize_elide=sanitize_elide,
+        fuse_threshold=fuse_threshold, on_fuse=on_fuse,
+        validate_codegen=validate_codegen)
+    san = emulator.sanitizer
+    driver = PlaybackDriver(emulator, log, jitter=jitter,
+                            reset_timeout=reset_timeout)
+    try:
+        result = driver.run(reset=True)
+    finally:
+        if san is not None and san.attached:
+            san.detach()
+        if profiler is not None and trace_sink is not None:
+            # The hot path batches tokens; push the final partial
+            # batch through so the container holds the whole trace.
+            profiler.flush_trace_sink()
+    return emulator, profiler, result
+
+
+def replay_machine(apps, emulator_kwargs: Optional[dict] = None, *,
+                   state=None, jitter: Optional[JitterModel] = None,
+                   profile: bool = True, trace_references: bool = True,
+                   track_opcode_addresses: bool = False,
+                   track_reference_pcs: bool = False,
+                   trace_sink=None, trace_spill: bool = False,
+                   sanitize: bool = False, sanitize_elide: bool = True,
+                   fuse_threshold: Optional[int] = None, on_fuse=None,
+                   validate_codegen: bool = False):
+    """Build a replay machine; returns ``(emulator, profiler)``.
+
+    The one set-up path of every replay: :func:`replay_session`, the
+    resilient runner and its localization scratch machines all build
+    here, so each gets the same profiler, trace sink, sanitizer,
+    dataflow region facts and fuse hooks.  ``state`` (β) is loaded
+    when given; a machine built without it is one that a checkpoint
+    restore will fill.  The keywords are :func:`replay_session`'s.
+    """
+    kwargs = dict(emulator_kwargs or {})
     emulator = Emulator(apps=apps, **kwargs)
-    emulator.load_state(state, restore_clock=jitter is None,
-                        final_reset=False)
+    if state is not None:
+        emulator.load_state(state, restore_clock=jitter is None,
+                            final_reset=False)
     profiler = None
     if profile:
         profiler = emulator.start_profiling(
@@ -670,18 +709,7 @@ def replay_session(state, log: ActivityLog, apps=(), profile: bool = True,
         load_facts(_region_facts(apps, kwargs))
     emulator.codegen_report = _install_fuse_hooks(
         emulator, fuse_threshold, on_fuse, validate_codegen)
-    driver = PlaybackDriver(emulator, log, jitter=jitter,
-                            reset_timeout=reset_timeout)
-    try:
-        result = driver.run(reset=True)
-    finally:
-        if san is not None and san.attached:
-            san.detach()
-        if profiler is not None and trace_sink is not None:
-            # The hot path batches tokens; push the final partial
-            # batch through so the container holds the whole trace.
-            profiler.flush_trace_sink()
-    return emulator, profiler, result
+    return emulator, profiler
 
 
 def _install_fuse_hooks(emulator: Emulator,

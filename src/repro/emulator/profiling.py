@@ -113,11 +113,6 @@ class Profiler:
         #: static analyzer cross-checks this against its CFG: a pc the
         #: walker never discovered is a decoder or walker bug.
         self.opcode_addresses: Dict[int, int] = {}
-        #: Caches simulated on-line during the replay itself (no trace
-        #: storage; useful when the session is too large to keep a
-        #: trace in memory).  Hardware-register references are skipped,
-        #: as in the off-line pipeline's ``memory_only()``.
-        self.online_caches: list = []
         #: Optional streaming trace sink (a PTRC ``ContainerWriter``):
         #: every sealed chunk is appended to it during replay.  With
         #: ``spill`` the chunks are *not* kept in RAM afterwards — the
@@ -149,10 +144,6 @@ class Profiler:
             self.reference_pcs[self._current_pc] = \
                 self.reference_pcs.get(self._current_pc, 0) \
                 | ref_mask_bit(kind, region)
-        if self.online_caches and region != REGION_HW:
-            write = kind == KIND_WRITE
-            for cache in self.online_caches:
-                cache.access(addr, write)
 
     def reference_pair(self, addr: int, kind: int, region: int) -> None:
         """The two consecutive bus-width references of one 32-bit
@@ -164,22 +155,15 @@ class Profiler:
     def _make_fast_reference(self):
         """The tracing hot path as a closure over locals.  Semantics are
         identical to the general method for this configuration
-        (``trace_references=True``, ``track_reference_pcs=False``);
-        online caches attached at any time are still honoured because
-        the closure tests the live list object."""
+        (``trace_references=True``, ``track_reference_pcs=False``)."""
         pending = self._pending
         append = pending.append
-        caches = self.online_caches
         flush = self._stage_pending
 
         def reference(addr: int, kind: int, region: int) -> None:
             append((addr & _MASK32) | ((kind | (region << 4)) << 32))
             if len(pending) >= TRACE_CHUNK:
                 flush()
-            if caches and region != REGION_HW:
-                write = kind == KIND_WRITE
-                for cache in caches:
-                    cache.access(addr, write)
 
         def reference_pair(addr: int, kind: int, region: int) -> None:
             # Identical to two reference() calls: the drain may come
@@ -189,11 +173,6 @@ class Profiler:
             append(((addr + 2) & _MASK32) | kb)
             if len(pending) >= TRACE_CHUNK:
                 flush()
-            if caches and region != REGION_HW:
-                write = kind == KIND_WRITE
-                for cache in caches:
-                    cache.access(addr, write)
-                    cache.access(addr + 2, write)
 
         return reference, reference_pair
 
@@ -202,9 +181,9 @@ class Profiler:
         replay core's vectorized fills and the trap layer's RAM byte
         runs).  Equivalent to one :meth:`reference` call per element:
         the block joins the same staging buffer as the per-token list,
-        behind its pending tokens.  Callers guarantee the
-        no-online-cache tracing configuration (the fused dispatch gate
-        and ``TracedAccess._ram_run`` check it)."""
+        behind its pending tokens.  Callers guarantee the tracing
+        configuration (the fused dispatch gate and
+        ``TracedAccess._ram_run`` check it)."""
         self._stage_pending()
         self._stage_tokens(chunk)
 

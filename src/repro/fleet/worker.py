@@ -42,6 +42,9 @@ from .campaign import SessionPlan, mix_to_apps
 #: pinned explicitly — the two machines must be equivalent).
 WORKER_RAM = 8 << 20
 WORKER_FLASH = 1 << 20
+#: The replay's emulator geometry; :func:`prewarm` audits each ROM at
+#: exactly this geometry, the key of the region-facts memo.
+_EMULATOR_KW = {"ram_size": WORKER_RAM, "flash_size": WORKER_FLASH}
 
 #: Pipeline stages, in order.  Chaos directives address these names.
 STAGES = ("collect", "replay", "simulate")
@@ -128,8 +131,7 @@ def run_session(plan: SessionPlan, *, policy: str = "resync",
     outcome = resilient_replay(
         session.initial_state, session.log, apps=apps,
         profile=True,
-        emulator_kwargs={"ram_size": WORKER_RAM,
-                         "flash_size": WORKER_FLASH},
+        emulator_kwargs=_EMULATOR_KW,
         checkpoint_every=checkpoint_every or DEFAULT_CHECKPOINT_EVERY,
         on_divergence=policy,
         faults=faults,
@@ -151,17 +153,16 @@ def run_session(plan: SessionPlan, *, policy: str = "resync",
     trace_digest = None
     if trace_dir:
         from ..storage import replacing
-        from ..traces.container import ContainerWriter
+        from ..traces import container
         os.makedirs(trace_dir, exist_ok=True)
         final_path = os.path.join(trace_dir, f"{plan.session_id}.ptrc")
         meta = {"session_id": plan.session_id, "seed": plan.seed,
                 "cell": cell.describe()}
-        # ContainerWriter fsyncs the sibling before it is renamed.
-        with replacing(final_path) as tmp, \
-                ContainerWriter(tmp, session=meta) as writer:
-            for chunk in profiler.chunks():
-                writer.append_tokens(chunk)
-        trace_digest = writer.manifest["digest"]
+        # The writer fsyncs the sibling before it is renamed.
+        with replacing(final_path) as tmp:
+            manifest = container.write_container(profiler.chunks(), tmp,
+                                                 session=meta)
+        trace_digest = manifest["digest"]
     model = EnergyModel()
     # The kernels hand back numpy scalars; the stats record must be
     # plain JSON types (the journal is the durability boundary).
@@ -204,9 +205,12 @@ def run_session(plan: SessionPlan, *, policy: str = "resync",
 
 def prewarm(app_mixes: Iterable[Sequence[str]]) -> None:
     """Do once, in the calling process, the set-up every session would
-    otherwise repeat: import :func:`run_session`'s stage modules and
+    otherwise repeat: import :func:`run_session`'s stage modules,
     assemble the ROM image of each app mix plus the five collection
-    hacks into the :func:`repro.m68k.asm.assemble_cached` memo.
+    hacks into the :func:`repro.m68k.asm.assemble_cached` memo, and
+    audit each mix's ROM at the worker geometry into the replay's
+    region-facts memo (the fused core loads those facts on every
+    replay).
 
     The supervisor calls this before it forks, so every worker inherits
     the modules and the memo through copy-on-write pages.  Stats records
@@ -214,6 +218,7 @@ def prewarm(app_mixes: Iterable[Sequence[str]]) -> None:
     """
     from ..analysis import energy  # noqa: F401
     from ..cache import kernels  # noqa: F401
+    from ..emulator.playback import _region_facts
     from ..hacks import standard_hacks
     from ..hacks.manager import hack_payload
     from ..m68k import blockcore, fuse  # noqa: F401
@@ -224,6 +229,7 @@ def prewarm(app_mixes: Iterable[Sequence[str]]) -> None:
 
     for mix in set(map(tuple, app_mixes)):
         RomBuilder(mix_to_apps(mix)).build()
+        _region_facts(mix_to_apps(mix), _EMULATOR_KW)
     for spec in standard_hacks():
         hack_payload(spec)
 

@@ -507,8 +507,7 @@ class BlockCore:
         profiler = None
         if tracer is not None:
             P = _resolve_profiler()
-            if (type(tracer) is P and tracer.trace_references
-                    and not tracer.online_caches):
+            if type(tracer) is P and tracer.trace_references:
                 profiler = tracer
                 fast_append = tracer._pending.append
             else:

@@ -152,7 +152,7 @@ class TracedAccess:
         if (not self.microcode_fetch
                 or type(tracer) is not _profiler_type()
                 or not tracer.trace_references
-                or tracer.track_reference_pcs or tracer.online_caches):
+                or tracer.track_reference_pcs):
             return None
         toks = self._bulk_tokens(addr, length,
                                  (0x2 if write else 0x1) << 32)

@@ -27,9 +27,11 @@ resilience machinery:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..emulator.playback import (
     DEFAULT_RESET_TIMEOUT,
@@ -37,6 +39,7 @@ from ..emulator.playback import (
     JitterModel,
     PlaybackDriver,
     PlaybackResult,
+    replay_machine,
 )
 from ..emulator.pose import Emulator
 from ..tracelog import ActivityLog, read_activity_log
@@ -181,7 +184,6 @@ def resilient_replay(
     apps: Sequence[Any] = (),
     *,
     profile: bool = True,
-    trace_references: bool = True,
     jitter: Optional[JitterModel] = None,
     emulator_kwargs: Optional[dict] = None,
     reset_timeout: int = DEFAULT_RESET_TIMEOUT,
@@ -190,16 +192,16 @@ def resilient_replay(
     keep_checkpoints: int = 4,
     on_divergence: str = "strict",
     retry_budget: int = 3,
-    watch: bool = True,
     faults: Union[str, FaultPlan, None] = None,
     salvage: bool = False,
-    idle_grace_ticks: int = 200,
-    max_ticks: int = 100_000_000,
 ) -> ResilientReplayResult:
     """Replay ``log`` against ``state`` with checkpointing, the live
     watchdog, and the selected divergence policy.
 
-    The watchdog compares the replayed machine's activity log against
+    The machine is built by :func:`~repro.emulator.playback.replay_machine`,
+    the set-up :func:`~repro.emulator.playback.replay_session` uses, so
+    both replays run the same core with the same region facts.  The
+    watchdog compares the replayed machine's activity log against
     the *pristine* input log (after salvage, before fault injection),
     so injected trace corruption is detected as genuine divergence.
     """
@@ -219,43 +221,51 @@ def resilient_replay(
     if plan is not None and plan.trace_specs:
         replay_log, fault_notes = plan.apply_to_log(reference)
 
-    emulator = Emulator(apps=apps, **(emulator_kwargs or {}))
-    emulator.load_state(state, restore_clock=jitter is None,
-                        final_reset=False)
-    profiler = (emulator.start_profiling(trace_references=trace_references)
-                if profile else None)
+    emulator, profiler = replay_machine(apps, emulator_kwargs, state=state,
+                                        jitter=jitter, profile=profile)
 
-    if watch:
-        from ..hacks import installed_hack_traps
+    from ..hacks import installed_hack_traps
 
-        if not installed_hack_traps(emulator.kernel):
-            # Without the logging hacks the replayed machine produces no
-            # activity log, and every comparison would be a false
-            # MISSING_EVENT.  Replay still works; watching cannot.
-            fault_notes.append(
-                "watchdog disabled: no logging hacks installed in the "
-                "imported state")
-            watch = False
+    watchdog = None
+    if installed_hack_traps(emulator.kernel):
+        watchdog = DivergenceWatchdog(reference)
+    else:
+        # Without the logging hacks the replayed machine produces no
+        # activity log, and every comparison would be a false
+        # MISSING_EVENT.  Replay still works; watching cannot.
+        fault_notes.append(
+            "watchdog disabled: no logging hacks installed in the "
+            "imported state")
 
     manager = CheckpointManager(directory=checkpoint_dir,
                                 keep=keep_checkpoints)
-    watchdog = DivergenceWatchdog(reference) if watch else None
     outcome = ResilientReplayResult(result=PlaybackResult(),
                                     emulator=emulator, profiler=profiler,
                                     checkpoints=manager,
                                     salvage=salvage_result,
                                     fault_notes=fault_notes)
+    localize = functools.partial(
+        _localize, manager, reference=reference, replay_log=replay_log,
+        reset_timeout=reset_timeout,
+        machine=functools.partial(replay_machine, apps, emulator_kwargs,
+                                  profile=profile))
+    escalate = functools.partial(_escalate, outcome=outcome,
+                                 watchdog=watchdog, localize=localize,
+                                 apps=apps)
+
+    def watch(tick: int, final: bool = False) -> None:
+        if watchdog is None:
+            return
+        fresh = watchdog.check(read_activity_log(emulator.kernel),
+                               final=final)
+        if fresh and on_divergence == "degrade":
+            outcome.tainted = True
+        elif fresh:
+            raise _DivergenceDetected(fresh, tick)
 
     def hook(checkpoint: Checkpoint) -> None:
         manager.add(checkpoint)
-        if watchdog is None:
-            return
-        fresh = watchdog.check(read_activity_log(emulator.kernel))
-        if fresh:
-            if on_divergence == "degrade":
-                outcome.tainted = True
-            else:
-                raise _DivergenceDetected(fresh, checkpoint.tick)
+        watch(checkpoint.tick)
 
     driver = PlaybackDriver(emulator, replay_log, jitter=jitter,
                             reset_timeout=reset_timeout,
@@ -272,29 +282,15 @@ def resilient_replay(
     while True:
         try:
             if resume_cp is None:
-                result = driver.run(idle_grace_ticks=idle_grace_ticks,
-                                    max_ticks=max_ticks, reset=True)
+                result = driver.run(reset=True)
             else:
-                result = driver.resume_from(
-                    resume_cp, disable_jitter=True, max_ticks=max_ticks)
-            if watchdog is not None:
-                fresh = watchdog.check(read_activity_log(emulator.kernel),
-                                       final=True)
-                if fresh:
-                    if on_divergence == "degrade":
-                        outcome.tainted = True
-                    else:
-                        raise _DivergenceDetected(fresh,
-                                                  emulator.device.tick)
+                result = driver.resume_from(resume_cp, disable_jitter=True)
+            watch(emulator.device.tick, final=True)
             break
         except (_DivergenceDetected, ReplayFault, GuestResetTimeout) as exc:
-            resume_cp = _handle_failure(
-                exc, outcome, manager, watchdog, driver, plan,
-                on_divergence, retry_budget,
-                reference=reference, replay_log=replay_log, apps=apps,
-                profile=profile, trace_references=trace_references,
-                emulator_kwargs=emulator_kwargs,
-                reset_timeout=reset_timeout)
+            resume_cp = _handle_failure(exc, outcome, manager, watchdog,
+                                        driver, plan, on_divergence,
+                                        retry_budget, escalate)
 
     outcome.result = result
     outcome.report = watchdog.report if watchdog is not None else None
@@ -303,35 +299,23 @@ def resilient_replay(
     return outcome
 
 
-def _handle_failure(exc: BaseException, outcome: ReplayOutcome,
+def _handle_failure(exc: BaseException, outcome: ResilientReplayResult,
                     manager: CheckpointManager,
                     watchdog: Optional[DivergenceWatchdog],
                     driver: Any, plan: Optional[FaultPlan],
-                    policy: str, retry_budget: List[int], *,
-                    reference: ActivityLog, replay_log: ActivityLog,
-                    apps: Sequence[Any], profile: bool,
-                    trace_references: bool,
-                    emulator_kwargs: Optional[dict],
-                    reset_timeout: int) -> Checkpoint:
+                    policy: str, retry_budget: int,
+                    escalate: Callable[[BaseException], BaseException],
+                    ) -> Checkpoint:
     """Apply the divergence policy to one failure; returns the
-    checkpoint to resume from, or raises the terminal error."""
+    checkpoint to resume from, or raises the terminal error that
+    ``escalate`` builds."""
     if policy == "strict":
-        raise _escalate(exc, outcome, manager, watchdog,
-                        reference=reference, replay_log=replay_log,
-                        apps=apps, profile=profile,
-                        trace_references=trace_references,
-                        emulator_kwargs=emulator_kwargs,
-                        reset_timeout=reset_timeout)
+        raise escalate(exc)
 
     # resync (and degrade's hard-fault fallback): retry from a
     # checkpoint; repeated failures back off to earlier checkpoints.
     if outcome.retries >= retry_budget:
-        raise _escalate(exc, outcome, manager, watchdog,
-                        reference=reference, replay_log=replay_log,
-                        apps=apps, profile=profile,
-                        trace_references=trace_references,
-                        emulator_kwargs=emulator_kwargs,
-                        reset_timeout=reset_timeout)
+        raise escalate(exc)
     if isinstance(exc, GuestResetTimeout):
         # A timeout means wall time was burned waiting; every later
         # checkpoint embeds more of the wasted time, so the *oldest*
@@ -339,23 +323,13 @@ def _handle_failure(exc: BaseException, outcome: ReplayOutcome,
         # epoch's schedule.  A second timeout can't do better (the ring
         # has nothing older) — escalate rather than loop.
         if outcome.retries > 0:
-            raise _escalate(exc, outcome, manager, watchdog,
-                            reference=reference, replay_log=replay_log,
-                            apps=apps, profile=profile,
-                            trace_references=trace_references,
-                            emulator_kwargs=emulator_kwargs,
-                            reset_timeout=reset_timeout)
+            raise escalate(exc)
         checkpoint = manager.earliest()
     else:
         checkpoint = (manager.latest() if outcome.retries == 0
                       else manager.discard_latest())
     if checkpoint is None:
-        raise _escalate(exc, outcome, manager, watchdog,
-                        reference=reference, replay_log=replay_log,
-                        apps=apps, profile=profile,
-                        trace_references=trace_references,
-                        emulator_kwargs=emulator_kwargs,
-                        reset_timeout=reset_timeout)
+        raise escalate(exc)
     outcome.retries += 1
     if policy == "degrade":
         outcome.tainted = True
@@ -392,20 +366,18 @@ def _static_hints(apps: Optional[Sequence[Any]]) -> List[str]:
     return _static_hint_cache[key]
 
 
-def _escalate(exc: BaseException, outcome: ReplayOutcome,
-              manager: CheckpointManager,
+def _escalate(exc: BaseException, *, outcome: ResilientReplayResult,
               watchdog: Optional[DivergenceWatchdog],
-              **localize_kw: Any) -> BaseException:
+              localize: Callable[[int], Tuple[Optional[int], int]],
+              apps: Sequence[Any]) -> BaseException:
     """Build the terminal, typed error for a failure the policy cannot
     (or may not) absorb."""
     if isinstance(exc, _DivergenceDetected):
         report = (watchdog.report if watchdog is not None
                   else DivergenceReport(divergences=list(exc.fresh)))
         report.retries = outcome.retries
-        last_good, first_bad = _localize(manager, exc.tick, **localize_kw)
-        report.last_good_tick = last_good
-        report.first_bad_tick = first_bad
-        report.static_hints = _static_hints(localize_kw.get("apps"))
+        report.last_good_tick, report.first_bad_tick = localize(exc.tick)
+        report.static_hints = _static_hints(apps)
         return DivergenceError(report)
     # ReplayFault / GuestResetTimeout are already typed; after a failed
     # resync they surface as-is (the caller sees retry context on the
@@ -420,20 +392,19 @@ def _escalate(exc: BaseException, outcome: ReplayOutcome,
 # ----------------------------------------------------------------------
 def _localize(manager: CheckpointManager, bad_tick: int, *,
               reference: ActivityLog, replay_log: ActivityLog,
-              apps: Sequence[Any], profile: bool,
-              trace_references: bool,
-              emulator_kwargs: Optional[dict],
-              reset_timeout: int) -> Tuple[Optional[int], int]:
+              reset_timeout: int,
+              machine: Callable[[], Tuple[Emulator, Any]],
+              ) -> Tuple[Optional[int], int]:
     """Narrow the first divergent window ``(last_good, first_bad]``.
 
     The coarse detection only says "the log had already diverged by
     checkpoint tick ``bad_tick``".  Replaying the window from the last
     good checkpoint with progressively finer checkpoint spacing — on a
-    scratch emulator, with a scratch watchdog — shrinks the window by
-    ``_LOCALIZE_FAN``× per round until it is at most ``_LOCALIZE_GOAL``
-    ticks wide.  Deterministic by construction: the scratch run restores
-    the captured machine (including jitter state), so the divergence
-    reproduces at the same tick every round.
+    scratch machine from ``machine()``, with a scratch watchdog —
+    shrinks the window by ``_LOCALIZE_FAN``× per round until it is at
+    most ``_LOCALIZE_GOAL`` ticks wide.  Deterministic by construction:
+    the scratch run restores the captured machine (including jitter
+    state), so the divergence reproduces at the same tick every round.
     """
     checkpoint = manager.before(bad_tick)
     if checkpoint is None:
@@ -443,22 +414,16 @@ def _localize(manager: CheckpointManager, bad_tick: int, *,
     while hi - lo > _LOCALIZE_GOAL and rounds < _LOCALIZE_ROUNDS:
         rounds += 1
         fine = max(1, (hi - lo) // _LOCALIZE_FAN)
-        scratch = Emulator(apps=apps, **(emulator_kwargs or {}))
-        if profile:
-            scratch.start_profiling(trace_references=trace_references)
+        scratch, _profiler = machine()
         scratch_watchdog = DivergenceWatchdog(reference)
         last_scratch_cp = [checkpoint]
 
-        def hook(cp: Checkpoint,
-                 _wd: DivergenceWatchdog = scratch_watchdog,
-                 _em: Emulator = scratch,
-                 _keep: List[Checkpoint] = last_scratch_cp,
-                 _hi: int = hi) -> None:
-            fresh = _wd.check(read_activity_log(_em.kernel))
-            if fresh:
+        def hook(cp: Checkpoint) -> None:
+            # Runs only inside this round's resume_from below.
+            if scratch_watchdog.check(read_activity_log(scratch.kernel)):
                 raise _StopLocalize(cp.tick)
-            if cp.tick < _hi:
-                _keep[0] = cp
+            if cp.tick < hi:
+                last_scratch_cp[0] = cp
 
         driver = PlaybackDriver(scratch, replay_log,
                                 reset_timeout=reset_timeout,

@@ -396,6 +396,10 @@ class ContainerWriter:
 
 # -- reader ---------------------------------------------------------------
 
+#: How a torn container is recovered from the command line.
+_SALVAGE_HINT = "try palm-repro trace verify PATH --salvage OUT.ptrc"
+
+
 class TraceContainer:
     """A PTRC file opened for reading.
 
@@ -410,16 +414,17 @@ class TraceContainer:
         self._fh = open(self.path, "rb")
         try:
             size = os.fstat(self._fh.fileno()).st_size
+            head = self._fh.read(HEADER_SIZE)
+            if head[:len(MAGIC)] != MAGIC:
+                raise TraceContainerError(
+                    f"{self.path}: bad magic {head[:len(MAGIC)]!r} "
+                    "(not a PTRC file)")
             if size < HEADER_SIZE + FOOTER_SIZE:
                 raise TraceContainerError(
                     f"{self.path}: too short to be a PTRC container "
-                    "(torn tail? try salvage_container)")
-            head = self._fh.read(HEADER_SIZE)
+                    f"(torn tail? {_SALVAGE_HINT})")
             magic, version, codec_raw, chunk_tokens, _flags = \
                 _HEADER.unpack(head)
-            if magic != MAGIC:
-                raise TraceContainerError(
-                    f"{self.path}: bad magic {magic!r} (not a PTRC file)")
             if version not in READ_VERSIONS:
                 raise TraceContainerError(
                     f"{self.path}: unsupported PTRC version {version}")
@@ -434,7 +439,7 @@ class TraceContainer:
             if footer_magic != FOOTER_MAGIC:
                 raise TraceContainerError(
                     f"{self.path}: missing footer — torn container "
-                    "(writer died before close; try salvage_container)")
+                    f"(writer died before close; {_SALVAGE_HINT})")
             self._fh.seek(index_offset)
             index_blob = self._fh.read(index_nbytes)
             if len(index_blob) != index_nbytes \

@@ -96,6 +96,91 @@ class TestReplay:
         assert rc == 0
         assert "ave mem cyc" not in capsys.readouterr().out
 
+    def test_resilient_replay_matches_plain_replay(self, archive, tmp_path,
+                                                   capsys):
+        """A checkpointed resync replay builds the same machine and prints
+        the same report: its summary lines and PTRC digest equal the
+        plain replay's."""
+        from repro.traces import TraceContainer
+
+        runs = {}
+        for name, extra in (("plain", []),
+                            ("resync", ["--checkpoint-every", "500",
+                                        "--on-divergence", "resync"])):
+            path = tmp_path / f"{name}.ptrc"
+            assert main(["replay", "--session", str(archive),
+                         "--trace-out", str(path), *extra]) == 0
+            summary = [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith(("instructions", "references",
+                                           "ave mem cyc"))]
+            with TraceContainer(path) as container:
+                runs[name] = (summary, container.digest)
+        assert len(runs["plain"][0]) == 3
+        assert runs["resync"] == runs["plain"]
+
+    def test_hot_report_under_resilience(self, archive, capsys):
+        rc = main(["replay", "--session", str(archive), "--hot", "3",
+                   "--checkpoint-every", "500"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "checkpoints" in out
+        assert "hot blocks" in out and "hot traps" in out
+
+    @pytest.mark.parametrize("core", ["fast", "simple"])
+    @pytest.mark.parametrize("resilience", [
+        ["--checkpoint-every", "500"], ["--on-divergence", "resync"],
+        ["--faults", "crash:at=250"], ["--salvage"],
+        ["--reset-timeout", "800"]])
+    def test_validate_codegen_rejects_resilience(self, archive, capsys,
+                                                 resilience, core):
+        rc = main(["replay", "--session", str(archive), "--validate-codegen",
+                   "--core", core, *resilience])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--validate-codegen does not combine" in err
+
+
+@pytest.fixture(scope="module")
+def corrupt_archive(archive, tmp_path_factory):
+    """The quickstart archive with an unknown event type in its log."""
+    import shutil
+
+    from repro.resilience import FaultPlan
+    from repro.tracelog import ActivityLog
+
+    root = tmp_path_factory.mktemp("corrupt") / "session"
+    shutil.copytree(archive, root)
+    log_path = root / "activity_log.pdb"
+    garbled, _ = FaultPlan.parse("type-garbage").apply_to_log(
+        ActivityLog.load(log_path))
+    garbled.save(log_path)
+    return root
+
+
+ARCHIVE_COMMANDS = [["replay"], ["replay", "--checkpoint-every", "500"],
+                    ["validate"], ["audit"], ["verify-codegen"]]
+
+
+class TestArchiveErrors:
+    """``replay`` (plain and resilient), ``validate``, ``audit`` and
+    ``verify-codegen`` load archives through one loader: an unreadable
+    archive prints one stderr line and exits 1, with no traceback."""
+
+    @pytest.mark.parametrize("command", ARCHIVE_COMMANDS)
+    def test_missing_archive(self, tmp_path, command):
+        proc = run_cli(*command, "--session", tmp_path / "nonexistent")
+        assert_one_line_failure(proc)
+        assert "cannot read archive" in proc.stderr
+        assert "nonexistent" in proc.stderr
+
+    @pytest.mark.parametrize("command", ARCHIVE_COMMANDS)
+    def test_corrupt_activity_log(self, corrupt_archive, command):
+        proc = run_cli(*command, "--session", corrupt_archive)
+        assert_one_line_failure(proc)
+        assert "corrupt activity log" in proc.stderr
+        assert ("--salvage" in proc.stderr) == (command[0] == "replay")
+
 
 class TestValidate:
     def test_validate_passes_deterministic(self, archive, capsys):
@@ -204,6 +289,18 @@ class TestSweepBadInput:
         assert "garbage.npz" in proc.stderr
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name, message", [
+        ("short.txt", "not a PTRC file"),
+        ("torn.ptrc", "trace verify PATH --salvage OUT.ptrc")])
+    def test_short_file(self, bad_inputs, jobs, name, message):
+        """A short non-PTRC file is not called torn, a short PTRC prefix
+        is, and the path is printed once."""
+        proc = run_cli("sweep", "--trace", bad_inputs / name, "--jobs", jobs)
+        assert_one_line_failure(proc)
+        assert message in proc.stderr
+        assert proc.stderr.count(name) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_decode_failure(self, desktop_container, jobs):
         proc = run_cli("sweep", "--trace", desktop_container,
                        "--jobs", jobs, script=DECODE_FAILS_IN_WORKER)
@@ -214,11 +311,14 @@ class TestSweepBadInput:
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """A missing ``.ptrc``, an 18-byte garbage ``.ptrc`` and a ``.din``
-    that is not dinero text."""
+    """A missing ``.ptrc``, an 18-byte garbage ``.ptrc``, a ``.din``
+    that is not dinero text, a 10-byte text file and an 18-byte file
+    that starts like a PTRC container."""
     root = tmp_path_factory.mktemp("bad-inputs")
     (root / "garbage.ptrc").write_bytes(bytes(range(18)))
     (root / "garbage.din").write_bytes(b"garbage\x00\xff\xfe\n")
+    (root / "short.txt").write_bytes(b"hello text")
+    (root / "torn.ptrc").write_bytes(b"PTRC01" + bytes(12))
     return root
 
 
@@ -229,13 +329,19 @@ class TestTraceBadInput:
 
     @pytest.mark.parametrize("action", ["info", "verify", "cat", "convert"])
     @pytest.mark.parametrize("name", ["missing.ptrc", "garbage.ptrc",
-                                      "garbage.din"])
+                                      "garbage.din", "short.txt",
+                                      "torn.ptrc"])
     def test_one_line_failure(self, bad_inputs, tmp_path, action, name):
         dst = [tmp_path / "out.ptrc"] if action == "convert" else []
         proc = run_cli("trace", action, bad_inputs / name, *dst)
         assert_one_line_failure(proc)
         assert name in proc.stderr
         assert not list(tmp_path.iterdir())
+        if name == "short.txt":
+            assert "not a PTRC file" in proc.stderr
+        if name == "torn.ptrc":
+            assert "torn" in proc.stderr
+            assert "trace verify PATH --salvage OUT.ptrc" in proc.stderr
 
     @pytest.mark.parametrize("suffix", [".ptrc", ".din"])
     def test_failed_convert_keeps_existing_destination(

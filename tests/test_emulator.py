@@ -123,6 +123,13 @@ class TestProfiling:
                                        + profiler.write_refs)
         assert profiler.flash_refs > 0
         assert profiler.ram_refs > 0
+        # Untraced replays keep per-call counters instead of deriving
+        # them from the trace; both must count the same references.
+        _, untraced, _ = replay_session(
+            session.initial_state, session.log, apps=APPS,
+            trace_references=False, emulator_kwargs=EMU_KW)
+        assert untraced.total_refs == profiler.total_refs
+        assert untraced.counts_dict() == profiler.counts_dict()
 
     def test_average_memory_cycles_in_range(self, session):
         _, profiler, _ = replay_session(

@@ -301,6 +301,29 @@ class TestChaosPlan:
 # Live campaigns (real worker processes)
 # ----------------------------------------------------------------------
 
+class TestPrewarm:
+    def test_prewarm_fills_the_region_facts_memo(self, monkeypatch):
+        """Forked workers inherit the facts: after ``prewarm`` the
+        replay's facts lookup at the worker geometry needs no audit."""
+        from repro.analysis.static import audit
+        from repro.emulator import playback
+        from repro.fleet.campaign import mix_to_apps
+        from repro.fleet.worker import WORKER_FLASH, WORKER_RAM, prewarm
+
+        mix = TINY["app_mixes"][0]
+        monkeypatch.setattr(playback, "_FACTS_CACHE", {})
+        prewarm([mix])
+
+        def no_audit(*args, **kwargs):
+            raise AssertionError("the ROM audit ran after prewarm")
+
+        monkeypatch.setattr(audit, "audit_rom", no_audit)
+        facts = playback._region_facts(
+            mix_to_apps(mix),
+            {"ram_size": WORKER_RAM, "flash_size": WORKER_FLASH})
+        assert facts
+
+
 class TestLiveCampaign:
     def test_clean_campaign_completes(self, tmp_path):
         result = run_campaign(tiny_spec(2), tmp_path / "c", jobs=2,

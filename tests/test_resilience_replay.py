@@ -14,6 +14,8 @@ from repro.emulator.playback import (
     DEFAULT_RESET_TIMEOUT,
     GuestResetTimeout,
     PlaybackDriver,
+    _region_facts,
+    replay_machine,
 )
 from repro.emulator.pose import Emulator
 from repro.resilience import (
@@ -24,6 +26,7 @@ from repro.resilience import (
     ReplayFault,
     resilient_replay,
 )
+from repro.resilience import replay as replay_module
 from repro.tracelog import (
     ActivityLog,
     LogEventType,
@@ -345,6 +348,31 @@ class TestResilientReplay:
         assert out.clean and not out.tainted and out.retries == 0
         assert not out.report
         assert out.checkpoints.ticks, "no checkpoints captured"
+
+    def test_fast_core_loads_region_facts(self, session):
+        out = self._run(session, on_divergence="strict")
+        facts = out.emulator.device.core.facts
+        assert facts and facts == _region_facts(_APPS, EMU_KW)
+
+    def test_scratch_machines_share_the_replay_set_up(self, session,
+                                                      monkeypatch):
+        """The replay's machine and every localization scratch machine
+        are built by ``replay_machine`` and carry the region facts."""
+        built = []
+
+        def recording(*args, **kwargs):
+            machine = replay_machine(*args, **kwargs)
+            built.append(machine[0])
+            return machine
+
+        monkeypatch.setattr(replay_module, "replay_machine", recording)
+        with pytest.raises(DivergenceError) as exc_info:
+            self._run(session, on_divergence="strict",
+                      faults="truncate:frac=0.6")
+        assert exc_info.value.report.last_good_tick is not None
+        assert len(built) > 1
+        for emulator in built:
+            assert emulator.device.core.facts == _region_facts(_APPS, EMU_KW)
 
     def test_runtime_crash_recovers_under_resync(self, session):
         clean = self._run(session, on_divergence="strict")

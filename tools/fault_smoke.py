@@ -11,8 +11,13 @@ the contract the resilience subsystem promises:
   recovered from a checkpoint;
 * the same recovery with profiling on and ``--trace-out`` -> the
   rolled-back reference trace has the clean replay's PTRC digest;
+* a clean ``--on-divergence resync`` run prints the same summary
+  lines and writes the same PTRC digest as the plain replay (both
+  build the machine through one set-up);
 * ``--on-divergence degrade`` + trace corruption -> exit 0, completes
-  with an explicit TAINTED notice.
+  with an explicit TAINTED notice;
+* a garbled on-disk activity log -> plain and strict replays exit 1
+  with one stderr line naming ``--salvage``; ``--salvage`` repairs it.
 
 Run from a checkout: ``python tools/fault_smoke.py``.
 """
@@ -52,6 +57,11 @@ def ptrc_digest(path):
         return container.digest
 
 
+def summary_lines(out):
+    return [line for line in out.splitlines()
+            if line.startswith(("instructions", "references", "ave mem cyc"))]
+
+
 def main_smoke() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = str(Path(tmp) / "session")
@@ -87,6 +97,19 @@ def main_smoke() -> int:
         code, out, err = run_cli("replay", "--session", archive,
                                  "--trace-out", clean_ptrc)
         check("clean profiled replay exits zero", code == 0, f"exit={code}")
+        plain_summary = summary_lines(out)
+        clean_resync_ptrc = str(Path(tmp) / "clean-resync.ptrc")
+        code, out, err = run_cli("replay", "--session", archive,
+                                 "--checkpoint-every", "100",
+                                 "--on-divergence", "resync",
+                                 "--trace-out", clean_resync_ptrc)
+        check("clean resync replay exits zero", code == 0, f"exit={code}")
+        same = len(plain_summary) == 3 and summary_lines(out) == plain_summary
+        check("clean resync summary equals the plain replay's", same,
+              "" if same else f"{summary_lines(out)} vs {plain_summary}")
+        check("clean resync trace digest equals the plain replay's",
+              ptrc_digest(clean_resync_ptrc) is not None
+              and ptrc_digest(clean_resync_ptrc) == ptrc_digest(clean_ptrc))
         code, out, err = run_cli("replay", "--session", archive,
                                  "--checkpoint-every", "100",
                                  "--on-divergence", "resync",
@@ -113,6 +136,17 @@ def main_smoke() -> int:
         log = ActivityLog.load(log_path)
         garbled, _ = FaultPlan.parse("type-garbage,dup").apply_to_log(log)
         garbled.save(log_path)
+        for name, argv in (("plain", ("replay", "--session", archive)),
+                           ("strict", (*replay, "--on-divergence",
+                                       "strict"))):
+            code, out, err = run_cli(*argv)
+            check(f"{name} replay of the garbled log exits 1", code == 1,
+                  f"exit={code}")
+            check(f"{name} replay fails with one stderr line naming "
+                  "--salvage",
+                  len(err.strip().splitlines()) == 1
+                  and "--salvage" in err and "Traceback" not in err,
+                  err.strip()[-200:])
         code, out, err = run_cli(*replay, "--on-divergence", "degrade",
                                  "--salvage")
         check("exit code is zero", code == 0, f"exit={code}")
