@@ -279,7 +279,7 @@ def new_findings_against(results: Sequence[ProgramResult],
     """Findings not present in the committed baseline."""
     fresh: List[Tuple[str, str, int]] = []
     for r in results:
-        known = {(str(c), int(a)) for c, a in baseline.get(r.program.name, [])}
+        known = {(c, a) for c, a in baseline.get(r.program.name, [])}
         for code, addr in sorted(r.keys()):
             if (code, addr) not in known:
                 fresh.append((r.program.name, code, addr))

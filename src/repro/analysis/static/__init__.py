@@ -17,13 +17,14 @@ Entry points:
 
 from .analyzer import RomAnalysis, analyze_image, analyze_rom, run_checks
 from .audit import (AuditResult, RegionModel, RegionPrediction, audit_image,
-                    audit_rom, cross_check_regions, load_baseline,
-                    new_findings_against, save_baseline)
+                    audit_rom, cross_check_regions)
 from .census import TrapCensus, cross_check
 from .dataflow import (AbsState, ConstResult, MemOp, TrapSite,
                        analyze_constprop, nondet_reachability)
 from .decode import Insn, decode_insn, is_legal
-from .findings import CheckContext, Finding, Report, Severity
+from .findings import (CheckContext, Finding, Report, Severity,
+                       baseline_keys, load_baseline, new_findings_against,
+                       save_baseline)
 from .tracelint import (deep_findings, lint_archive, lint_log,
                         lint_playback_result)
 from .walker import CFG, BasicBlock, walk
@@ -32,7 +33,8 @@ __all__ = [
     "analyze_image", "analyze_rom", "run_checks", "RomAnalysis",
     "audit_image", "audit_rom", "AuditResult", "RegionModel",
     "RegionPrediction", "cross_check_regions",
-    "load_baseline", "save_baseline", "new_findings_against",
+    "baseline_keys", "load_baseline", "save_baseline",
+    "new_findings_against",
     "analyze_constprop", "nondet_reachability",
     "AbsState", "ConstResult", "MemOp", "TrapSite",
     "TrapCensus", "cross_check",

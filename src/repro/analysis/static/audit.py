@@ -27,26 +27,25 @@ static analysis excluded is an analyzer bug surfaced as a typed
 finding, turning every profiled replay into a test of the dataflow
 engine.
 
-Baselines: :func:`AuditResult.baseline_keys` /
-:func:`new_findings_against` implement the CI gate — the committed
+Baselines: :func:`repro.analysis.static.findings.baseline_keys` /
+:func:`~repro.analysis.static.findings.new_findings_against` implement
+the CI gate over the audit's report — the committed
 ``tools/audit_baseline.json`` freezes the known findings and CI fails
 only when a *new* (code, address) pair appears.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple, Union)
+                    Sequence, Set, Tuple)
 
 from ...palmos.traps import Trap
 from .census import TrapCensus
 from .decode import K_BRANCH, K_CALL, K_NORMAL
 from .dataflow import (ConstResult, MemOp, TrapSite, analyze_constprop,
                        nondet_reachability)
-from .findings import Finding, Report, Severity
+from .findings import Report, Severity
 from .walker import CFG, walk
 
 #: Nondeterminism sources (§3's determinism argument): trap index ->
@@ -223,13 +222,6 @@ class AuditResult:
                 facts[pc] = (read, write)
         return facts
 
-    def baseline_keys(self) -> List[Tuple[str, Optional[int]]]:
-        """The (code, address) identity of every WARNING+ finding —
-        what the committed CI baseline freezes."""
-        return sorted({(f.code, f.address) for f in self.report
-                       if f.severity >= Severity.WARNING},
-                      key=lambda k: (k[0], k[1] if k[1] is not None else -1))
-
     def to_json(self) -> Dict[str, object]:
         return {
             "version": 1,
@@ -257,31 +249,6 @@ class AuditResult:
                 "warnings": len(self.report.warnings),
             },
         }
-
-
-def load_baseline(path: Union[str, Path]) -> Set[Tuple[str, Optional[int]]]:
-    """Read a committed audit baseline (the ``baseline_keys`` of a
-    previous run, as JSON)."""
-    data = json.loads(Path(path).read_text())
-    return {(str(code), None if addr is None else int(addr))
-            for code, addr in data["findings"]}
-
-
-def save_baseline(result: AuditResult, path: Union[str, Path]) -> None:
-    payload = {"version": 1,
-               "findings": [[code, addr]
-                            for code, addr in result.baseline_keys()]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def new_findings_against(result: AuditResult,
-                         baseline: Set[Tuple[str, Optional[int]]]
-                         ) -> List[Finding]:
-    """WARNING+ findings not present in the baseline — the only thing
-    the CI gate fails on."""
-    return [f for f in result.report
-            if f.severity >= Severity.WARNING
-            and (f.code, f.address) not in baseline]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ treat "zero error-severity findings" as one uniform acceptance gate.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Set, Tuple
+
+from ...storage import PathLike, read_json, write_json
 
 
 class Severity(IntEnum):
@@ -131,6 +134,51 @@ class Report:
                   f"{len(self.by_severity(Severity.INFO))} info")
         lines.append(counts)
         return "\n".join(lines)
+
+
+# -- baselines --------------------------------------------------------------
+# A baseline freezes the (code, address) identity of every WARNING+
+# finding as ``{"version": 1, "findings": [[code, address], ...]}``; the
+# CI gates (audit, verify-codegen) fail only on findings not in it.
+
+BaselineKeys = Set[Tuple[str, Optional[int]]]
+
+
+def baseline_keys(report: Report) -> List[Tuple[str, Optional[int]]]:
+    """The (code, address) identity of every WARNING+ finding."""
+    return sorted({(f.code, f.address) for f in report
+                   if f.severity >= Severity.WARNING},
+                  key=lambda k: (k[0], k[1] if k[1] is not None else -1))
+
+
+def baseline_pairs(pairs: object, path: PathLike) -> BaselineKeys:
+    """The keys of a baseline's ``[[code, address], ...]`` list; any
+    other value raises ``ValueError`` naming ``path``."""
+    if isinstance(pairs, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str)
+            and (pair[1] is None or isinstance(pair[1], int))
+            for pair in pairs):
+        return {(code, address) for code, address in pairs}
+    raise ValueError(f"{os.fspath(path)}: not a findings baseline")
+
+
+def load_baseline(path: PathLike) -> BaselineKeys:
+    return baseline_pairs(read_json(path, ValueError).get("findings"), path)
+
+
+def save_baseline(report: Report, path: PathLike) -> None:
+    write_json(path, {"version": 1,
+                      "findings": [list(key) for key in baseline_keys(report)]})
+
+
+def new_findings_against(report: Report,
+                         baseline: BaselineKeys) -> List[Finding]:
+    """WARNING+ findings not present in the baseline — the only thing
+    the CI gate fails on."""
+    return [f for f in report
+            if f.severity >= Severity.WARNING
+            and (f.code, f.address) not in baseline]
 
 
 @dataclass(frozen=True)

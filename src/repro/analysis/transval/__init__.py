@@ -16,9 +16,7 @@ silent pass.
 from .corpus import MISCOMPILE_CLASSES, mutate_prov, selftest
 from .machine import HarnessState, RunResult, Vector, Workspace
 from .reference import StepLog, run_reference
-from .runner import (VerifyStats, baseline_keys, collect_provenances,
-                     load_baseline, new_findings_against, save_baseline,
-                     verify_codegen)
+from .runner import VerifyStats, collect_provenances, verify_codegen
 from .validator import (BlockStats, audit_region_elisions,
                         audit_sanitizer_elisions, validate_block,
                         workspace_for)
@@ -34,13 +32,9 @@ __all__ = [
     "Workspace",
     "audit_region_elisions",
     "audit_sanitizer_elisions",
-    "baseline_keys",
     "collect_provenances",
-    "load_baseline",
     "mutate_prov",
-    "new_findings_against",
     "run_reference",
-    "save_baseline",
     "selftest",
     "validate_block",
     "verify_codegen",

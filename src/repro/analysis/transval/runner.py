@@ -16,14 +16,11 @@ accepted findings never break the build, new ones always do.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Set, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..static.findings import Finding, Report, Severity
+from ..static.findings import Report
 from .corpus import selftest
 from .machine import Workspace
 from .validator import (audit_region_elisions,
@@ -223,36 +220,3 @@ def verify_codegen(session: Optional[Tuple[Any, Any]] = None,
             progress("running seeded miscompile self-test ...")
         report.extend(selftest(unique))
     return report, stats
-
-
-# -- baseline plumbing (same JSON scheme as the semantic audit) ----------
-
-def baseline_keys(report: Report) -> List[Tuple[str, Optional[int]]]:
-    """The (code, address) identity of every WARNING+ finding."""
-    return sorted({(f.code, f.address) for f in report
-                   if f.severity >= Severity.WARNING},
-                  key=lambda k: (k[0], k[1] if k[1] is not None else -1))
-
-
-def load_baseline(path: Union[str, Path]
-                  ) -> Set[Tuple[str, Optional[int]]]:
-    data = json.loads(Path(path).read_text())
-    return {(str(code), None if addr is None else int(addr))
-            for code, addr in data["findings"]}
-
-
-def save_baseline(report: Report, path: Union[str, Path]) -> None:
-    payload = {"version": 1,
-               "findings": [[code, addr]
-                            for code, addr in baseline_keys(report)]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def new_findings_against(report: Report,
-                         baseline: Set[Tuple[str, Optional[int]]]
-                         ) -> List[Finding]:
-    """WARNING+ findings not present in the baseline — the only thing
-    the CI gate fails on."""
-    return [f for f in report
-            if f.severity >= Severity.WARNING
-            and (f.code, f.address) not in baseline]

@@ -333,7 +333,7 @@ def _run_units(worker, units, jobs: int, addresses: Optional[np.ndarray],
     one unit at ``jobs > 1`` still runs in a one-worker pool, so
     ``chunk_timeout`` holds.
 
-    The trace source (``container``, a PTRC file or archive on disk,
+    The trace source (``container``, a PTRC file or campaign on disk,
     else ``addresses``/``writes``) goes into :data:`_SHARED` before the
     pool forks, so serial and forked workers read the same source, and
     it is cleared on every exit path.
@@ -424,7 +424,7 @@ def sweep_parallel(addresses: Optional[np.ndarray] = None,
     *  **In-RAM** (``addresses``): forked workers inherit the trace
        (and write mask) from the parent and read it as one chunk.
     *  **By-chunk sharding** (``container``): pass a PTRC container
-       file (or archive directory) instead of arrays.  Workers stream
+       file (or fleet campaign directory) instead of arrays.  Workers stream
        chunks from disk through the out-of-core kernels — resident
        memory stays bounded by the chunk decode window however large
        the archived trace is, and results are bit-identical to the

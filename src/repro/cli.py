@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
+from .emulator import RomMismatchError
 
 
 def _add_collect(sub) -> None:
@@ -119,8 +120,9 @@ def _add_sweep(sub) -> None:
     p = sub.add_parser("sweep", help="run the 56-configuration cache "
                                      "study on a trace")
     p.add_argument("--trace", required=True,
-                   help=".ptrc container or PTRC archive directory "
-                        "(streamed out-of-core)")
+                   help=".ptrc container, or a fleet campaign directory "
+                        "run with --archive-traces (its session traces in "
+                        "session order); streamed out-of-core")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan the sweep out over N worker processes "
                         "sharing the trace (default: in-process)")
@@ -247,8 +249,8 @@ def _add_trace(sub) -> None:
         help="inspect, convert and verify PTRC trace containers")
     act = p.add_subparsers(dest="action", required=True)
 
-    info = act.add_parser("info", help="print a container's (or archive "
-                                       "directory's) manifest summary")
+    info = act.add_parser("info", help="print a container's (or fleet "
+                                       "campaign's) manifest summary")
     info.add_argument("path")
 
     conv = act.add_parser(
@@ -272,8 +274,10 @@ def _add_trace(sub) -> None:
 
     ver = act.add_parser(
         "verify",
-        help="verify a container or archive: structure, per-chunk "
-             "crc32s and the content digest")
+        help="verify a container: structure, per-chunk crc32s and the "
+             "content digest; for a fleet campaign directory, also that "
+             "every archived session trace is present and holds the "
+             "digest its journal recorded")
     ver.add_argument("path")
     ver.add_argument("--no-deep", action="store_true",
                      help="structure only; skip decoding every chunk")
@@ -430,6 +434,7 @@ def _load_archive(directory: str, salvage: Optional[bool] = None):
     from .tracelog import ActivityLog, InitialState
 
     root = Path(directory)
+    state = None
     try:
         state = InitialState.load(root / "initial_state")
         if salvage:
@@ -437,15 +442,16 @@ def _load_archive(directory: str, salvage: Optional[bool] = None):
             print(f"salvage      : {result.summary()}")
             return state, result.log
         return state, ActivityLog.load(root / "activity_log.pdb")
-    except TraceFormatError as exc:
-        hint = ("; re-run with --salvage to repair/skip bad records"
-                if salvage is False else "")
-        print(f"{'unsalvageable' if salvage else 'corrupt'} activity log: "
-              f"{str(exc).splitlines()[0]}{hint}", file=sys.stderr)
     except (OSError, ValueError, KeyError, struct.error) as exc:
-        print(f"cannot read archive {directory}: "
-              f"{(str(exc) or type(exc).__name__).splitlines()[0]}",
-              file=sys.stderr)
+        if state is not None and isinstance(exc, TraceFormatError):
+            hint = ("; re-run with --salvage to repair/skip bad records"
+                    if salvage is False else "")
+            print(f"{'unsalvageable' if salvage else 'corrupt'} activity "
+                  f"log: {str(exc).splitlines()[0]}{hint}", file=sys.stderr)
+        else:
+            print(f"cannot read archive {directory}: "
+                  f"{(str(exc) or type(exc).__name__).splitlines()[0]}",
+                  file=sys.stderr)
     return None
 
 
@@ -488,11 +494,14 @@ def _replay_flag_error(args) -> Optional[str]:
 
 
 def cmd_replay(args) -> int:
+    from contextlib import nullcontext
+
     from .apps import standard_apps
     from .emulator import JitterModel, replay_session
     from .resilience import (DivergenceError, FaultPlan, FaultSpecError,
                              GuestResetTimeout, ReplayFault,
                              resilient_replay)
+    from .storage import replacing
     from .traces import container
 
     error = _replay_flag_error(args)
@@ -509,56 +518,63 @@ def cmd_replay(args) -> int:
     state, log = loaded
     resilient = _resilience_active(args)
     trace_meta = {"source": "replay", "archive": str(args.session)}
-    writer = None
-    if args.trace_out and not resilient:
-        try:
-            writer = container.ContainerWriter(
-                args.trace_out, codec=args.trace_codec, session=trace_meta)
-        except OSError as exc:
-            print(f"--trace-out: {exc}", file=sys.stderr)
-            return 2
     options = dict(
         apps=standard_apps(), profile=not args.no_profile,
         jitter=(JitterModel(seed=args.jitter)
                 if args.jitter is not None else None),
         emulator_kwargs={**_EMU_KW, "core": args.core})
-    outcome = None
-    start = time.time()
+    outcome = manifest = None
     try:
-        if resilient:
-            for name in ("checkpoint_every", "reset_timeout"):
-                if getattr(args, name) is not None:
-                    options[name] = getattr(args, name)
-            outcome = resilient_replay(
-                state, log, **options, faults=plan,
-                on_divergence=args.on_divergence or "strict",
-                retry_budget=args.retry_budget,
-                checkpoint_dir=args.checkpoint_dir)
-            emulator, profiler, result = (outcome.emulator,
-                                          outcome.profiler, outcome.result)
-        else:
-            # The trace streams into the writer and spills: it never
-            # stays in RAM.
-            emulator, profiler, result = replay_session(
-                state, log, **options, sanitize=args.sanitize,
-                sanitize_elide=not args.no_sanitize_elide,
-                validate_codegen=args.validate_codegen,
-                trace_sink=writer, trace_spill=True)
-    except BaseException as exc:
-        if writer is not None:
-            writer.abort()
-        if isinstance(exc, DivergenceError):
-            message = ("replay diverged from the recorded session:\n"
-                       + exc.report.format())
-        elif isinstance(exc, ReplayFault):
-            message = f"injected fault was not recovered: {exc}"
-        elif isinstance(exc, GuestResetTimeout):
-            message = f"guest reset timed out: {exc}"
-        else:
-            raise
-        print(message, file=sys.stderr)
+        # The trace is written to a sibling renamed over --trace-out
+        # only once complete: a failed replay leaves no file.
+        with (replacing(args.trace_out) if args.trace_out
+              else nullcontext()) as trace_tmp:
+            start = time.time()
+            if resilient:
+                for name in ("checkpoint_every", "reset_timeout"):
+                    if getattr(args, name) is not None:
+                        options[name] = getattr(args, name)
+                outcome = resilient_replay(
+                    state, log, **options, faults=plan,
+                    on_divergence=args.on_divergence or "strict",
+                    retry_budget=args.retry_budget,
+                    checkpoint_dir=args.checkpoint_dir)
+                emulator, profiler, result = (
+                    outcome.emulator, outcome.profiler, outcome.result)
+                elapsed = time.time() - start
+                if trace_tmp is not None:
+                    # Drained after the fact: PRCKPT01 checkpoints hold
+                    # the in-RAM trace a resync rolls back.
+                    manifest = container.write_container(
+                        profiler.chunks(), trace_tmp,
+                        codec=args.trace_codec, session=trace_meta)
+            else:
+                # The trace streams into the writer and spills: it
+                # never stays in RAM.
+                writer = (container.ContainerWriter(
+                    trace_tmp, codec=args.trace_codec, session=trace_meta)
+                    if trace_tmp is not None else None)
+                with writer or nullcontext():
+                    emulator, profiler, result = replay_session(
+                        state, log, **options, sanitize=args.sanitize,
+                        sanitize_elide=not args.no_sanitize_elide,
+                        validate_codegen=args.validate_codegen,
+                        trace_sink=writer, trace_spill=True)
+                    elapsed = time.time() - start
+                manifest = writer.manifest if writer is not None else None
+    except DivergenceError as exc:
+        print("replay diverged from the recorded session:\n"
+              + exc.report.format(), file=sys.stderr)
         return 1
-    elapsed = time.time() - start
+    except ReplayFault as exc:
+        print(f"injected fault was not recovered: {exc}", file=sys.stderr)
+        return 1
+    except GuestResetTimeout as exc:
+        print(f"guest reset timed out: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"replay failed: {exc}", file=sys.stderr)
+        return 1
     for note in outcome.fault_notes if outcome is not None else ():
         print(f"fault        : {note}")
     if args.screenshot:
@@ -589,17 +605,7 @@ def cmd_replay(args) -> int:
               f"flash {100 * profiler.flash_refs / max(1, total):.1f}%)")
         print(f"ave mem cyc  : {profiler.average_memory_cycles():.3f} "
               f"(paper Table 1: 2.35-2.39)")
-    if args.trace_out:
-        try:
-            # The resilient run drains after the fact: PRCKPT01
-            # checkpoints hold the in-RAM trace a resync rolls back.
-            manifest = (writer.close() if writer is not None
-                        else container.write_container(
-                            profiler.chunks(), args.trace_out,
-                            codec=args.trace_codec, session=trace_meta))
-        except OSError as exc:
-            print(f"--trace-out: {exc}", file=sys.stderr)
-            return 1
+    if manifest is not None:
         print(f"trace-out    : {args.trace_out} ({manifest['tokens']:,} "
               f"tokens, {manifest['chunks']} chunk(s), codec "
               f"{manifest['codec']}, digest {manifest['digest'][:12]}…)")
@@ -702,6 +708,7 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     from .analysis import format_access_times, format_miss_rates
     from .cache import RegionMix, SweepWorkerError, sweep_parallel
+    from .fleet import JournalError
     from .traces.container import TraceContainerError, open_chunk_source
 
     jobs = max(1, args.jobs)
@@ -709,7 +716,7 @@ def cmd_sweep(args) -> int:
     try:
         with open_chunk_source(args.trace) as source:
             counts = source.counts()
-    except (OSError, TraceContainerError) as exc:
+    except (OSError, TraceContainerError, JournalError) as exc:
         # The message names the file already.
         print(f"not a readable trace: {str(exc).splitlines()[0]}",
               file=sys.stderr)
@@ -717,8 +724,8 @@ def cmd_sweep(args) -> int:
     total = counts["ram"] + counts["flash"]
     print(f"sweeping {total:,} references out-of-core ({how}) ...")
     try:
-        # Workers stream chunks straight off the container (or
-        # archive directory); the trace is never fully resident.
+        # Workers stream chunks straight off the container (or the
+        # campaign's members); the trace is never fully resident.
         points = sweep_parallel(container=args.trace, jobs=jobs,
                                 chunk_timeout=args.chunk_timeout)
     except SweepWorkerError as exc:
@@ -805,14 +812,43 @@ def cmd_lint(args) -> int:
     return 0 if report.ok else 1
 
 
+def _load_baseline(path: str):
+    """The findings baseline at ``path``, or None after one stderr line
+    when it cannot be read."""
+    from .analysis.static.findings import load_baseline
+
+    try:
+        return load_baseline(path)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read baseline: {exc}", file=sys.stderr)
+        return None
+
+
+def _gate_on_baseline(report, path: str, baseline) -> int:
+    """Exit status of the CI gate: 1 when ``report`` has a WARNING+
+    finding not in ``baseline``."""
+    from .analysis.static.findings import new_findings_against
+
+    fresh = new_findings_against(report, baseline)
+    if fresh:
+        print(f"{len(fresh)} NEW finding(s) not in the baseline:")
+        for finding in fresh:
+            print(f"  {finding.format()}")
+        return 1
+    print(f"no new findings against {path} ({len(baseline)} baselined)")
+    return 0
+
+
 def cmd_audit(args) -> int:
-    import json as _json
+    from .analysis.static import Severity, baseline_keys, save_baseline
+    from .analysis.static.audit import audit_rom, cross_check_regions
+    from .storage import write_json
 
-    from .analysis.static import Severity
-    from .analysis.static.audit import (audit_rom, cross_check_regions,
-                                        load_baseline, new_findings_against,
-                                        save_baseline)
-
+    baseline = None
+    if args.baseline:
+        baseline = _load_baseline(args.baseline)
+        if baseline is None:
+            return 1
     result = audit_rom(ram_size=_EMU_KW["ram_size"],
                        flash_size=_EMU_KW["flash_size"])
     report = result.report
@@ -832,13 +868,12 @@ def cmd_audit(args) -> int:
         report.extend(cross_check_regions(result, profiler.reference_pcs))
 
     if args.json:
-        Path(args.json).write_text(
-            _json.dumps(result.to_json(), indent=2) + "\n")
+        write_json(args.json, result.to_json())
         print(f"audit json   : {args.json}")
     if args.write_baseline:
-        save_baseline(result, args.write_baseline)
+        save_baseline(report, args.write_baseline)
         print(f"baseline     : {args.write_baseline} "
-              f"({len(result.baseline_keys())} finding(s) frozen)")
+              f"({len(baseline_keys(report))} finding(s) frozen)")
 
     if args.verbose:
         print("trap signatures (recovered constant arguments):")
@@ -853,28 +888,21 @@ def cmd_audit(args) -> int:
     min_severity = Severity.INFO if args.verbose else Severity.WARNING
     print("audit: built-in ROM")
     print(report.format(min_severity=min_severity))
-
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        fresh = new_findings_against(result, baseline)
-        if fresh:
-            print(f"{len(fresh)} NEW finding(s) not in the baseline:")
-            for finding in fresh:
-                print(f"  {finding.format()}")
-            return 1
-        print(f"no new findings against {args.baseline} "
-              f"({len(baseline)} baselined)")
-        return 0
+    if baseline is not None:
+        return _gate_on_baseline(report, args.baseline, baseline)
     return 0 if report.ok else 1
 
 
 def cmd_verify_codegen(args) -> int:
-    import json as _json
+    from .analysis.static import Severity, save_baseline
+    from .analysis.transval import verify_codegen
+    from .storage import write_json
 
-    from .analysis.static import Severity
-    from .analysis.transval import (load_baseline, new_findings_against,
-                                    save_baseline, verify_codegen)
-
+    baseline = None
+    if args.baseline:
+        baseline = _load_baseline(args.baseline)
+        if baseline is None:
+            return 1
     session = None
     if args.session is not None:
         session = _load_archive(args.session)
@@ -904,31 +932,32 @@ def cmd_verify_codegen(args) -> int:
                           "message": f.message, "address": f.address}
                          for f in report.sorted()],
         }
-        Path(args.json).write_text(_json.dumps(payload, indent=2) + "\n")
+        write_json(args.json, payload)
         print(f"json          : {args.json}")
     if args.write_baseline:
         save_baseline(report, args.write_baseline)
         print(f"baseline      : {args.write_baseline}")
-
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        fresh = new_findings_against(report, baseline)
-        if fresh:
-            print(f"{len(fresh)} NEW finding(s) not in the baseline:")
-            for finding in fresh:
-                print(f"  {finding.format()}")
-            return 1
-        print(f"no new findings against {args.baseline} "
-              f"({len(baseline)} baselined)")
-        return 0
+    if baseline is not None:
+        return _gate_on_baseline(report, args.baseline, baseline)
     return 0 if report.ok else 1
 
 
 def cmd_sanitize(args) -> int:
-    import json as _json
-
     from .analysis.sanitizer import corpus as san_corpus
+    from .analysis.static.findings import baseline_pairs
+    from .storage import read_json, write_json
 
+    baseline = None
+    if args.baseline:
+        try:
+            programs = read_json(args.baseline, ValueError).get("programs")
+            if not isinstance(programs, dict):
+                raise ValueError(f"{args.baseline}: not a sanitizer baseline")
+            baseline = {name: baseline_pairs(pairs, args.baseline)
+                        for name, pairs in programs.items()}
+        except (OSError, ValueError) as exc:
+            print(f"cannot read baseline: {exc}", file=sys.stderr)
+            return 1
     names = args.program
     if names:
         known = san_corpus.programs_by_name()
@@ -983,18 +1012,16 @@ def cmd_sanitize(args) -> int:
                 } for r in results
             },
         }
-        Path(args.json).write_text(_json.dumps(payload, indent=2) + "\n")
+        write_json(args.json, payload)
         print(f"json         : {args.json}")
     if args.write_baseline:
-        baseline = san_corpus.baseline_keys(results)
-        Path(args.write_baseline).write_text(
-            _json.dumps({"programs": baseline}, indent=2) + "\n")
-        frozen = sum(len(v) for v in baseline.values())
+        frozen_keys = san_corpus.baseline_keys(results)
+        write_json(args.write_baseline, {"programs": frozen_keys})
+        frozen = sum(len(v) for v in frozen_keys.values())
         print(f"baseline     : {args.write_baseline} "
               f"({frozen} finding(s) frozen)")
 
-    if args.baseline:
-        baseline = _json.loads(Path(args.baseline).read_text())["programs"]
+    if baseline is not None:
         fresh = san_corpus.new_findings_against(results, baseline)
         if fresh:
             print(f"{len(fresh)} NEW finding(s) not in the baseline:")
@@ -1015,7 +1042,7 @@ _REGION_NAMES = {0: "ram", 1: "flash", 2: "hw", 3: "card"}
 
 def _trace_reference_stream(path: Path):
     """``(addresses, kinds)`` chunk pairs from a ``.din`` file, or
-    from a PTRC container or archive directory (any other path)."""
+    from a PTRC container or campaign directory (any other path)."""
     if path.suffix == ".din":
         from .traces.dinero import read_dinero_chunks
         yield from read_dinero_chunks(path)
@@ -1027,6 +1054,7 @@ def _trace_reference_stream(path: Path):
 
 
 def cmd_trace(args) -> int:
+    from .fleet import JournalError
     from .traces.container import TraceContainerError
     from .traces.dinero import DineroFormatError
 
@@ -1034,40 +1062,43 @@ def cmd_trace(args) -> int:
               "cat": _trace_cat, "verify": _trace_verify}[args.action]
     try:
         return action(args)
-    except (OSError, TraceContainerError, DineroFormatError) as exc:
+    except (OSError, TraceContainerError, DineroFormatError,
+            JournalError) as exc:
         print(f"trace {args.action} failed: {str(exc).splitlines()[0]}",
               file=sys.stderr)
         return 1
 
 
 def _trace_info(args) -> int:
-    from .traces.container import TraceArchive, TraceContainer
+    from .fleet.journal import CampaignTraces, trace_path
+    from .traces.container import TraceContainer
 
     path = Path(args.path)
     if path.is_dir():
-        archive = TraceArchive(path)
-        meta = archive.meta
-        print(f"archive      : {path} "
-              f"({meta.get('format', 'PTRC-archive')})")
-        print(f"members      : {len(archive.members())}, "
-              f"{archive.total_tokens:,} tokens total")
-        for record in archive.members():
-            print(f"  {record['id']:12s} {record['tokens']:>12,} "
-                  f"tokens  {record['file']}  "
-                  f"digest {record['digest'][:12]}…")
+        campaign = CampaignTraces(path)
+        print(f"campaign     : {path} ({campaign.spec['name']!r}, "
+              f"{len(campaign.members)} archived session trace(s))")
+        total = 0
+        for session_id, digest in campaign.members:
+            with TraceContainer(trace_path(path, session_id)) as container:
+                total += container.tokens
+                print(f"  {session_id:12s} {container.tokens:>12,} tokens  "
+                      f"digest {digest[:12]}…")
+        print(f"tokens       : {total:,} total")
         return 0
-    with TraceContainer(path) as container:
-        manifest = container.manifest
-    ratio = manifest["payload_bytes"] / max(1, 8 * manifest["tokens"])
-    print(f"container    : {path} (PTRC v{manifest['version']})")
-    print(f"codec        : {manifest['codec']}, "
-          f"{manifest['chunk_tokens']:,} tokens/chunk")
-    print(f"tokens       : {manifest['tokens']:,} in "
-          f"{manifest['chunks']} chunk(s)")
-    print(f"payload      : {manifest['payload_bytes']:,} bytes "
-          f"({ratio:.3f}x of raw)")
-    print(f"digest       : {manifest['digest']}")
-    for key, value in sorted(manifest.get("session", {}).items()):
+    # Everything but the session metadata comes from the header, footer
+    # and CRC-checked index, not from the unchecksummed manifest JSON.
+    with TraceContainer(path) as c:
+        payload = int(c.index["nbytes"].sum())
+        session = c.manifest.get("session")
+    print(f"container    : {path} (PTRC v{c.version})")
+    print(f"codec        : {c.codec}, {c.chunk_tokens:,} tokens/chunk")
+    print(f"tokens       : {c.tokens:,} in {c.n_chunks} chunk(s)")
+    print(f"payload      : {payload:,} bytes "
+          f"({payload / max(1, 8 * c.tokens):.3f}x of raw)")
+    print(f"digest       : {c.digest}")
+    for key, value in sorted(session.items()
+                             if isinstance(session, dict) else ()):
         print(f"session.{key:<12s}: {value}")
     return 0
 
@@ -1089,14 +1120,15 @@ def _trace_cat(args) -> int:
 
 
 def _trace_verify(args) -> int:
+    from .fleet import JournalError
     from .traces.container import TraceContainerError, open_chunk_source
 
     try:
         with open_chunk_source(args.path) as src:
             report = src.verify(deep=not args.no_deep)
-    except TraceContainerError as exc:
+    except (TraceContainerError, JournalError) as exc:
         print(f"verify FAILED: {str(exc).splitlines()[0]}", file=sys.stderr)
-        if not args.salvage:
+        if not args.salvage or isinstance(exc, JournalError):
             return 1
         from .resilience import salvage_container
         result = salvage_container(args.path, args.salvage)
@@ -1109,8 +1141,8 @@ def _trace_verify(args) -> int:
               + (f", digest {report['digest'][:12]}…"
                  if "digest" in report else " (structure only)"))
     else:
-        for member_id, member_report in report.items():
-            print(f"verify OK    : {member_id}: "
+        for session_id, member_report in report.items():
+            print(f"verify OK    : {session_id}: "
                   f"{member_report['chunks']} chunk(s), "
                   f"{member_report['tokens']:,} tokens")
     return 0
@@ -1149,8 +1181,6 @@ def _trace_convert(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    import json as _json
-
     from .fleet import (
         CampaignSpec,
         ChaosPlan,
@@ -1160,6 +1190,7 @@ def cmd_fleet(args) -> int:
         verify_chaos,
     )
     from .fleet.campaign import DEFAULT_CACHES, DEFAULT_DURATIONS
+    from .storage import write_json
 
     progress = (lambda text: None) if args.quiet else (
         lambda text: print(f"  {text}"))
@@ -1254,8 +1285,7 @@ def cmd_fleet(args) -> int:
                 "poison_victims": chaos_plan.poison_victims,
                 "violations": verify_chaos(chaos_plan, result),
             }
-        Path(args.json).write_text(_json.dumps(payload, indent=2,
-                                               sort_keys=True) + "\n")
+        write_json(args.json, payload)
     return 0 if ok else 1
 
 
@@ -1277,7 +1307,12 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except RomMismatchError as exc:
+        # Any command replaying an archive collected on another build.
+        print(f"cannot replay this archive: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

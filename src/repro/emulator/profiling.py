@@ -400,10 +400,11 @@ class Profiler:
         )
 
     # -- checkpoint serialization ---------------------------------------
-    # The resilience checkpoints (PRCKPT01) store the profiler as four
-    # sections; these methods and :class:`TraceSnapshot` own their byte
-    # layout so the container stays byte-identical no matter how the
-    # profiler buffers its data internally (and across replay cores).
+    # The resilience checkpoints (PRCKPT01) store the profiler's counts,
+    # opcode histogram and trace as sections; these methods and
+    # :class:`TraceSnapshot` own their byte layout so the container
+    # stays byte-identical no matter how the profiler buffers its data
+    # internally (and across replay cores).
     def counts_bytes(self) -> bytes:
         """The flat counters as 256 native uint64 values (the
         ``prof_counts`` checkpoint section)."""
@@ -418,10 +419,10 @@ class Profiler:
         self._counts = array("Q")
         self._counts.frombytes(blob)
 
-    def trace_bytes(self) -> Tuple[bytes, bytes]:
-        """The reference trace as (addresses, kinds) byte strings —
-        native uint32 addresses and uint8 packed kinds, exactly the
-        historical ``prof_addr``/``prof_kind`` checkpoint sections."""
+    def trace_bytes(self) -> bytes:
+        """The reference trace as little-endian packed tokens — the
+        ``prof_tokens`` checkpoint section, the bytes of a raw PTRC
+        payload."""
         return self.trace_snapshot().section_bytes()
 
     def trace_snapshot(self) -> "TraceSnapshot":
@@ -444,13 +445,10 @@ class Profiler:
         self._fill = 0
         self._stage_tokens(snapshot.tail)
 
-    def restore_trace(self, addr_blob: bytes, kind_blob: bytes) -> None:
-        """Restore from the ``prof_addr``/``prof_kind`` sections,
-        re-chunked at :data:`TRACE_CHUNK`."""
-        addrs = np.frombuffer(addr_blob, dtype=np.uint32).astype(np.uint64)
-        kinds = np.frombuffer(kind_blob, dtype=np.uint8)
-        packed = addrs | (kinds.astype(np.uint64) << np.uint64(32))
-        packed.flags.writeable = False
+    def restore_trace(self, blob: bytes) -> None:
+        """Restore from the ``prof_tokens`` section, re-chunked at
+        :data:`TRACE_CHUNK` (the chunks are read-only views of it)."""
+        packed = np.frombuffer(blob, dtype="<u8")
         sealed = len(packed) - len(packed) % TRACE_CHUNK
         self.restore_snapshot(TraceSnapshot(
             tuple(packed[i:i + TRACE_CHUNK]
@@ -521,14 +519,11 @@ class TraceSnapshot(NamedTuple):
     chunks: Tuple[np.ndarray, ...]
     tail: np.ndarray
 
-    def section_bytes(self) -> Tuple[bytes, bytes]:
-        """The ``prof_addr``/``prof_kind`` checkpoint sections: native
-        uint32 addresses and uint8 packed kinds."""
-        parts = self.chunks + (self.tail,)
-        return (b"".join((p & np.uint64(_MASK32)).astype(np.uint32).tobytes()
-                         for p in parts),
-                b"".join((p >> np.uint64(32)).astype(np.uint8).tobytes()
-                         for p in parts))
+    def section_bytes(self) -> bytes:
+        """The ``prof_tokens`` checkpoint section: every token,
+        little-endian, in stream order."""
+        return np.concatenate(self.chunks + (self.tail,)).astype(
+            "<u8", copy=False).tobytes()
 
 
 class ReferenceTrace:

@@ -44,7 +44,6 @@ from .journal import (
     read_journal,
     read_manifest,
     replay_journal,
-    write_json_atomic,
     write_manifest,
 )
 from .supervisor import (
@@ -77,7 +76,6 @@ __all__ = [
     "replay_journal",
     "read_manifest",
     "write_manifest",
-    "write_json_atomic",
     "JOURNAL_NAME",
     "MANIFEST_NAME",
     "AGGREGATE_NAME",

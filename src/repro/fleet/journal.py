@@ -17,6 +17,10 @@ Crash-safety model:
   journal's ``done``/``quarantine`` entries, rewritten atomically at
   the end of every run.  It is a convenience export; the journal is
   the source of truth.
+* the **trace store** (``traces/<session id>.ptrc``) holds each
+  session's PTRC trace when ``archive_traces`` is on; the ``done``
+  entries record their digests, so the directory itself is the
+  multi-session trace (:class:`CampaignTraces`).
 """
 
 from __future__ import annotations
@@ -24,13 +28,21 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..storage import write_atomic
+from ..storage import read_json, write_json
+from ..traces.container import (
+    TraceContainer,
+    TraceContainerError,
+    cache_chunks,
+    reference_counts,
+)
+from .campaign import CampaignFormatError, CampaignSpec
 
 JOURNAL_NAME = "journal.jsonl"
 MANIFEST_NAME = "manifest.json"
 AGGREGATE_NAME = "aggregates.json"
+TRACES_NAME = "traces"
 
 MANIFEST_FORMAT = "repro-fleet-manifest"
 MANIFEST_VERSION = 1
@@ -42,17 +54,6 @@ ENTRY_KINDS = ("start", "done", "fail", "quarantine")
 class JournalError(ValueError):
     """The journal or manifest is corrupt or belongs to a different
     campaign."""
-
-
-def write_json_atomic(path: Union[str, Path], data: dict) -> None:
-    """Write ``data`` as pretty, key-sorted JSON, atomically.
-
-    Key-sorted output makes the file a canonical encoding of ``data``:
-    two runs producing equal dicts produce byte-identical files, which
-    is how the resume tests can simply compare bytes.
-    """
-    write_atomic(path, (json.dumps(data, sort_keys=True, indent=2)
-                        + "\n").encode("utf-8"))
 
 
 def read_journal(path: Union[str, Path]) -> List[dict]:
@@ -71,9 +72,7 @@ def read_journal(path: Union[str, Path]) -> List[dict]:
     if not path.exists():
         return []
     entries: List[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.split("\n")
+    lines = path.read_bytes().split(b"\n")
     last_nonempty = max(
         (number for number, line in enumerate(lines, start=1) if line),
         default=0)
@@ -81,8 +80,8 @@ def read_journal(path: Union[str, Path]) -> List[dict]:
         if not line:
             continue
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
+            entry = json.loads(line.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError is one too
             if lineno == last_nonempty:
                 continue  # torn final write: the entry was never durable
             raise JournalError(
@@ -90,6 +89,7 @@ def read_journal(path: Union[str, Path]) -> List[dict]:
                 f"final line — the file is corrupt: {line[:80]!r}")
         if (not isinstance(entry, dict)
                 or entry.get("kind") not in ENTRY_KINDS
+                or not isinstance(entry.get("index"), int)
                 or (entry["kind"] == "done"
                     and not isinstance(entry.get("stats"), dict))):
             raise JournalError(
@@ -145,7 +145,7 @@ class CampaignJournal:
 
 def write_manifest(directory: Union[str, Path], spec_json: dict,
                    digest: str) -> None:
-    write_json_atomic(Path(directory) / MANIFEST_NAME, {
+    write_json(Path(directory) / MANIFEST_NAME, {
         "_format": MANIFEST_FORMAT,
         "_version": MANIFEST_VERSION,
         "spec": spec_json,
@@ -154,16 +154,15 @@ def write_manifest(directory: Union[str, Path], spec_json: dict,
 
 
 def read_manifest(directory: Union[str, Path]) -> Tuple[dict, str]:
+    """The campaign's ``(spec JSON, digest)``, the spec in its canonical
+    form.  The digest must be the spec's own, so an edited or corrupted
+    manifest fails here."""
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
         raise JournalError(f"{path}: no manifest — not a campaign "
                            "directory (or the first run never started)")
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except ValueError as exc:
-            raise JournalError(f"{path}: corrupt manifest: {exc}") from exc
-    if not isinstance(data, dict) or data.get("_format") != MANIFEST_FORMAT:
+    data = read_json(path, JournalError)
+    if data.get("_format") != MANIFEST_FORMAT:
         raise JournalError(f"{path}: not a fleet manifest")
     if data.get("_version") != MANIFEST_VERSION:
         raise JournalError(
@@ -171,7 +170,14 @@ def read_manifest(directory: Union[str, Path]) -> Tuple[dict, str]:
     if (not isinstance(data.get("spec"), dict)
             or not isinstance(data.get("digest"), str)):
         raise JournalError(f"{path}: manifest lacks its spec or digest")
-    return data["spec"], data["digest"]
+    try:
+        spec = CampaignSpec.from_json(data["spec"])
+    except CampaignFormatError as exc:
+        raise JournalError(f"{path}: manifest spec: {exc}") from exc
+    if spec.digest() != data["digest"]:
+        raise JournalError(f"{path}: manifest digest does not match its "
+                           "spec (the file was edited or corrupted)")
+    return spec.to_json(), data["digest"]
 
 
 def replay_journal(entries: Iterator[dict]) -> Tuple[dict, dict]:
@@ -191,3 +197,102 @@ def replay_journal(entries: Iterator[dict]) -> Tuple[dict, dict]:
             if index not in completed:
                 quarantined[index] = entry.get("reason", "unknown")
     return completed, quarantined
+
+
+# -- the campaign's trace store -----------------------------------------
+
+def trace_members(completed: Dict[int, dict]) -> List[Tuple[str, str]]:
+    """``(session id, trace digest)`` of every completed session that
+    archived its trace, in session-index order."""
+    members = []
+    for index in sorted(completed):
+        stats = completed[index]
+        digest = stats.get("trace_digest")
+        if digest is None:
+            continue
+        session_id = stats.get("session_id")
+        if not isinstance(session_id, str) or not isinstance(digest, str):
+            raise JournalError(f"session {index}: journaled trace record "
+                               "lacks its session id or digest")
+        members.append((session_id, digest))
+    return members
+
+
+def trace_path(directory: Union[str, Path], session_id: str) -> Path:
+    return Path(directory) / TRACES_NAME / f"{session_id}.ptrc"
+
+
+def verify_traces(directory: Union[str, Path], completed: Dict[int, dict],
+                  deep: bool = True) -> Dict[str, dict]:
+    """The trace store's one membership check (``--resume``, ``trace
+    verify``): every member file is present, holds the journaled
+    digest, and (``deep``) passes the crc32 walk and digest
+    recomputation, which payload corruption cannot pass.  Returns the
+    verify reports by session id; a fault raises :class:`JournalError`."""
+    reports = {}
+    for session_id, digest in trace_members(completed):
+        path = trace_path(directory, session_id)
+        if not path.exists():
+            raise JournalError(
+                f"{path}: journaled trace container is missing — the "
+                "archive does not match the journal (restore it or "
+                "restart the campaign in a fresh directory)")
+        try:
+            with TraceContainer(path) as container:
+                if container.digest != digest:
+                    raise JournalError(
+                        f"{path}: trace digest mismatch — journal says "
+                        f"{digest[:12]}…, container holds "
+                        f"{container.digest[:12]}… (the archive was "
+                        "modified since the session ran)")
+                reports[session_id] = container.verify(deep=deep)
+        except TraceContainerError as exc:
+            raise JournalError(
+                f"{path}: journaled trace container failed "
+                f"verification: {exc}") from exc
+    return reports
+
+
+class CampaignTraces:
+    """A campaign directory read as one trace: the chunk source
+    :func:`repro.traces.container.open_chunk_source` opens for a
+    directory.  :meth:`chunks` chains the :func:`trace_members`' chunk
+    streams, so a population simulates through the same bounded-memory
+    kernel path as one session."""
+
+    def __init__(self, directory: Union[str, Path]):
+        self.root = Path(directory)
+        self.spec, _ = read_manifest(self.root)
+        self.completed, _ = replay_journal(
+            iter(read_journal(self.root / JOURNAL_NAME)))
+        self.members = trace_members(self.completed)
+        if not self.members:
+            raise JournalError(
+                f"{self.root}: the campaign holds no archived session "
+                "traces (run it with --archive-traces)")
+
+    def chunks(self) -> Iterator:
+        for session_id, _ in self.members:
+            with TraceContainer(trace_path(self.root,
+                                           session_id)) as container:
+                yield from container.chunks()
+
+    def cache_chunks(self) -> Iterator:
+        return cache_chunks(self.chunks())
+
+    def counts(self) -> dict:
+        return reference_counts(self.chunks())
+
+    def verify(self, deep: bool = True) -> Dict[str, dict]:
+        return verify_traces(self.root, self.completed, deep)
+
+    # Members are opened per call, so there is nothing to release; the
+    # context protocol matches TraceContainer's for open_chunk_source.
+    def close(self) -> None:
+        pass
+
+    def __enter__(self) -> "CampaignTraces":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        pass

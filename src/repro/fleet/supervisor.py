@@ -41,17 +41,19 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..storage import write_json
 from .aggregate import PopulationAggregate
 from .campaign import CampaignSpec, SessionPlan
 from .journal import (
     AGGREGATE_NAME,
     JOURNAL_NAME,
+    TRACES_NAME,
     CampaignJournal,
     JournalError,
     read_journal,
     read_manifest,
     replay_journal,
-    write_json_atomic,
+    verify_traces,
     write_manifest,
 )
 from .worker import plan_to_json, prewarm, worker_main
@@ -140,7 +142,7 @@ class FleetSupervisor:
         self._progress = progress or (lambda text: None)
         self._ctx = get_context("fork")
         #: Where workers archive per-session PTRC traces (spec-gated).
-        self.trace_dir = (self.out_dir / "traces"
+        self.trace_dir = (self.out_dir / TRACES_NAME
                           if spec.archive_traces else None)
 
     # -- public -----------------------------------------------------------
@@ -168,7 +170,7 @@ class FleetSupervisor:
             for index, reason in quarantined.items():
                 aggregate.quarantine(index, reason)
             if self.trace_dir is not None:
-                self._verify_trace_archive(completed)
+                verify_traces(self.out_dir, completed)
             self._progress(
                 f"resume: {len(completed)} done, {len(quarantined)} "
                 f"quarantined, journal replayed")
@@ -189,7 +191,7 @@ class FleetSupervisor:
                 self._supervise(todo, journal, aggregate, counters)
             except KeyboardInterrupt:
                 interrupted = True
-        write_json_atomic(self.out_dir / AGGREGATE_NAME, aggregate.to_json())
+        write_json(self.out_dir / AGGREGATE_NAME, aggregate.to_json())
         return FleetResult(
             aggregate=aggregate,
             sessions=len(plans),
@@ -203,40 +205,6 @@ class FleetSupervisor:
         )
 
     # -- internals --------------------------------------------------------
-    def _verify_trace_archive(self, completed: Dict[int, dict]) -> None:
-        """Cross-check every journaled trace digest against the PTRC
-        file on disk before resuming — a swapped, truncated or corrupt
-        archive must fail loudly, not taint the merged aggregate."""
-        from ..traces.container import TraceContainer, TraceContainerError
-
-        for index in sorted(completed):
-            stats = completed[index]
-            digest = stats.get("trace_digest")
-            if digest is None:
-                continue
-            path = self.trace_dir / f"{stats['session_id']}.ptrc"
-            if not path.exists():
-                raise JournalError(
-                    f"{path}: journaled trace container is missing — "
-                    "the archive does not match the journal (restore "
-                    "it or restart the campaign in a fresh directory)")
-            try:
-                with TraceContainer(path) as container:
-                    on_disk = container.digest
-                    # Deep verify: the manifest digest alone would still
-                    # match after payload corruption — walk the chunk
-                    # crc32s and recompute the content digest.
-                    container.verify(deep=True)
-            except TraceContainerError as exc:
-                raise JournalError(
-                    f"{path}: journaled trace container failed "
-                    f"verification: {exc}") from exc
-            if on_disk != digest:
-                raise JournalError(
-                    f"{path}: trace digest mismatch — journal says "
-                    f"{digest[:12]}…, container holds {on_disk[:12]}… "
-                    "(the archive was modified since the session ran)")
-
     def _backoff(self, plan: SessionPlan, attempt: int) -> float:
         rng = random.Random(f"backoff|{plan.index}|{attempt}")
         return self.backoff_base * (2 ** attempt) + rng.uniform(

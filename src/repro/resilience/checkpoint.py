@@ -41,7 +41,9 @@ if TYPE_CHECKING:
     from ..emulator.profiling import TraceSnapshot
 
 MAGIC = b"PRCKPT01"
-FORMAT_VERSION = 1
+#: Version 2 stores the profiler trace as one ``prof_tokens`` section
+#: (version 1 split it into ``prof_addr``/``prof_kind``).
+FORMAT_VERSION = 2
 
 #: Sections smaller than this are stored raw (zlib overhead dominates).
 _COMPRESS_THRESHOLD = 4096
@@ -54,8 +56,9 @@ class Checkpoint:
 
     A captured profiler trace is held by reference in ``trace`` (its
     sealed chunks are shared with the live profiler and with other
-    checkpoints) and becomes the ``prof_addr``/``prof_kind`` sections
-    only when the checkpoint is serialized.
+    checkpoints) and becomes the ``prof_tokens`` section (little-endian
+    packed tokens, the bytes of a raw PTRC payload) only when the
+    checkpoint is serialized.
     """
 
     manifest: dict
@@ -74,8 +77,7 @@ class Checkpoint:
         payload = bytearray()
         sections = dict(self.sections)
         if self.trace is not None:
-            sections["prof_addr"], sections["prof_kind"] = \
-                self.trace.section_bytes()
+            sections["prof_tokens"] = self.trace.section_bytes()
         for name in sorted(sections):
             blob = sections[name]
             compressed = len(blob) >= _COMPRESS_THRESHOLD
@@ -331,8 +333,7 @@ def restore_emulator(emulator: Any, checkpoint: Checkpoint) -> None:
         if checkpoint.trace is not None:
             profiler.restore_snapshot(checkpoint.trace)
         elif prof_state["trace_references"]:
-            profiler.restore_trace(checkpoint.sections["prof_addr"],
-                                   checkpoint.sections["prof_kind"])
+            profiler.restore_trace(checkpoint.sections["prof_tokens"])
         profiler.opcode_addresses = {}
         if "prof_opaddr_pc" in checkpoint.sections:
             addrs = array("I")

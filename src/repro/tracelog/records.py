@@ -28,7 +28,8 @@ from enum import IntEnum
 class TraceFormatError(ValueError):
     """An activity-log record (or the log as a whole) violates the
     record format: unknown event type, truncated blob, or a structural
-    invariant a strict parse refuses to repair.
+    invariant a strict parse refuses to repair.  A session archive's
+    unreadable ``state.json`` raises it too.
 
     ``index`` is the record index within the log when known; ``report``
     carries the full findings when the error came out of the salvage

@@ -13,12 +13,13 @@ later.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
 from ..palmos.database import DatabaseImage
+from ..storage import read_json, write_json
+from .records import TraceFormatError
 
 
 @dataclass
@@ -81,12 +82,25 @@ class InitialState:
         if self.card_image is not None:
             (directory / "card.img").write_bytes(self.card_image)
             meta["card_image"] = "card.img"
-        (directory / "state.json").write_text(json.dumps(meta, indent=2))
+        write_json(directory / "state.json", meta)
 
     @classmethod
     def load(cls, directory: str | Path) -> "InitialState":
+        """Read a state written by :meth:`save`; a ``state.json`` that
+        is not one raises :class:`TraceFormatError`."""
         directory = Path(directory)
-        meta = json.loads((directory / "state.json").read_text())
+        path = directory / "state.json"
+        meta = read_json(path, TraceFormatError)
+        if (not isinstance(meta.get("databases"), list)
+                or not all(isinstance(n, str) for n in meta["databases"])
+                or "rtc_base" not in meta
+                or not isinstance(meta["rtc_base"], (int, type(None)))
+                or not all(isinstance(meta.get(key), (str, type(None)))
+                           for key in ("card_name", "card_image"))):
+            raise TraceFormatError(f"{path}: not an initial-state manifest")
+        for name in meta["databases"] + [meta.get("card_image") or ""]:
+            if name and not (directory / name).is_file():
+                raise TraceFormatError(f"{path}: names a missing file {name!r}")
         databases = [
             DatabaseImage.from_pdb_bytes((directory / name).read_bytes())
             for name in meta["databases"]

@@ -6,7 +6,6 @@ from ..emulator.profiling import ReferenceTrace
 from .container import (
     DEFAULT_CHUNK_TOKENS,
     ContainerWriter,
-    TraceArchive,
     TraceContainer,
     TraceContainerError,
     available_codecs,
@@ -33,7 +32,6 @@ __all__ = [
     "generate_desktop_trace",
     "DEFAULT_CHUNK_TOKENS",
     "ContainerWriter",
-    "TraceArchive",
     "TraceContainer",
     "TraceContainerError",
     "available_codecs",

@@ -18,7 +18,7 @@ On-disk layout (all integers little-endian)::
     index    N × 28 B   one record per chunk: payload offset, payload
                     bytes, token count, crc32, first/last address
     manifest JSON   session metadata, codec, token totals, sha256
-                    digest of the raw token stream, archive membership
+                    digest of the raw token stream
     footer   56 B   offsets/sizes of index + manifest, total tokens,
                     crc32 of the index block, magic "PTRCEND1"
 
@@ -40,7 +40,8 @@ The CRCs, first/last addresses and digest are computed over the
 *uncompressed* token bytes, never the stored payload: the same trace
 has the same identity no matter which codec or version stored it.
 The fleet journal records the digest per session and verifies it on
-``--resume``.
+``--resume``; a fleet campaign directory is the multi-session trace
+store (:func:`open_chunk_source` opens it as one chunk source).
 """
 
 from __future__ import annotations
@@ -50,12 +51,14 @@ import os
 import struct
 import zlib
 from hashlib import sha256
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..device.memmap import KIND_WRITE, REGION_HW
-from ..storage import write_atomic
+
+if TYPE_CHECKING:
+    from ..fleet.journal import CampaignTraces
 
 MAGIC = b"PTRC01"
 VERSION = 2
@@ -256,8 +259,7 @@ class ContainerWriter:
 
     def __init__(self, path, *, codec: str = "zlib",
                  chunk_tokens: int = DEFAULT_CHUNK_TOKENS,
-                 session: Optional[dict] = None,
-                 archive: Optional[dict] = None):
+                 session: Optional[dict] = None):
         _check_codec(codec)
         if chunk_tokens < 1:
             raise TraceContainerError("chunk_tokens must be >= 1")
@@ -265,7 +267,6 @@ class ContainerWriter:
         self.codec = codec
         self.chunk_tokens = int(chunk_tokens)
         self.session = dict(session or {})
-        self.archive = dict(archive) if archive else None
         self._buf = np.empty(self.chunk_tokens, dtype=np.uint64)
         self._fill = 0
         self._entries: List[tuple] = []
@@ -324,15 +325,6 @@ class ContainerWriter:
         return self._tokens + self._fill
 
     @property
-    def digest(self) -> str:
-        """The sha256 of the raw token stream.  Final once closed."""
-        if self._manifest is not None:
-            return self._manifest["digest"]
-        d = self._digest.copy()
-        d.update(self._buf[:self._fill].astype("<u8", copy=False))
-        return d.hexdigest()
-
-    @property
     def manifest(self) -> Optional[dict]:
         return self._manifest
 
@@ -359,8 +351,6 @@ class ContainerWriter:
             "digest": self._digest.hexdigest(),
             "session": self.session,
         }
-        if self.archive is not None:
-            manifest["archive"] = self.archive
         manifest_blob = json.dumps(
             manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
         index_offset = self._fh.tell()
@@ -429,7 +419,7 @@ class TraceContainer:
                 raise TraceContainerError(
                     f"{self.path}: unsupported PTRC version {version}")
             self.version = version
-            self.codec = codec_raw.rstrip(b"\0").decode("ascii")
+            self.codec = codec_raw.rstrip(b"\0").decode("ascii", "replace")
             _check_codec(self.codec)
             self.chunk_tokens = chunk_tokens
             self._fh.seek(size - FOOTER_SIZE)
@@ -440,6 +430,11 @@ class TraceContainer:
                 raise TraceContainerError(
                     f"{self.path}: missing footer — torn container "
                     f"(writer died before close; {_SALVAGE_HINT})")
+            end = size - FOOTER_SIZE
+            if (index_offset + index_nbytes > end
+                    or manifest_offset + manifest_nbytes > end):
+                raise TraceContainerError(
+                    f"{self.path}: footer points past the end of the file")
             self._fh.seek(index_offset)
             index_blob = self._fh.read(index_nbytes)
             if len(index_blob) != index_nbytes \
@@ -451,9 +446,13 @@ class TraceContainer:
             try:
                 self.manifest = json.loads(
                     self._fh.read(manifest_nbytes).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except ValueError as exc:  # UnicodeDecodeError is one too
                 raise TraceContainerError(
                     f"{self.path}: manifest corrupt: {exc}") from exc
+            if not isinstance(self.manifest, dict) \
+                    or not isinstance(self.manifest.get("digest"), str):
+                raise TraceContainerError(
+                    f"{self.path}: manifest corrupt: not a PTRC manifest")
             self.tokens = int(tokens)
             if int(self.index["tokens"].sum()) != self.tokens:
                 raise TraceContainerError(
@@ -494,7 +493,7 @@ class TraceContainer:
     # -- introspection ----------------------------------------------------
     @property
     def digest(self) -> str:
-        return self.manifest.get("digest", "")
+        return self.manifest["digest"]
 
     @property
     def n_chunks(self) -> int:
@@ -606,12 +605,14 @@ class TraceContainer:
         self.close()
 
 
-def open_chunk_source(path) -> Union[TraceContainer, "TraceArchive"]:
+def open_chunk_source(path) -> Union[TraceContainer, "CampaignTraces"]:
     """A chunk source for the out-of-core cache layer: a single PTRC
-    file, or an archive directory (streams all members)."""
+    file, or a fleet campaign directory (streams every archived
+    session trace, see :class:`repro.fleet.journal.CampaignTraces`)."""
     path = os.fspath(path)
     if os.path.isdir(path):
-        return TraceArchive(path)
+        from ..fleet.journal import CampaignTraces
+        return CampaignTraces(path)
     return TraceContainer(path)
 
 
@@ -759,146 +760,3 @@ def recover_container(path, out_path, *,
                      for code, msg in problems],
     }
     return writer.manifest, recovery  # type: ignore[return-value]
-
-
-# -- multi-session archives -----------------------------------------------
-
-ARCHIVE_MANIFEST = "archive.json"
-ARCHIVE_FORMAT = "PTRC-archive"
-#: The membership-record fields every archive reader relies on.
-_MEMBER_FIELDS = {"id": str, "file": str, "digest": str, "tokens": int}
-
-
-class TraceArchive:
-    """A directory of member PTRC files with a JSON membership
-    manifest — the fleet's per-campaign trace store.
-
-    Members are addressed by id (the fleet uses session ids); the
-    manifest records each member's file name, digest and token count,
-    plus campaign-level metadata.  :meth:`chunks` chains all members'
-    chunk streams, so a multi-hundred-million-reference population
-    trace simulates through the same bounded-memory kernel path as a
-    single session.
-    """
-
-    def __init__(self, root, *, create: bool = False,
-                 meta: Optional[dict] = None):
-        self.root = os.fspath(root)
-        self._manifest_path = os.path.join(self.root, ARCHIVE_MANIFEST)
-        if os.path.exists(self._manifest_path):
-            try:
-                with open(self._manifest_path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except ValueError as exc:
-                raise TraceContainerError(
-                    f"{self._manifest_path}: undecodable: {exc}") from exc
-            members = data.get("members") if isinstance(data, dict) else None
-            if (not isinstance(members, list)
-                    or data.get("format") != ARCHIVE_FORMAT
-                    or not isinstance(data.get("meta", {}), dict)
-                    or not all(isinstance(m, dict) and all(
-                        isinstance(m.get(key), kind)
-                        for key, kind in _MEMBER_FIELDS.items())
-                        for m in members)):
-                raise TraceContainerError(
-                    f"{self._manifest_path}: not a PTRC archive manifest")
-            self._data = data
-        elif create:
-            os.makedirs(self.root, exist_ok=True)
-            self._data = {"format": ARCHIVE_FORMAT, "version": 1,
-                          "meta": dict(meta or {}), "members": []}
-            self._save()
-        else:
-            raise TraceContainerError(
-                f"{self.root}: no {ARCHIVE_MANIFEST} (pass create=True "
-                "to start a new archive)")
-
-    def _save(self) -> None:
-        write_atomic(self._manifest_path, json.dumps(
-            self._data, indent=2, sort_keys=True).encode("utf-8"))
-
-    @property
-    def meta(self) -> dict:
-        return self._data.get("meta", {})
-
-    def members(self) -> List[dict]:
-        return list(self._data["members"])
-
-    def member(self, member_id: str) -> Optional[dict]:
-        for m in self._data["members"]:
-            if m["id"] == member_id:
-                return dict(m)
-        return None
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(int(m["tokens"]) for m in self._data["members"])
-
-    def add(self, container_path, member_id: str) -> dict:
-        """Register (or replace) a member.  The file must live inside
-        the archive root; its manifest supplies digest and counts."""
-        path = os.fspath(container_path)
-        rel = os.path.relpath(path, self.root)
-        if rel.startswith(".."):
-            raise TraceContainerError(
-                f"member file {path} is outside archive root {self.root}")
-        with TraceContainer(path) as container:
-            record = {"id": member_id, "file": rel,
-                      "digest": container.digest,
-                      "tokens": container.tokens,
-                      "chunks": container.n_chunks,
-                      "codec": container.codec}
-        self._data["members"] = [m for m in self._data["members"]
-                                 if m["id"] != member_id] + [record]
-        self._data["members"].sort(key=lambda m: m["id"])
-        self._save()
-        return record
-
-    def open(self, member_id: str) -> TraceContainer:
-        record = self.member(member_id)
-        if record is None:
-            raise TraceContainerError(
-                f"{self.root}: no member {member_id!r}")
-        return TraceContainer(os.path.join(self.root, record["file"]))
-
-    def chunks(self) -> Iterator[np.ndarray]:
-        """Chain every member's chunk stream, in member-id order."""
-        for record in self._data["members"]:
-            with TraceContainer(
-                    os.path.join(self.root, record["file"])) as container:
-                yield from container.chunks()
-
-    def cache_chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        return cache_chunks(self.chunks())
-
-    def counts(self) -> dict:
-        """Archive-wide ``ReferenceTrace.counts()``-shaped totals,
-        streamed member by member."""
-        return reference_counts(self.chunks())
-
-    def verify(self, deep: bool = False) -> Dict[str, dict]:
-        """Verify every member (digest match against the membership
-        record; ``deep`` adds the per-chunk crc walk)."""
-        reports = {}
-        for record in self._data["members"]:
-            with TraceContainer(
-                    os.path.join(self.root, record["file"])) as container:
-                if container.digest != record["digest"]:
-                    raise TraceContainerError(
-                        f"{self.root}: member {record['id']} digest "
-                        f"mismatch — manifest says "
-                        f"{record['digest'][:12]}…, file has "
-                        f"{container.digest[:12]}…")
-                reports[record["id"]] = container.verify(deep=deep)
-        return reports
-
-    # Members are opened per call, so there is nothing to release; the
-    # context protocol matches TraceContainer's for open_chunk_source.
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "TraceArchive":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass

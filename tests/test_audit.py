@@ -7,10 +7,10 @@ import json
 
 import pytest
 
-from repro.analysis.static import Severity
+from repro.analysis.static import (Severity, load_baseline,
+                                   new_findings_against, save_baseline)
 from repro.analysis.static.audit import (RegionModel, audit_image, audit_rom,
-                                         cross_check_regions, load_baseline,
-                                         new_findings_against, save_baseline)
+                                         cross_check_regions)
 from repro.m68k.asm import assemble
 
 ORIGIN = 0x1000
@@ -227,9 +227,9 @@ start:  dc.w    $a010
 """
         _, result = _audit(src, hacked_traps=())
         path = tmp_path / "baseline.json"
-        save_baseline(result, path)
+        save_baseline(result.report, path)
         baseline = load_baseline(path)
-        assert new_findings_against(result, baseline) == []
+        assert new_findings_against(result.report, baseline) == []
         # A different audit (new finding) against the same baseline.
         src2 = """
 start:  dc.w    $a010
@@ -238,7 +238,7 @@ start:  dc.w    $a010
         rts
 """
         _, result2 = _audit(src2, hacked_traps=())
-        fresh = new_findings_against(result2, baseline)
+        fresh = new_findings_against(result2.report, baseline)
         assert fresh, "the new KeyCurrentState site must not be masked"
         assert all(f.severity >= Severity.WARNING for f in fresh)
 
@@ -253,14 +253,14 @@ start:  moveq   #1,d0
 """
         _, result = _audit(src)
         assert result.report.has("dead-store")
-        assert new_findings_against(result, set()) == []
+        assert new_findings_against(result.report, set()) == []
 
     def test_committed_rom_baseline_is_current(self):
         """The checked-in CI baseline matches a fresh audit of the
         built-in ROM — the audit gate is green at HEAD."""
         result = audit_rom(ram_size=8 << 20, flash_size=1 << 20)
         baseline = load_baseline("tools/audit_baseline.json")
-        assert new_findings_against(result, baseline) == []
+        assert new_findings_against(result.report, baseline) == []
         # And the ROM itself carries no error-severity semantic finding.
         assert result.ok, result.report.format()
 

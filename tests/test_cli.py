@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -158,6 +159,21 @@ def corrupt_archive(archive, tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def foreign_rom_archive(archive, tmp_path_factory):
+    """The quickstart archive with one byte of its flash image flipped,
+    as an archive collected with another ROM build would be."""
+    import shutil
+
+    root = tmp_path_factory.mktemp("foreign-rom") / "session"
+    shutil.copytree(archive, root)
+    rom = root / "initial_state" / "flash.rom"
+    data = bytearray(rom.read_bytes())
+    data[100] ^= 1
+    rom.write_bytes(bytes(data))
+    return root
+
+
 ARCHIVE_COMMANDS = [["replay"], ["replay", "--checkpoint-every", "500"],
                     ["validate"], ["audit"], ["verify-codegen"]]
 
@@ -180,6 +196,47 @@ class TestArchiveErrors:
         assert_one_line_failure(proc)
         assert "corrupt activity log" in proc.stderr
         assert ("--salvage" in proc.stderr) == (command[0] == "replay")
+
+    @pytest.mark.parametrize("command", [
+        ["replay"], ["replay", "--checkpoint-every", "500"], ["validate"],
+        ["audit"]])
+    def test_rom_mismatch(self, foreign_rom_archive, tmp_path, command):
+        """An archive whose flash image is not this build's ROM is a
+        verdict, not a crash; a replay writing a trace leaves no file."""
+        extra = (["--trace-out", tmp_path / "t.ptrc"]
+                 if command[0] == "replay" else [])
+        proc = run_cli(*command, *extra, "--session", foreign_rom_archive)
+        assert_one_line_failure(proc)
+        assert "ROM differs" in proc.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_state_json(self, archive, tmp_path):
+        import shutil
+
+        root = tmp_path / "session"
+        shutil.copytree(archive, root)
+        (root / "initial_state" / "state.json").write_text('{"x": 1}')
+        proc = run_cli("replay", "--session", root)
+        assert_one_line_failure(proc)
+        assert "cannot read archive" in proc.stderr
+        assert "state.json" in proc.stderr
+
+
+class TestBaselineErrors:
+    """A baseline the gate cannot read prints one stderr line and exits
+    1 before any analysis runs."""
+
+    @pytest.mark.parametrize("command", ["audit", "verify-codegen",
+                                         "sanitize"])
+    @pytest.mark.parametrize("blob", ['{"x": 1}', "{", '{"findings": [1]}',
+                                      '{"programs": {"p": [["c", "x"]]}}'])
+    def test_malformed_baseline(self, tmp_path, command, blob):
+        path = tmp_path / "baseline.json"
+        path.write_text(blob)
+        proc = run_cli(command, "--baseline", path)
+        assert_one_line_failure(proc)
+        assert "cannot read baseline" in proc.stderr
+        assert str(path) in proc.stderr
 
 
 class TestValidate:
@@ -370,16 +427,77 @@ class TestTraceBadInput:
         assert not list(tmp_path.iterdir())
 
 
+def campaign_members():
+    from tests.test_container import random_tokens
+
+    return [random_tokens(300 + 50 * i, seed=70 + i, pool=64)
+            for i in range(2)]
+
+
 class TestTraceInfo:
     @pytest.mark.parametrize("manifest", ['{"bogus": 1', '{"bogus": 1}'])
     def test_malformed_archive_manifest_is_one_line(self, tmp_path,
                                                     manifest):
-        """A bad ``archive.json`` prints one line on stderr and exits 1,
-        as a bad ``.ptrc`` does, with no traceback."""
-        (tmp_path / "archive.json").write_text(manifest)
-        proc = run_cli("trace", "info", tmp_path)
+        """A campaign directory with a bad ``manifest.json`` prints one
+        line on stderr and exits 1, as a bad ``.ptrc`` does, with no
+        traceback."""
+        from tests.campaign_utils import make_campaign
+
+        root = make_campaign(tmp_path / "camp", campaign_members())
+        (root / "manifest.json").write_text(manifest)
+        proc = run_cli("trace", "info", root)
         assert_one_line_failure(proc)
-        assert "archive.json" in proc.stderr
+        assert "manifest.json" in proc.stderr
+
+
+class TestCampaignTraces:
+    """A fleet campaign directory is the multi-session trace store:
+    every ``trace`` action and ``sweep --trace`` read it."""
+
+    def test_trace_actions_and_sweep(self, tmp_path, capsys):
+        from repro.traces.container import write_container
+        from tests.campaign_utils import make_campaign
+
+        members = campaign_members()
+        root = make_campaign(tmp_path / "camp", members)
+        assert main(["trace", "info", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "s00000" in out and f"{sum(map(len, members)):,}" in out
+        assert main(["trace", "verify", str(root)]) == 0
+        assert capsys.readouterr().out.count("verify OK") == 2
+        assert main(["trace", "cat", str(root), "--limit", "400"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 400
+        # The campaign sweeps as one container of its members' tokens.
+        whole = tmp_path / "whole.ptrc"
+        write_container(np.concatenate(members), whole)
+        tables = []
+        for source in (root, whole):
+            assert main(["sweep", "--trace", str(source)]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("fault", ["missing", "swapped", "corrupt"])
+    def test_verify_member_fault_is_one_line(self, tmp_path, fault):
+        from repro.fleet.journal import trace_path
+        from repro.traces.container import write_container
+        from tests.campaign_utils import make_campaign
+
+        root = make_campaign(tmp_path / "camp", campaign_members(),
+                             codec="raw")
+        victim = trace_path(root, "s00001")
+        if fault == "missing":
+            victim.unlink()
+        elif fault == "swapped":
+            write_container(campaign_members()[0], victim)
+        else:
+            # A payload byte: the footer's digest still matches the
+            # journal's, only the deep crc walk sees it.
+            data = bytearray(victim.read_bytes())
+            data[60] ^= 0xFF
+            victim.write_bytes(bytes(data))
+        proc = run_cli("trace", "verify", root)
+        assert_one_line_failure(proc)
+        assert "s00001.ptrc" in proc.stderr
 
 
 class TestRom:

@@ -35,6 +35,13 @@ from repro.device.memmap import (
 )
 from repro.emulator import ReferenceTrace
 from repro.emulator.profiling import Profiler
+from repro.fleet import CampaignSpec, write_manifest
+from repro.fleet.journal import (
+    MANIFEST_NAME,
+    CampaignTraces,
+    JournalError,
+    trace_path,
+)
 from repro.traces.container import (
     _FOOTER,
     _FRAME,
@@ -46,7 +53,6 @@ from repro.traces.container import (
     MAGIC,
     VERSION,
     ContainerWriter,
-    TraceArchive,
     TraceContainer,
     TraceContainerError,
     available_codecs,
@@ -67,6 +73,7 @@ from repro.traces.dinero import (
     write_dinero_chunks,
 )
 from tests.cache_oracles import fed_depth_pass, lru_family_stats
+from tests.campaign_utils import make_campaign
 
 CODECS = [c for c in available_codecs() if c in ("raw", "zlib")]
 
@@ -538,6 +545,21 @@ class TestHostileFrames:
         assert not entries
         assert problems[0][0] == "undecodable-chunk"
 
+    @pytest.mark.parametrize("offset, value", [
+        (8, 0xE9),                  # codec name: not ASCII
+        (-48, 0x7F),                # footer index size: past the end
+        (-32, 0x7F),                # footer manifest size: past the end
+    ])
+    def test_corrupt_header_or_footer_field_is_typed(self, tmp_path, offset,
+                                                     value):
+        path = tmp_path / "t.ptrc"
+        write_container(random_tokens(64, seed=68), path)
+        data = bytearray(path.read_bytes())
+        data[offset + 7 if offset < 0 else offset] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceContainerError):
+            TraceContainer(path)
+
     def test_short_inflation_is_typed(self, tmp_path):
         tokens = random_tokens(10, seed=66)
         path = assemble_ptrc(tmp_path / "short.ptrc",
@@ -562,72 +584,86 @@ class TestHostileFrames:
 
 
 # ----------------------------------------------------------------------
-# Multi-session archives
+# Multi-session archives: a fleet campaign directory
 # ----------------------------------------------------------------------
 
 class TestArchive:
     def test_members_chain_and_verify(self, tmp_path):
-        root = tmp_path / "arch"
-        archive = TraceArchive(root, create=True, meta={"campaign": "t"})
-        all_tokens = []
-        for i in range(3):
-            tokens = random_tokens(250 + i, seed=20 + i)
-            member_path = root / f"s{i}.ptrc"
-            write_container(tokens, member_path, chunk_tokens=64)
-            archive.add(member_path, f"s{i}")
-            all_tokens.append(tokens)
-        expected = np.concatenate(all_tokens)
-        reopened = TraceArchive(root)
-        assert reopened.total_tokens == len(expected)
-        assert np.array_equal(np.concatenate(list(reopened.chunks())),
-                              expected)
-        reopened.verify(deep=True)
-        # The archive streams through the same kernel path as one trace.
-        addrs, kinds = unpack_tokens(expected)
-        trace = ReferenceTrace(addresses=addrs, kinds=kinds).memory_only()
-        config = CacheConfig(size=1024, line_size=16, associativity=2)
-        whole = simulate(trace.addresses, config, writes=trace.is_write)
-        assert simulate(reopened.cache_chunks(), config) == whole
+        members = [random_tokens(250 + i, seed=20 + i) for i in range(3)]
+        # Sessions finish out of order; members chain in index order.
+        root = make_campaign(tmp_path / "camp", members, order=(2, 0, 1))
+        expected = np.concatenate(members)
+        with open_chunk_source(root) as campaign:
+            assert [m[0] for m in campaign.members] == \
+                ["s00000", "s00001", "s00002"]
+            assert np.array_equal(np.concatenate(list(campaign.chunks())),
+                                  expected)
+            reports = campaign.verify(deep=True)
+            assert sum(r["tokens"] for r in reports.values()) == len(expected)
+            # The campaign streams through the same kernel path as one
+            # trace.
+            addrs, kinds = unpack_tokens(expected)
+            full = ReferenceTrace(addresses=addrs, kinds=kinds)
+            trace = full.memory_only()
+            config = CacheConfig(size=1024, line_size=16, associativity=2)
+            whole = simulate(trace.addresses, config, writes=trace.is_write)
+            assert simulate(campaign.cache_chunks(), config) == whole
+            assert campaign.counts() == full.counts()
 
     def test_member_digest_mismatch_detected(self, tmp_path):
-        root = tmp_path / "arch"
-        archive = TraceArchive(root, create=True)
-        member = root / "s0.ptrc"
-        write_container(random_tokens(100, seed=1), member)
-        archive.add(member, "s0")
-        write_container(random_tokens(100, seed=2), member)  # swapped
-        with pytest.raises(TraceContainerError):
-            TraceArchive(root).verify()
+        root = make_campaign(tmp_path / "camp",
+                             [random_tokens(100, seed=1)])
+        write_container(random_tokens(100, seed=2),
+                        trace_path(root, "s00000"))  # swapped
+        with pytest.raises(JournalError, match="digest mismatch"):
+            open_chunk_source(root).verify(deep=False)
 
     @pytest.mark.parametrize("blob", [
         "{",                                      # torn JSON
         "[1]",                                    # not an object
-        '{"format": "PTRC-archive"}',             # no member list
+        # Foreign manifests (the retired PTRC-archive format's).
+        '{"format": "PTRC-archive"}',
         '{"format": "PTRC-archive", "members": [1]}',
         '{"format": "PTRC-archive", "members": [{"id": "s0"}]}',
         '{"format": "PTRC-archive", "members": [], "meta": []}',
         b"\xff\xfe",                              # not UTF-8
+        # Fleet manifests whose spec is malformed or not the digest's.
+        '{"_format": "repro-fleet-manifest", "_version": 1, '
+        '"spec": {}, "digest": "ab"}',
+        "edited-spec",
     ])
     def test_malformed_manifest_is_typed_error(self, tmp_path, blob):
-        root = tmp_path / "arch"
-        root.mkdir()
-        manifest = root / "archive.json"
+        root = make_campaign(tmp_path / "camp", [random_tokens(10)])
+        manifest = root / MANIFEST_NAME
+        if blob == "edited-spec":
+            data = json.loads(manifest.read_text())
+            data["spec"]["seed"] += 1
+            blob = json.dumps(data)
         if isinstance(blob, bytes):
             manifest.write_bytes(blob)
         else:
             manifest.write_text(blob)
-        with pytest.raises(TraceContainerError, match="archive.json"):
-            TraceArchive(root)
+        with pytest.raises(JournalError, match=MANIFEST_NAME):
+            open_chunk_source(root)
 
     def test_open_chunk_source_dispatch(self, tmp_path):
-        root = tmp_path / "arch"
-        TraceArchive(root, create=True)
-        assert isinstance(open_chunk_source(root), TraceArchive)
+        root = make_campaign(tmp_path / "camp", [random_tokens(10)])
+        assert isinstance(open_chunk_source(root), CampaignTraces)
         path = tmp_path / "t.ptrc"
         write_container(random_tokens(10), path)
         src = open_chunk_source(path)
         assert isinstance(src, TraceContainer)
         src.close()
+        # A directory that is not a campaign, or a campaign that
+        # archived no traces, is a typed error too.
+        with pytest.raises(JournalError, match="no manifest"):
+            open_chunk_source(tmp_path)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        spec = CampaignSpec(name="empty", sessions=1)
+        write_manifest(empty, spec.to_json(), spec.digest())
+        with pytest.raises(JournalError, match="no archived session"):
+            open_chunk_source(empty)
 
 
 # ----------------------------------------------------------------------
@@ -879,6 +915,19 @@ class TestCliTrace:
         assert "verify OK" in capsys.readouterr().out
         assert main(["trace", "cat", str(path), "--limit", "3"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_info_reads_checked_fields_not_manifest_keys(self, tmp_path,
+                                                         capsys):
+        """The manifest JSON carries no checksum; ``trace info`` takes
+        every figure but the session metadata from the checked
+        header, footer and index."""
+        from repro.cli import main
+
+        path = self.make_container(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"payload_bytes"',
+                                                   b'"payload_bxtes"'))
+        assert main(["trace", "info", str(path)]) == 0
+        assert "500 in 4 chunk(s)" in capsys.readouterr().out
 
     def test_convert_matrix(self, tmp_path, capsys):
         from repro.cli import main

@@ -191,7 +191,7 @@ def test_restore_of_a_tail_longer_than_one_chunk():
 
     # The deserialized path re-chunks the same tail identically.
     fresh = Profiler()
-    fresh.restore_trace(*snap.section_bytes())
+    fresh.restore_trace(snap.section_bytes())
     assert [len(c) for c in fresh._chunks] == [TRACE_CHUNK]
     assert fresh.counts_dict() == counts
     assert np.array_equal(np.concatenate(list(fresh.chunks())),

@@ -19,13 +19,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.static.findings import Report, Severity
+from repro.analysis.static.findings import (Report, Severity,
+                                           baseline_keys, load_baseline,
+                                           new_findings_against,
+                                           save_baseline)
 from repro.analysis.transval import (MISCOMPILE_CLASSES, Vector,
                                      audit_region_elisions,
                                      audit_sanitizer_elisions,
-                                     baseline_keys, load_baseline,
-                                     mutate_prov, new_findings_against,
-                                     save_baseline, selftest,
+                                     mutate_prov, selftest,
                                      validate_block)
 from repro.device.device import PalmDevice
 from repro.emulator.profiling import Profiler

@@ -15,17 +15,24 @@ Checks the contract the supervisor promises:
   truth, the aggregate a pure function of it);
 * a clean 4-session campaign writes byte-identical ``aggregates.json``
   at ``jobs=1`` and ``jobs=2`` (worker scheduling and what the
-  supervisor pre-warms before forking never reach the stats).
+  supervisor pre-warms before forking never reach the stats);
+* an ``--archive-traces`` campaign directory is a trace store:
+  ``palm-repro trace info`` and ``trace verify`` exit 0 on it, and
+  ``sweep --trace DIR --jobs 2`` prints the tables of a sweep of one
+  container holding its members' tokens concatenated.
 
 Run from a checkout: ``python tools/fleet_smoke.py``.
 """
 
+import contextlib
+import io
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.cli import main as cli  # noqa: E402
 from repro.fleet import (  # noqa: E402
     CampaignSpec,
     ChaosPlan,
@@ -33,6 +40,8 @@ from repro.fleet import (  # noqa: E402
     run_campaign,
     verify_chaos,
 )
+from repro.fleet.journal import CampaignTraces  # noqa: E402
+from repro.traces.container import write_container  # noqa: E402
 
 SESSIONS = 16
 FAILURES = []
@@ -45,6 +54,33 @@ def check(name: str, ok: bool, detail: str = "") -> None:
     print(line)
     if not ok:
         FAILURES.append(name)
+
+
+def run_cli(*args) -> "tuple[int, str]":
+    """``palm-repro ARGS`` in-process: (exit status, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli([str(arg) for arg in args])
+    return status, out.getvalue()
+
+
+def check_trace_store(spec: CampaignSpec, tmp: Path) -> None:
+    archived = CampaignSpec(
+        name="fleet-smoke-traces", sessions=2, seed=99,
+        app_mixes=spec.app_mixes, behaviors=spec.behaviors,
+        durations=spec.durations, caches=spec.caches, archive_traces=True)
+    out = tmp / "traces-campaign"
+    run_campaign(archived, out, jobs=2, hang_timeout=300.0)
+    for action in ("info", "verify"):
+        status, text = run_cli("trace", action, out)
+        check(f"trace {action} on the campaign directory", status == 0,
+              text.strip().splitlines()[0] if text.strip() else "")
+    whole = tmp / "members.ptrc"
+    write_container(CampaignTraces(out).chunks(), whole)
+    sweeps = [run_cli("sweep", "--trace", source, "--jobs", 2)
+              for source in (out, whole)]
+    check("campaign sweep equals the concatenated-members sweep",
+          sweeps[0][0] == sweeps[1][0] == 0 and sweeps[0][1] == sweeps[1][1])
 
 
 def main() -> int:
@@ -96,6 +132,7 @@ def main() -> int:
             aggregates.append((clean_out / "aggregates.json").read_bytes())
         check("clean campaign aggregates identical at jobs=1 and jobs=2",
               aggregates[0] == aggregates[1])
+        check_trace_store(spec, Path(tmp))
 
     if FAILURES:
         print(f"\n{len(FAILURES)} fleet smoke failure(s): "
