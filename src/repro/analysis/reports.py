@@ -105,28 +105,14 @@ def format_validation(log_summary: str, state_summary: str) -> str:
 
 def format_opcode_table(top: List[tuple], total: int,
                         title: str = "Most-executed opcodes.") -> str:
-    from ..m68k.disasm import disassemble_one
+    from ..m68k.disasm import decode_insn
 
     out = [title, f"{'opcode':>8}  {'count':>12}  {'share':>7}  mnemonic"]
     for op, count in top:
-        words = [op, 0, 0]
-
-        def fetch(addr: int, _w: List[int] = words) -> int:
-            return _w[(addr // 2) % 3]
-
-        try:
-            text, _ = disassemble_one(fetch, 0)
-        except Exception:
-            text = "?"
+        # The histogram keeps opcode words only: an instruction with
+        # extension words renders with zeros in their place.
+        insn = decode_insn(lambda addr, word=op: 0 if addr else word, 0)
+        note = "  (extension words not shown)" if insn.length > 2 else ""
         out.append(f"  ${op:04x}  {count:>12,}  {100 * count / total:>6.2f}%  "
-                   f"{text}  (extension words not shown)"
-                   if _needs_ext(op) else
-                   f"  ${op:04x}  {count:>12,}  {100 * count / total:>6.2f}%  {text}")
+                   f"{insn.text}{note}")
     return "\n".join(out)
-
-
-def _needs_ext(op: int) -> bool:
-    """Whether the opcode takes extension words the histogram lacks."""
-    mode = (op >> 3) & 7
-    reg = op & 7
-    return mode >= 5 or (mode == 7 and reg != 4) or (op & 0xF000) == 0x0000

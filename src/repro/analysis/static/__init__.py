@@ -21,7 +21,6 @@ from .audit import (AuditResult, RegionModel, RegionPrediction, audit_image,
 from .census import TrapCensus, cross_check
 from .dataflow import (AbsState, ConstResult, MemOp, TrapSite,
                        analyze_constprop, nondet_reachability)
-from .decode import Insn, decode_insn, is_legal
 from .findings import (CheckContext, Finding, Report, Severity,
                        baseline_keys, load_baseline, new_findings_against,
                        save_baseline)
@@ -38,7 +37,6 @@ __all__ = [
     "analyze_constprop", "nondet_reachability",
     "AbsState", "ConstResult", "MemOp", "TrapSite",
     "TrapCensus", "cross_check",
-    "decode_insn", "is_legal", "Insn",
     "CheckContext", "Finding", "Report", "Severity",
     "lint_archive", "lint_log", "lint_playback_result", "deep_findings",
     "CFG", "BasicBlock", "walk",

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from ...m68k.disasm import K_EMUCALL, K_ILLEGAL, K_RETURN, K_TRAP
 from ...palmos.traps import (CALL_APP_RETURNED, CALL_BOOT, CALL_DELAY_TRY,
                              CALL_EVT_TRY, CALL_GET_APP, CALL_PANIC, Trap)
 from .census import TrapCensus
-from .decode import K_EMUCALL, K_ILLEGAL, K_RETURN, K_TRAP
 from .findings import CheckContext, Report, Severity
 from .walker import CFG, walk
 

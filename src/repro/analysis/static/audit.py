@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
+from ...m68k.disasm import K_BRANCH, K_CALL, K_NORMAL
 from ...palmos.traps import Trap
 from .census import TrapCensus
-from .decode import K_BRANCH, K_CALL, K_NORMAL
 from .dataflow import (ConstResult, MemOp, TrapSite, analyze_constprop,
                        nondet_reachability)
 from .findings import Report, Severity

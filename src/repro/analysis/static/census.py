@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
+from ...m68k.disasm import K_TRAP
 from ...palmos.traps import Trap
-from .decode import K_TRAP
 from .findings import Report, Severity
 from .walker import CFG
 

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple, Union)
 
-from .decode import (Insn, K_CALL, K_CONDBRANCH, K_EMUCALL, K_EXCEPTION,
-                     K_NORMAL, K_TRAP)
+from ...m68k.disasm import (Insn, K_CALL, K_CONDBRANCH, K_EMUCALL,
+                            K_EXCEPTION, K_NORMAL, K_TRAP)
 from .walker import CFG, BasicBlock
 
 M32 = 0xFFFFFFFF

@@ -2,7 +2,7 @@
 
 The walker starts from a set of *roots* (reset vector, trap stubs, app
 entry points), decodes instructions with
-:func:`repro.analysis.static.decode.decode_insn`, and follows every
+:func:`repro.m68k.disasm.decode_insn`, and follows every
 statically-known control-flow edge: fallthrough, ``bra``/``jmp``,
 conditional branches, ``bsr``/``jsr`` calls, and — when the caller
 supplies a trap-to-stub mapping — A-line trap edges.  The result is a
@@ -18,8 +18,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .decode import (Insn, K_BRANCH, K_CALL, K_CONDBRANCH, K_ILLEGAL,
-                     K_RETURN, K_TRAP, decode_insn)
+from ...m68k.disasm import (Insn, K_BRANCH, K_CALL, K_CONDBRANCH,
+                            K_ILLEGAL, K_RETURN, K_TRAP, decode_insn)
 
 
 @dataclass

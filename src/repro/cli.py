@@ -8,7 +8,6 @@ regenerate the cache study.
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
 import time
 from pathlib import Path
@@ -442,7 +441,7 @@ def _load_archive(directory: str, salvage: Optional[bool] = None):
             print(f"salvage      : {result.summary()}")
             return state, result.log
         return state, ActivityLog.load(root / "activity_log.pdb")
-    except (OSError, ValueError, KeyError, struct.error) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         if state is not None and isinstance(exc, TraceFormatError):
             hint = ("; re-run with --salvage to repair/skip bad records"
                     if salvage is False else "")

@@ -1,7 +1,12 @@
 """From-scratch Motorola 68000 (DragonBall MC68VZ328) toolchain.
 
-The Palm m515's processor core, an assembler for writing guest software
-(ROM routines, hacks, applications), and a disassembler for debugging.
+The Palm m515's processor core (:mod:`.cpu` with the opcode dispatch
+table in :mod:`.decoder`, the superblock replay core in
+:mod:`.blockcore` and :mod:`.fuse`), an assembler for writing guest
+software (ROM routines, hacks, applications), and the one instruction
+decoder (:mod:`.disasm`): the block core, the fuser and the static
+analyzer take lengths, kinds and memory effects from it, and the
+disassembler renders its text.
 """
 
 from .bus import Bus, FlatMemory

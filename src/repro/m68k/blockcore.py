@@ -70,6 +70,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .cpu import CPU
 from .decoder import resolve
+from .disasm import K_BRANCH, K_CONDBRANCH, K_NORMAL, decode_insn
 
 _MASK32 = 0xFFFFFFFF
 
@@ -89,10 +90,6 @@ FUSE_THRESHOLD = 8
 # package in at import time).
 _Profiler: Any = None
 _TRACE_CHUNK = 0
-_decode_insn: Any = None
-_K_NORMAL: Any = None
-_K_BRANCH: Any = None
-_K_CONDBRANCH: Any = None
 _build_fused: Any = None
 
 
@@ -103,18 +100,6 @@ def _resolve_profiler() -> Any:
         _Profiler = Profiler
         _TRACE_CHUNK = TRACE_CHUNK
     return _Profiler
-
-
-def _resolve_decoder() -> Any:
-    global _decode_insn, _K_NORMAL, _K_BRANCH, _K_CONDBRANCH
-    if _decode_insn is None:
-        from ..analysis.static.decode import (K_BRANCH, K_CONDBRANCH,
-                                              K_NORMAL, decode_insn)
-        _decode_insn = decode_insn
-        _K_NORMAL = K_NORMAL
-        _K_BRANCH = K_BRANCH
-        _K_CONDBRANCH = K_CONDBRANCH
-    return _decode_insn
 
 
 def _resolve_fuser() -> Any:
@@ -372,7 +357,6 @@ class BlockCore:
             backing, region, limit = mem.flash, 1, mem.flash_limit
         else:
             return None
-        decode = _resolve_decoder()
         data = backing.data
         base = backing.base
         size = len(data)
@@ -405,7 +389,7 @@ class BlockCore:
                 # Genuine illegal words keep the stepping fallback,
                 # which owns the exception plumbing.
                 break
-            insn = decode(fetch, addr, want_text=False)
+            insn = decode_insn(fetch, addr)
             if insn.end > limit:
                 break
             # The fetch reference the stepping loop would emit for this
@@ -415,14 +399,14 @@ class BlockCore:
             seen.add(addr)
             spans.append((addr, insn.end))
             kind = insn.kind
-            if kind == _K_NORMAL:
+            if kind == K_NORMAL:
                 addr = insn.end
-            elif kind == _K_BRANCH and insn.target is not None \
+            elif kind == K_BRANCH and insn.target is not None \
                     and not insn.indirect and not insn.target & 1:
                 # Chain through the unconditional branch when the
                 # target stays in the same backing region.
                 addr = insn.target
-            elif kind == _K_CONDBRANCH:
+            elif kind == K_CONDBRANCH:
                 if insn.target == pc:
                     # Backedge to the block entry: end the block here so
                     # the whole loop body fuses into a while-loop.

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..analysis.static.decode import Insn, K_BRANCH, K_CONDBRANCH, decode_insn
+from .disasm import Insn, K_BRANCH, K_CONDBRANCH, decode_insn
 from .errors import AddressError
 from .instructions import COND_EXPRS, M32, MASKS, MSBS, _shift, _specialize
 
@@ -1250,7 +1250,7 @@ class _Fuser:
         self._fetch = fetch
         insns: List[Insn] = []
         for (addr, _nxt, _token, op, _handler) in self.entries:
-            insn = decode_insn(fetch, addr, want_text=False)
+            insn = decode_insn(fetch, addr)
             if insn.addr != addr or insn.word != op:
                 raise _Unfusable
             insns.append(insn)

@@ -104,9 +104,16 @@ class DatabaseImage:
 
     @classmethod
     def from_pdb_bytes(cls, blob: bytes) -> "DatabaseImage":
+        """Parse the classic PDB layout; bytes too short for the header
+        or the record index they declare raise ``ValueError``."""
+        if len(blob) < 78:
+            raise ValueError(f"PDB header truncated: {len(blob)} of 78 bytes")
         (raw_name, attributes, version, cdate, mdate, bdate, modnum,
          _appinfo, _sortinfo, type_raw, creator_raw, seed, _nextlist,
          nrecords) = struct.unpack(">32sHHIIIIII4s4sIIH", blob[:78])
+        if len(blob) < 78 + 8 * nrecords:
+            raise ValueError(f"PDB record index truncated: {nrecords} "
+                             f"records in {len(blob)} bytes")
         records: List[RecordImage] = []
         offsets: List[Tuple[int, int, int]] = []
         pos = 78

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, List
 
 from ..palmos.database import DatabaseImage, RecordImage
-from .records import LogEventType, LogRecord
+from .records import LogEventType, LogRecord, TraceFormatError
 
 #: Name of the common database the five hacks insert into.
 LOG_DB_NAME = "UserInputLog"
@@ -82,7 +82,12 @@ class ActivityLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "ActivityLog":
-        image = DatabaseImage.from_pdb_bytes(Path(path).read_bytes())
+        """Read a log written by :meth:`save`; bytes that do not spell
+        one raise :class:`TraceFormatError`."""
+        try:
+            image = DatabaseImage.from_pdb_bytes(Path(path).read_bytes())
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}: {exc}") from None
         return cls.from_database_image(image)
 
     # -- filtering ------------------------------------------------------------

@@ -70,6 +70,15 @@ class TestFormatters:
         assert "rts" in out
         assert "99.01%" in out
 
+    def test_opcode_table_notes_extension_words_by_length(self):
+        # moveq takes none; bra.w, link, movem and dbf each take one.
+        out = format_opcode_table(
+            [(0x7028, 5), (0x6000, 1), (0x4E56, 1), (0x48E7, 1),
+             (0x51C8, 1)], 9).splitlines()[2:]
+        assert out[0].endswith("moveq #40,d0")
+        assert all(line.endswith("(extension words not shown)")
+                   for line in out[1:])
+
 
 class TestEnergyModel:
     def test_no_cache_energy_flash_heavy(self):

@@ -221,6 +221,20 @@ class TestArchiveErrors:
         assert "cannot read archive" in proc.stderr
         assert "state.json" in proc.stderr
 
+    def test_truncated_activity_log(self, archive, tmp_path):
+        """A log cut inside its PDB header is a corrupt log, not a
+        ``struct.error`` traceback."""
+        import shutil
+
+        root = tmp_path / "session"
+        shutil.copytree(archive, root)
+        log = root / "activity_log.pdb"
+        log.write_bytes(log.read_bytes()[:40])
+        proc = run_cli("replay", "--session", root)
+        assert_one_line_failure(proc)
+        assert "corrupt activity log" in proc.stderr
+        assert "PDB header truncated" in proc.stderr
+
 
 class TestBaselineErrors:
     """A baseline the gate cannot read prints one stderr line and exits

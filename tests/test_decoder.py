@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.static.decode import is_legal
+from repro.m68k.disasm import is_legal
 from repro.device.device import PalmDevice
 from repro.m68k.decoder import TABLE, UNBUILT, resolve
 from repro.m68k.errors import IllegalInstructionError

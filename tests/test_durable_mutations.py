@@ -1,24 +1,28 @@
 """Seeded mutations of every durable input a campaign trace store, a
-session archive and a findings baseline are read from.
+session archive, a replay checkpoint and a findings baseline are read
+from.
 
 Each input is truncated at a seeded offset and overwritten with seeded
-garbage bytes; the PTRC members, whose frames are checksummed, also
-take single bit flips.  A mutant must read back equal or raise its
-format's typed ``ValueError`` subclass — never a bare ``KeyError``,
-``struct.error``, ``zlib.error``, ``UnicodeDecodeError`` or any other
-untyped exception.  What "equal" means per input:
+garbage bytes; the PTRC members, whose frames are checksummed, the
+PRCKPT01 checkpoint, sealed by a sha256, and the activity log also take
+single bit flips.  A mutant must read back equal or raise its format's
+typed error (``CheckpointError`` for a checkpoint, a ``ValueError``
+subclass for the rest) — never a bare ``KeyError``, ``struct.error``,
+``zlib.error``, ``UnicodeDecodeError`` or any other untyped exception.
+What "equal" means per input:
 
-* a PTRC member and the campaign ``manifest.json`` (its digest names
-  its spec): the data read back equals the original's;
+* a PTRC member, a checkpoint and the campaign ``manifest.json`` (its
+  digest names its spec): the data read back equals the original's;
 * the journal: every member the campaign reads back (deep-verified)
   is an original member with identical tokens — a torn final line may
   drop the session it recorded, as it was never durable;
-* ``state.json`` and a baseline carry no checksum: a mutant that still
-  decodes as JSON may say something else, and then reads back as what
-  it says; one that decodes to the original document reads back equal.
+* ``state.json``, ``activity_log.pdb`` and a baseline carry no
+  checksum: a mutant that still decodes may say something else, and
+  then reads back as what it says; one that decodes to the original
+  reads back equal.  A truncated activity log never reads back short.
 
 The directories are built directly (``write_manifest``,
-``CampaignJournal``, ``write_container``); no fleet runs.
+``CampaignJournal``, ``write_container``); no fleet or replay runs.
 """
 
 import json
@@ -41,12 +45,15 @@ from repro.fleet.journal import (
     trace_path,
 )
 from repro.palmos.database import DatabaseImage
+from repro.resilience.checkpoint import Checkpoint
+from repro.resilience.errors import CheckpointError
 from repro.traces.container import (
     TraceContainer,
     TraceContainerError,
     open_chunk_source,
 )
-from repro.tracelog import InitialState, TraceFormatError
+from repro.tracelog import (ActivityLog, InitialState, LogEventType,
+                            LogRecord, TraceFormatError)
 from tests.campaign_utils import make_campaign
 
 SEEDS = range(64)
@@ -216,3 +223,58 @@ def test_baseline(tmp_path):
             elif got is not None:
                 findings = json.loads(blob.decode("utf-8"))["findings"]
                 assert got == {tuple(pair) for pair in findings}
+
+
+def records_spelled(blob: bytes):
+    """The records a PDB's bytes spell by the format's layout (big-endian
+    record count at +76, an 8-byte index entry per record whose first
+    u32 is its offset, each record running to the next offset), or None
+    when they spell no activity log."""
+    if len(blob) < 78:
+        return None
+    count = int.from_bytes(blob[76:78], "big")
+    if len(blob) < 78 + 8 * count:
+        return None
+    starts = [int.from_bytes(blob[78 + 8 * i:82 + 8 * i], "big")
+              for i in range(count)]
+    try:
+        return [LogRecord.decode(blob[start:end])
+                for start, end in zip(starts, starts[1:] + [len(blob)])]
+    except TraceFormatError:
+        return None
+
+
+def test_activity_log(tmp_path):
+    rng = random.Random(7)
+    types = list(LogEventType)
+    log = ActivityLog([LogRecord(types[i % len(types)], 100 + 17 * i,
+                                 5000 + i, rng.randrange(1 << 16))
+                       for i in range(40)])
+    path = tmp_path / "activity_log.pdb"
+    log.save(path)
+    data = path.read_bytes()
+    for seed in SEEDS:
+        for kind, blob in mutants(data, seed, bitflips=True):
+            path.write_bytes(blob)
+            got = read_typed(lambda: ActivityLog.load(path),
+                             TraceFormatError)
+            if kind == "truncate":
+                assert got in (None, log), (kind, seed)
+            elif got is not None:
+                assert got.records == records_spelled(blob), (kind, seed)
+
+
+def test_checkpoint(tmp_path):
+    # One section above the compression threshold, one below it.
+    checkpoint = Checkpoint(
+        manifest={"tick": 1234, "cpu": {"pc": 0x10C00000, "d": [0] * 8}},
+        sections={"ram": bytes(range(256)) * 64, "regs": b"\x01" * 40})
+    path = checkpoint.save(tmp_path / "replay.prckpt")
+    original = Checkpoint.load(path)
+    assert original == checkpoint
+    data = path.read_bytes()
+    for seed in SEEDS:
+        for kind, blob in mutants(data, seed, bitflips=True):
+            path.write_bytes(blob)
+            got = read_typed(lambda: Checkpoint.load(path), CheckpointError)
+            assert got in (None, original), (kind, seed)

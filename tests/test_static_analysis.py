@@ -3,11 +3,10 @@
 import pytest
 
 from repro.analysis.static import (Severity, TrapCensus, analyze_image,
-                                   analyze_rom, decode_insn, is_legal, walk)
-from repro.analysis.static.decode import (K_CALL, K_CONDBRANCH, K_ILLEGAL,
-                                          K_RETURN, K_TRAP)
+                                   analyze_rom, walk)
 from repro.m68k.asm import assemble
-from repro.m68k.disasm import disassemble_one
+from repro.m68k.disasm import (K_CALL, K_CONDBRANCH, K_ILLEGAL, K_RETURN,
+                               K_TRAP, disassemble_one, is_legal)
 
 ORIGIN = 0x1000
 
@@ -35,8 +34,9 @@ def _analyze(source: str, roots=("start",), **kw):
 # ----------------------------------------------------------------------
 class TestDisassemblerTotality:
     def test_all_65536_words_disassemble(self):
-        """Every opcode word disassembles without raising; words the
-        disassembler can't render come back as dc.w with length 2."""
+        """Every opcode word disassembles without raising, and renders
+        as ``dc.w`` of length 2 exactly when the interpreter rejects it
+        (A-line and F-line words render as traps and emucalls)."""
         mem = {}
 
         def fetch(addr):
@@ -46,45 +46,12 @@ class TestDisassemblerTotality:
             mem[0] = op
             text, length = disassemble_one(fetch, 0)
             assert length >= 2, f"op {op:#06x} length {length}"
-            if text.startswith("dc.w"):
-                assert length == 2, f"op {op:#06x}: dc.w must be 2 bytes"
-                assert text == f"dc.w ${op:04x}"
-
-    def test_decode_and_disasm_agree_on_length(self):
-        """For every interpreter-legal word, the structural decoder and
-        the disassembler account for the same extension words — the CFG
-        walker depends on this."""
-        mem = {}
-
-        def fetch(addr):
-            return mem.get(addr, 0)
-
-        for op in range(0x10000):
-            if not is_legal(op):
-                continue
-            mem[0] = op
-            _, disasm_len = disassemble_one(fetch, 0)
-            insn = decode_insn(fetch, 0)
-            assert insn.length == disasm_len, (
-                f"op {op:#06x}: decode {insn.length} != disasm {disasm_len}")
-
-    def test_every_dcw_word_is_interpreter_illegal(self):
-        """The disassembler only falls back to dc.w for words the
-        interpreter also rejects (A/F-line words excepted: those render
-        as traps/emucalls, never dc.w)."""
-        mem = {}
-
-        def fetch(addr):
-            return mem.get(addr, 0)
-
-        for op in range(0x10000):
-            if op >> 12 in (0xA, 0xF):
-                continue
-            mem[0] = op
-            text, _ = disassemble_one(fetch, 0)
-            if text.startswith("dc.w") and op != 0x4AFC:
-                assert not is_legal(op), (
+            if is_legal(op):
+                assert not text.startswith("dc.w"), (
                     f"op {op:#06x} is legal but renders as dc.w")
+            else:
+                assert (text, length) == (f"dc.w ${op:04x}", 2), (
+                    f"op {op:#06x} is illegal but renders as {text!r}")
 
 
 # ----------------------------------------------------------------------
@@ -279,40 +246,6 @@ class TestRomAnalysis:
 # Satellites: length agreement under random extensions, deterministic
 # unreachable-block ordering, and stable report sorting
 # ----------------------------------------------------------------------
-class TestLengthAgreementProperty:
-    """decode.py and disasm.py must agree on instruction length for
-    every opcode word regardless of what follows it in memory — the
-    walker's block boundaries and the disassembler's listing otherwise
-    drift apart."""
-
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    @settings(max_examples=300, deadline=None)
-    @given(op=st.integers(0, 0xFFFF),
-           exts=st.lists(st.integers(0, 0xFFFF), min_size=5, max_size=5))
-    def test_lengths_agree_for_all_words(self, op, exts):
-        from repro.analysis.static.decode import decode_insn, is_legal
-        from repro.m68k.disasm import disassemble_one
-
-        words = [op] + exts
-
-        def fetch(addr):
-            return words[(addr - ORIGIN) // 2]
-
-        insn = decode_insn(fetch, ORIGIN)
-        if not is_legal(op):
-            # Words the interpreter rejects decode as a 2-byte illegal
-            # marker; the disassembler may still render the pattern.
-            assert insn.length == 2 and insn.kind == "illegal"
-            return
-        _, disasm_len = disassemble_one(fetch, ORIGIN)
-        assert insn.length == disasm_len, (
-            f"op {op:#06x} exts {[f'{w:#06x}' for w in exts]}: "
-            f"decode {insn.length} != disasm {disasm_len}")
-        assert 2 <= insn.length <= 12 and insn.length % 2 == 0
-
-
 class TestUnreachableBlockOrdering:
     def _cfg(self, root_order):
         source = """
