@@ -53,6 +53,24 @@ class TestDisassemblerTotality:
                 assert (text, length) == (f"dc.w ${op:04x}", 2), (
                     f"op {op:#06x} is illegal but renders as {text!r}")
 
+    def test_every_dcw_word_is_interpreter_illegal(self):
+        """The disassembler only falls back to dc.w for words the
+        interpreter also rejects (A/F-line words excepted: those render
+        as traps/emucalls, never dc.w)."""
+        mem = {}
+
+        def fetch(addr):
+            return mem.get(addr, 0)
+
+        for op in range(0x10000):
+            if op >> 12 in (0xA, 0xF):
+                continue
+            mem[0] = op
+            text, _ = disassemble_one(fetch, 0)
+            if text.startswith("dc.w") and op != 0x4AFC:
+                assert not is_legal(op), (
+                    f"op {op:#06x} is legal but renders as dc.w")
+
 
 # ----------------------------------------------------------------------
 # The CFG walker
