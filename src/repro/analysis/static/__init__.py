@@ -11,8 +11,8 @@ Entry points:
   opcode record of a profiled replay;
 * :func:`cross_check_regions` — validate the audit's per-instruction
   region predictions against a profiled replay's per-pc references;
-* :func:`lint_archive` — the activity-log determinism linter
-  (:func:`deep_findings` adds the semantic half of ``lint --deep``).
+* :func:`deep_findings` — the semantic half of ``lint --deep`` (the
+  activity-log check itself is :mod:`repro.resilience.salvage`).
 """
 
 from .analyzer import RomAnalysis, analyze_image, analyze_rom, run_checks
@@ -24,8 +24,7 @@ from .dataflow import (AbsState, ConstResult, MemOp, TrapSite,
 from .findings import (CheckContext, Finding, Report, Severity,
                        baseline_keys, load_baseline, new_findings_against,
                        save_baseline)
-from .tracelint import (deep_findings, lint_archive, lint_log,
-                        lint_playback_result)
+from .tracelint import deep_findings
 from .walker import CFG, BasicBlock, walk
 
 __all__ = [
@@ -38,6 +37,6 @@ __all__ = [
     "AbsState", "ConstResult", "MemOp", "TrapSite",
     "TrapCensus", "cross_check",
     "CheckContext", "Finding", "Report", "Severity",
-    "lint_archive", "lint_log", "lint_playback_result", "deep_findings",
+    "deep_findings",
     "CFG", "BasicBlock", "walk",
 ]

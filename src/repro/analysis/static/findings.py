@@ -1,9 +1,10 @@
 """Typed findings for the static analyzers.
 
 Every check — the ROM CFG diagnostics, the trap census cross-check and
-the activity-log determinism linter — reports through the same
-:class:`Finding`/:class:`Report` pair, so the CLI and the tests can
-treat "zero error-severity findings" as one uniform acceptance gate.
+the activity-log check (:mod:`repro.resilience.salvage`) — reports
+through the same :class:`Finding`/:class:`Report` pair, so the CLI and
+the tests can treat "zero error-severity findings" as one uniform
+acceptance gate.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ class Severity(IntEnum):
     """Finding severity, ordered so ``max()`` picks the worst.
 
     This scale is shared by *every* diagnostic producer in the tree —
-    the CFG analyzer, the semantic audit, the activity-log linter and
-    the resilience subsystem's trace salvage
+    the CFG analyzer, the semantic audit and the activity-log check
     (:func:`repro.resilience.salvage.salvage_log`) — so severities
     compare meaningfully across reports:
 

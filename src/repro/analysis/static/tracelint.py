@@ -1,127 +1,18 @@
-"""The activity-log determinism linter.
+"""The semantic half of ``palm-repro lint --deep``.
 
-Replay is only deterministic when the activity log is internally
-consistent: ticks within an epoch never run backwards, no record is
-duplicated, every boot has a recorded ``SysRandom`` seed to consume,
-and every record decodes.  This module checks those properties
-*statically* — before a replay is attempted — which is the static
-analogue of the paper's replay-correlation validation (§5): a log that
-fails these checks cannot drive a faithful replay, no matter how good
-the emulator is.
-
-``lint_playback_result`` adds the dynamic half: after a replay, a
-non-zero ``seeds_missing`` means the guest consumed seeds that were
-never logged (the recorder under-recorded the session).
+The structural activity-log check lives in
+:mod:`repro.resilience.salvage`: one walk that both ``lint --session``
+and ``replay --salvage`` run.  A log can pass it and still replay
+wrong if the *code* can reach a nondeterminism source no hack traces,
+so ``--deep`` adds the determinism-relevant findings of the semantic
+ROM audit.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence
 
-from ...palmos.database import DatabaseImage
-from ...tracelog.log import MAX_LOG_RECORDS, ActivityLog
-from ...tracelog.parser import split_epochs
-from ...tracelog.records import LogEventType, LogRecord
 from .findings import Report, Severity
-
-
-def lint_log(log: ActivityLog) -> Report:
-    """Check a decoded activity log for replay-determinism hazards.
-
-    Findings use ``address`` for the record index within the log.
-    """
-    report = Report()
-    if len(log) > MAX_LOG_RECORDS:
-        report.add(Severity.ERROR, "log-overflow",
-                   f"{len(log)} records exceed the {MAX_LOG_RECORDS}-record "
-                   f"database limit")
-
-    epochs = split_epochs(log)
-    index = 0
-    for epoch_no, epoch in enumerate(epochs):
-        prev_tick: Optional[int] = None
-        prev_rtc: Optional[int] = None
-        seen = set()
-        for rec in epoch:
-            if prev_tick is not None and rec.tick < prev_tick:
-                report.add(
-                    Severity.ERROR, "non-monotonic-tick",
-                    f"record {index} ({rec.type.name}) has tick "
-                    f"{rec.tick}, before the preceding record's "
-                    f"{prev_tick} (epoch {epoch_no})", address=index)
-            prev_tick = rec.tick
-            if prev_rtc is not None and rec.rtc < prev_rtc:
-                report.add(
-                    Severity.WARNING, "non-monotonic-rtc",
-                    f"record {index} ({rec.type.name}) has rtc "
-                    f"{rec.rtc}, before the preceding record's "
-                    f"{prev_rtc}", address=index)
-            prev_rtc = rec.rtc
-            key = (rec.type, rec.tick, rec.rtc, rec.data)
-            if key in seen:
-                report.add(
-                    Severity.WARNING, "duplicate-record",
-                    f"record {index} duplicates an earlier "
-                    f"{rec.type.name} record (tick {rec.tick}, "
-                    f"data {rec.data:#x})", address=index)
-            seen.add(key)
-            if rec.type == LogEventType.RANDOM and rec.data == 0:
-                report.add(
-                    Severity.WARNING, "zero-seed",
-                    f"record {index} logs a zero SysRandom seed "
-                    f"(zero seeds do not reseed and are never logged "
-                    f"by a correct recorder)", address=index)
-            index += 1
-
-    # The seed queue is global (consumed one per non-zero SysRandom
-    # call, in insertion order) and every epoch's boot path calls
-    # SysRandom once, so the log needs at least one seed per epoch or
-    # replay will underrun the queue.
-    seeds = len(log.of_type(LogEventType.RANDOM))
-    if seeds < len(epochs):
-        report.add(
-            Severity.ERROR, "seed-underrun",
-            f"{seeds} recorded SysRandom seed(s) for {len(epochs)} "
-            f"epoch(s); each boot consumes one, so replay will fall "
-            f"back to emulator entropy")
-    report.add(
-        Severity.INFO, "log-summary",
-        f"{len(log)} records in {len(epochs)} epoch(s), {seeds} seed(s), "
-        f"ticks {log.first_tick}..{log.last_tick}")
-    return report
-
-
-def lint_archive(path: Union[str, Path]) -> Report:
-    """Lint a session archive (a directory containing
-    ``activity_log.pdb``, or the ``.pdb`` file itself).
-
-    Corrupt records are reported individually — the rest of the log is
-    still linted — so one bad record doesn't hide the others.
-    """
-    path = Path(path)
-    if path.is_dir():
-        path = path / "activity_log.pdb"
-    report = Report()
-    if not path.exists():
-        report.add(Severity.ERROR, "missing-log",
-                   f"no activity log at {path}")
-        return report
-    try:
-        image = DatabaseImage.from_pdb_bytes(path.read_bytes())
-    except Exception as exc:
-        report.add(Severity.ERROR, "corrupt-database",
-                   f"activity log is not a readable PDB: {exc}")
-        return report
-    records = []
-    for i, raw in enumerate(image.records):
-        try:
-            records.append(LogRecord.decode(raw.data))
-        except Exception as exc:
-            report.add(Severity.ERROR, "corrupt-record",
-                       f"record {i} does not decode: {exc}", address=i)
-    report.extend(lint_log(ActivityLog(records)))
-    return report
 
 
 #: Audit finding codes that bear on replay determinism — the subset
@@ -156,21 +47,4 @@ def deep_findings(apps: Optional[Sequence[Any]] = None,
                f"semantic ROM audit contributed {contributed} "
                f"determinism finding(s) from {len(result.trap_sites)} "
                f"trap site(s)")
-    return report
-
-
-def lint_playback_result(result: Any) -> Report:
-    """The dynamic half: check a finished replay's counters.
-
-    ``result`` is a :class:`~repro.emulator.playback.PlaybackResult`.
-    A non-zero ``seeds_missing`` means the guest called SysRandom with
-    a non-zero seed more times than the recorder logged — a seed was
-    consumed but never logged, so the replayed RNG state has diverged.
-    """
-    report = Report()
-    if result.seeds_missing:
-        report.add(Severity.ERROR, "seed-underrun",
-                   f"replay consumed {result.seeds_missing} seed(s) "
-                   f"beyond the recorded queue ({result.seeds_served} "
-                   f"served); the session under-recorded SysRandom")
     return report

@@ -424,11 +424,15 @@ def cmd_collect(args) -> int:
     return 0
 
 
-def _load_archive(directory: str, salvage: Optional[bool] = None):
+def _load_archive(directory: str, salvage: Optional[bool] = None,
+                  final_state: bool = False):
     """``(state, log)`` of an archive, or None after one stderr line
     when it cannot be read.  ``salvage=True`` loads the log leniently
-    and prints what was repaired; ``False`` names ``--salvage`` when
-    the log is corrupt; None is for commands without that option."""
+    and prints the log check's findings; ``False`` names ``--salvage``
+    when the log is corrupt; None is for commands without that option.
+    ``final_state=True`` appends the archived final-state databases
+    (None when the archive has none)."""
+    from .palmos.database import DatabaseImage
     from .resilience import TraceFormatError, salvage_file
     from .tracelog import ActivityLog, InitialState
 
@@ -439,8 +443,18 @@ def _load_archive(directory: str, salvage: Optional[bool] = None):
         if salvage:
             result = salvage_file(root / "activity_log.pdb")
             print(f"salvage      : {result.summary()}")
-            return state, result.log
-        return state, ActivityLog.load(root / "activity_log.pdb")
+            for finding in result.report.sorted():
+                print(finding.format())
+            log = result.log
+        else:
+            log = ActivityLog.load(root / "activity_log.pdb")
+        if not final_state:
+            return state, log
+        final_dir = root / "final_state"
+        final = ([DatabaseImage.from_pdb_bytes(path.read_bytes())
+                  for path in sorted(final_dir.glob("*.pdb"))]
+                 if final_dir.is_dir() else None)
+        return state, log, final
     except (OSError, ValueError, KeyError) as exc:
         if state is not None and isinstance(exc, TraceFormatError):
             hint = ("; re-run with --salvage to repair/skip bad records"
@@ -452,16 +466,6 @@ def _load_archive(directory: str, salvage: Optional[bool] = None):
                   f"{(str(exc) or type(exc).__name__).splitlines()[0]}",
                   file=sys.stderr)
     return None
-
-
-def _load_final_state(directory: str):
-    from .palmos.database import DatabaseImage
-
-    final_dir = Path(directory) / "final_state"
-    if not final_dir.is_dir():
-        return None
-    return [DatabaseImage.from_pdb_bytes(path.read_bytes())
-            for path in sorted(final_dir.glob("*.pdb"))]
 
 
 def _resilience_active(args) -> bool:
@@ -678,11 +682,10 @@ def cmd_validate(args) -> int:
     from .tracelog import read_activity_log
     from .validation import correlate_final_states, correlate_logs
 
-    loaded = _load_archive(args.session)
+    loaded = _load_archive(args.session, final_state=True)
     if loaded is None:
         return 1
-    state, log = loaded
-    device_final = _load_final_state(args.session)
+    state, log, device_final = loaded
     jitter = JitterModel(seed=args.jitter) if args.jitter is not None else None
     emulator, _, _ = replay_session(state, log, apps=standard_apps(),
                                     profile=False, jitter=jitter,
@@ -788,10 +791,10 @@ def cmd_rom(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from .analysis.static import Severity, analyze_rom, lint_archive
+    from .analysis.static import Severity, analyze_rom
 
     if args.session is not None:
-        report = lint_archive(args.session)
+        report = _lint_session(args.session)
         source = f"activity log of {args.session}"
     else:
         analysis = analyze_rom()
@@ -809,6 +812,26 @@ def cmd_lint(args) -> int:
     print(f"lint: {source}")
     print(report.format(min_severity=min_severity))
     return 0 if report.ok else 1
+
+
+def _lint_session(path: str):
+    """The log check's report on an archive's activity log, plus a
+    ``log-summary`` line describing the repaired log."""
+    from .analysis.static import Severity
+    from .resilience import TraceFormatError, salvage_file
+    from .tracelog import LogEventType, split_epochs
+
+    try:
+        result = salvage_file(path)
+    except TraceFormatError as exc:
+        return exc.report
+    log = result.log
+    result.report.add(
+        Severity.INFO, "log-summary",
+        f"{len(log)} records in {len(split_epochs(log))} epoch(s), "
+        f"{len(log.of_type(LogEventType.RANDOM))} seed(s), "
+        f"ticks {log.first_tick}..{log.last_tick}")
+    return result.report
 
 
 def _load_baseline(path: str):

@@ -363,8 +363,7 @@ class PlaybackDriver:
         # keystate queue is still the installed override.
         keystate_epoch = epoch_index - 1 if phase == "await" else epoch_index
         if keystate_epoch >= 0:
-            parsed = parse_log(self.epochs[keystate_epoch],
-                               on_unknown="collect")
+            parsed = parse_log(self.epochs[keystate_epoch])
             keystate = _KeyStateQueue(parsed.keystate_queue, result)
             keystate._pos = driver_state["keystate_pos"]
             kernel.syscalls.key_state_override = keystate.lookup
@@ -480,7 +479,7 @@ class PlaybackDriver:
         schedule; returns the drain target (wall tick)."""
         kernel = self.emulator.kernel
         device = self.emulator.device
-        parsed = parse_log(epoch_log, on_unknown="collect")
+        parsed = parse_log(epoch_log)
         keystate = _KeyStateQueue(parsed.keystate_queue, result)
         kernel.syscalls.key_state_override = keystate.lookup
         self._keystate = keystate

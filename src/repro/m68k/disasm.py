@@ -527,6 +527,17 @@ def _decode(w: _Words, op: int, insn: Insn) -> None:  # noqa: C901 - a decoder i
             insn.operands = ((DREGS[reg], DREGS[dreg]) if mode == 0
                              else (f"-(a{reg})", f"-(a{dreg})"))
             return
+        if group in (8, 0xC) and opmode == 4 and mode in (0, 1):
+            insn.mnemonic = "sbcd" if group == 8 else "abcd"
+            if mode == 0:
+                insn.operands = (DREGS[reg], DREGS[dreg])
+                return
+            # -(Ay),-(Ax): the destination is read-modify-write.
+            src, dst = _read_ea(w, 4, reg, 1), _read_ea(w, 4, dreg, 1)
+            _effects(insn, src, read=True)
+            _effects(insn, dst, read=True, write=True)
+            insn.operands = (src, dst)
+            return
         # Dn op <ea> -> <ea> (and eor): memory destinations are
         # read-modify-write.
         ea = _read_ea(w, mode, reg, size)

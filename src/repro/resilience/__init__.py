@@ -24,9 +24,6 @@ from .errors import (
 from .faults import RUNTIME_FAULTS, TRACE_FAULTS, FaultPlan, FaultSpec
 from .replay import (
     POLICIES,
-    REPLAY_JSON_FORMAT,
-    REPLAY_JSON_VERSION,
-    ReplayFormatError,
     ResilientReplayResult,
     resilient_replay,
 )
@@ -34,7 +31,6 @@ from .salvage import (
     ContainerSalvageResult,
     SalvageResult,
     salvage_container,
-    salvage_database_image,
     salvage_file,
     salvage_log,
 )
@@ -62,15 +58,11 @@ __all__ = [
     "TRACE_FAULTS",
     "RUNTIME_FAULTS",
     "POLICIES",
-    "REPLAY_JSON_FORMAT",
-    "REPLAY_JSON_VERSION",
-    "ReplayFormatError",
     "ResilientReplayResult",
     "resilient_replay",
     "SalvageResult",
     "ContainerSalvageResult",
     "salvage_log",
-    "salvage_database_image",
     "salvage_file",
     "salvage_container",
     "Divergence",

@@ -51,15 +51,6 @@ from .watchdog import Divergence, DivergenceReport, DivergenceWatchdog
 
 POLICIES = ("strict", "resync", "degrade")
 
-#: Version of the :meth:`ResilientReplayResult.to_json` container.
-REPLAY_JSON_FORMAT = "repro-resilient-replay"
-REPLAY_JSON_VERSION = 1
-
-
-class ReplayFormatError(ValueError):
-    """A serialized :class:`ResilientReplayResult` is not one, or was
-    written by an incompatible version of the container."""
-
 #: Localization stops refining once the divergent window is this tight.
 _LOCALIZE_GOAL = 8
 #: Each refinement round splits the window this many ways.
@@ -105,77 +96,6 @@ class ResilientReplayResult:
     def clean(self) -> bool:
         return not self.tainted and self.retries == 0 and not (
             self.report and self.report.divergences)
-
-    # -- serialization ----------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        """A JSON-safe, versioned snapshot of the replay verdict.
-
-        Live machinery (the emulator, the profiler, the checkpoint
-        ring) is deliberately excluded: what crosses process or disk
-        boundaries — the fleet journal, population aggregates — is the
-        *verdict* of the run, not the run itself.  The round trip
-        through :meth:`from_json` is stable:
-        ``from_json(to_json()).to_json() == to_json()``.
-        """
-        res = self.result
-        return {
-            "_format": REPLAY_JSON_FORMAT,
-            "_version": REPLAY_JSON_VERSION,
-            "result": {
-                "events_injected": res.events_injected,
-                "keystate_lookups": res.keystate_lookups,
-                "seeds_served": res.seeds_served,
-                "seeds_missing": res.seeds_missing,
-                "start_tick": res.start_tick,
-                "end_tick": res.end_tick,
-                "instructions": res.instructions,
-                "delays_applied": list(res.delays_applied),
-            },
-            "report": self.report.to_json() if self.report is not None else None,
-            "tainted": self.tainted,
-            "retries": self.retries,
-            "salvage": self.salvage.to_json() if self.salvage is not None else None,
-            "fault_notes": list(self.fault_notes),
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ResilientReplayResult":
-        if not isinstance(data, dict) or data.get("_format") != REPLAY_JSON_FORMAT:
-            raise ReplayFormatError(
-                "not a serialized ResilientReplayResult "
-                f"(_format={data.get('_format')!r})"
-                if isinstance(data, dict) else
-                f"not a serialized ResilientReplayResult ({type(data).__name__})")
-        if data.get("_version") != REPLAY_JSON_VERSION:
-            raise ReplayFormatError(
-                f"unsupported ResilientReplayResult version "
-                f"{data.get('_version')!r} (this build reads version "
-                f"{REPLAY_JSON_VERSION})")
-        try:
-            raw = data["result"]
-            result = PlaybackResult(
-                events_injected=raw["events_injected"],
-                keystate_lookups=raw["keystate_lookups"],
-                seeds_served=raw["seeds_served"],
-                seeds_missing=raw["seeds_missing"],
-                start_tick=raw["start_tick"],
-                end_tick=raw["end_tick"],
-                instructions=raw["instructions"],
-                delays_applied=list(raw["delays_applied"]),
-            )
-            report = (DivergenceReport.from_json(data["report"])
-                      if data["report"] is not None else None)
-            salvage = (SalvageResult.from_json(data["salvage"])
-                       if data["salvage"] is not None else None)
-            return cls(result=result, report=report,
-                       tainted=data["tainted"], retries=data["retries"],
-                       salvage=salvage,
-                       fault_notes=list(data["fault_notes"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ReplayFormatError):
-                raise
-            raise ReplayFormatError(
-                f"malformed ResilientReplayResult container: {exc}") from exc
 
 
 def resilient_replay(

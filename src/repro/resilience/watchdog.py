@@ -23,29 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..tracelog import ActivityLog
 from ..tracelog.records import LogEventType, LogRecord
 from ..validation.log_correlation import BURST_TICK_BOUND
-
-
-def _record_to_json(record: Optional[LogRecord]) -> Optional[List[int]]:
-    if record is None:
-        return None
-    return [int(record.type), record.tick, record.rtc, record.data]
-
-
-def _record_from_json(data: Optional[List[int]]) -> Optional[LogRecord]:
-    if data is None:
-        return None
-    raw_type, tick, rtc, payload = data
-    rec_type: Union[LogEventType, int]
-    try:
-        rec_type = LogEventType(raw_type)
-    except ValueError:
-        rec_type = raw_type
-    return LogRecord(rec_type, tick, rtc, payload)  # type: ignore[arg-type]
 
 
 class DivergenceKind(Enum):
@@ -78,31 +60,6 @@ class Divergence:
         if self.detail:
             text += f": {self.detail}"
         return text
-
-    def to_json(self) -> Dict[str, Any]:
-        """JSON-safe snapshot; records travel as ``[type, tick, rtc,
-        data]`` quadruples."""
-        return {
-            "kind": self.kind.value,
-            "event_type": self.event_type,
-            "index": self.index,
-            "expected": _record_to_json(self.expected),
-            "actual": _record_to_json(self.actual),
-            "tick": self.tick,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Divergence":
-        return cls(
-            kind=DivergenceKind(data["kind"]),
-            event_type=data["event_type"],
-            index=data["index"],
-            expected=_record_from_json(data["expected"]),
-            actual=_record_from_json(data["actual"]),
-            tick=data["tick"],
-            detail=data.get("detail", ""),
-        )
 
 
 @dataclass
@@ -147,25 +104,6 @@ class DivergenceReport:
             text += f"; after {self.retries} resync retr"
             text += "y" if self.retries == 1 else "ies"
         return text
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "divergences": [d.to_json() for d in self.divergences],
-            "last_good_tick": self.last_good_tick,
-            "first_bad_tick": self.first_bad_tick,
-            "retries": self.retries,
-            "static_hints": list(self.static_hints),
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "DivergenceReport":
-        return cls(
-            divergences=[Divergence.from_json(d) for d in data["divergences"]],
-            last_good_tick=data["last_good_tick"],
-            first_bad_tick=data["first_bad_tick"],
-            retries=data.get("retries", 0),
-            static_hints=list(data.get("static_hints", [])),
-        )
 
     def format(self) -> str:
         lines = [self.summary()]

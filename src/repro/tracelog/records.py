@@ -27,18 +27,16 @@ from enum import IntEnum
 
 class TraceFormatError(ValueError):
     """An activity-log record (or the log as a whole) violates the
-    record format: unknown event type, truncated blob, or a structural
-    invariant a strict parse refuses to repair.  A session archive's
-    unreadable ``state.json`` raises it too.
+    record format: unknown event type, truncated blob, or bytes that
+    are not a PDB.  A session archive's unreadable ``state.json``
+    raises it too.
 
-    ``index`` is the record index within the log when known; ``report``
-    carries the full findings when the error came out of the salvage
-    parser (:mod:`repro.resilience.salvage`).
+    ``report`` carries the findings when the error came out of the log
+    check (:func:`repro.resilience.salvage.salvage_file`).
     """
 
-    def __init__(self, message: str, index: int | None = None, report=None):
+    def __init__(self, message: str, report=None):
         super().__init__(message)
-        self.index = index
         self.report = report
 
 
@@ -65,7 +63,7 @@ class LogRecord:
 
     ``type`` is normally a :class:`LogEventType`; a lenient decode
     (``strict=False``) keeps an unknown type byte as a plain ``int`` so
-    the salvage parser can report it instead of losing the record.
+    the log check can report it instead of losing the record.
     """
 
     type: LogEventType

@@ -9,7 +9,6 @@ from .container import (
     TraceContainer,
     TraceContainerError,
     available_codecs,
-    from_reference_trace,
     open_chunk_source,
     recover_container,
     scan_frames,
@@ -18,11 +17,7 @@ from .container import (
 from .desktop import DesktopTraceConfig, generate_desktop_trace
 from .dinero import (
     DineroFormatError,
-    container_to_dinero,
-    dinero_to_container,
-    read_dinero,
     read_dinero_chunks,
-    write_dinero,
     write_dinero_chunks,
 )
 
@@ -35,16 +30,11 @@ __all__ = [
     "TraceContainer",
     "TraceContainerError",
     "available_codecs",
-    "from_reference_trace",
     "open_chunk_source",
     "recover_container",
     "scan_frames",
     "write_container",
     "DineroFormatError",
-    "container_to_dinero",
-    "dinero_to_container",
-    "read_dinero",
     "read_dinero_chunks",
-    "write_dinero",
     "write_dinero_chunks",
 ]

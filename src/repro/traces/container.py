@@ -629,19 +629,6 @@ def write_container(tokens: Union[np.ndarray, Iterable[np.ndarray]],
     return writer.manifest  # type: ignore[return-value]
 
 
-def from_reference_trace(trace, path, **kwargs) -> dict:
-    """Write a ReferenceTrace to a PTRC file; returns the manifest.
-    Streams through the trace's ``chunks()`` windows, so the packed
-    uint64 copy never exceeds one chunk."""
-    with ContainerWriter(path, **kwargs) as writer:
-        if hasattr(trace, "chunks"):
-            for addrs, kinds in trace.chunks():
-                writer.append_reference(addrs, kinds)
-        else:
-            writer.append_reference(trace.addresses, trace.kinds)
-    return writer.manifest  # type: ignore[return-value]
-
-
 # -- torn-tail recovery ---------------------------------------------------
 
 def scan_frames(path) -> Tuple[List[dict], List[Tuple[str, str]], dict]:

@@ -26,7 +26,6 @@ from typing import Union
 import numpy as np
 
 from ..device.memmap import KIND_FETCH, KIND_READ, KIND_WRITE
-from ..emulator.profiling import ReferenceTrace
 
 #: dinero labels.
 DIN_READ = 0
@@ -120,14 +119,6 @@ def write_dinero_chunks(path: Union[str, Path], chunks) -> int:
     return n
 
 
-def write_dinero(trace: ReferenceTrace, path: Union[str, Path]) -> int:
-    """Write a reference trace as a dinero text file; returns the
-    number of records written.  Formatting is the vectorized chunked
-    fast path of :func:`write_dinero_chunks` (byte-identical output to
-    the historical per-line formatter)."""
-    return write_dinero_chunks(path, trace.chunks(_CHUNK))
-
-
 def _parse_chunk(lines: list, first_line_number: int):
     """Decode one chunk of text lines; returns (addresses, kinds) with
     blank lines dropped."""
@@ -200,46 +191,3 @@ def read_dinero_chunks(path: Union[str, Path]):
                 region = np.where(addresses < (16 << 20), 0, 1) \
                     .astype(np.uint8)
                 yield addresses, (kinds | (region << 4)).astype(np.uint8)
-
-
-def read_dinero(path: Union[str, Path]) -> ReferenceTrace:
-    """Read a dinero text file into an in-RAM reference trace (chunked
-    parse via :func:`read_dinero_chunks`, then one concatenation)."""
-    addr_chunks = []
-    kind_chunks = []
-    for addresses, kinds in read_dinero_chunks(path):
-        addr_chunks.append(addresses)
-        kind_chunks.append(kinds)
-    if addr_chunks:
-        addr_arr = np.concatenate(addr_chunks)
-        kind_arr = np.concatenate(kind_chunks)
-    else:
-        addr_arr = np.empty(0, dtype=np.uint32)
-        kind_arr = np.empty(0, dtype=np.uint8)
-    return ReferenceTrace(addresses=addr_arr, kinds=kind_arr)
-
-
-# -- streaming PTRC interchange -------------------------------------------
-
-def dinero_to_container(din_path: Union[str, Path],
-                        ptrc_path: Union[str, Path], **kwargs) -> dict:
-    """Convert a dinero text file to a PTRC container, chunk by chunk
-    (neither file is ever fully resident).  Returns the manifest."""
-    from .container import ContainerWriter
-
-    with ContainerWriter(ptrc_path, **kwargs) as writer:
-        for addresses, kinds in read_dinero_chunks(din_path):
-            writer.append_reference(addresses, kinds)
-    return writer.manifest
-
-
-def container_to_dinero(container, din_path: Union[str, Path]) -> int:
-    """Write a PTRC container's references as a dinero text file,
-    streaming chunk by chunk; returns the record count.  ``container``
-    is an open ``TraceContainer`` or a path."""
-    from .container import TraceContainer
-
-    if isinstance(container, (str, Path)):
-        with TraceContainer(container) as opened:
-            return write_dinero_chunks(din_path, opened.reference_chunks())
-    return write_dinero_chunks(din_path, container.reference_chunks())

@@ -7,7 +7,7 @@ from .gremlins import (
     gremlin_session,
 )
 from .scripts import UserScript
-from .sessions import CollectedSession, SessionFormatError, collect_session
+from .sessions import CollectedSession, collect_session
 from .volunteer import (
     SessionSpec,
     SyntheticUser,
@@ -24,7 +24,6 @@ __all__ = [
     "gremlin_session",
     "derive_entropy_seed",
     "CollectedSession",
-    "SessionFormatError",
     "collect_session",
     "SessionSpec",
     "SyntheticUser",

@@ -17,7 +17,6 @@ state, which §3.4's validation compares against the emulated one.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -27,23 +26,6 @@ from ..palmos import AppSpec, PalmOS
 from ..palmos.database import DatabaseImage
 from ..tracelog import ActivityLog, InitialState, create_log_database, read_activity_log
 from .scripts import UserScript
-
-#: Version of the :meth:`CollectedSession.to_json` container.
-SESSION_JSON_FORMAT = "repro-collected-session"
-SESSION_JSON_VERSION = 1
-
-
-class SessionFormatError(ValueError):
-    """A serialized :class:`CollectedSession` is not one, or was written
-    by an incompatible version of the container."""
-
-
-def _b64(blob: bytes) -> str:
-    return base64.b64encode(blob).decode("ascii")
-
-
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
 
 
 @dataclass
@@ -64,74 +46,6 @@ class CollectedSession:
     def elapsed_hms(self) -> str:
         seconds = self.elapsed_ticks // C.TICKS_PER_SECOND
         return f"{seconds // 3600:02d}:{seconds % 3600 // 60:02d}:{seconds % 60:02d}"
-
-    # -- serialization ----------------------------------------------------
-    def to_json(self) -> dict:
-        """A JSON-safe, versioned snapshot of the whole session bundle.
-
-        Binary payloads (flash image, PDB databases, the activity log's
-        PDB encoding, the card image) travel base64; the round trip
-        through :meth:`from_json` is stable: ``from_json(to_json())``
-        serializes back to the identical dict.
-        """
-        state = self.initial_state
-        return {
-            "_format": SESSION_JSON_FORMAT,
-            "_version": SESSION_JSON_VERSION,
-            "name": self.name,
-            "elapsed_ticks": self.elapsed_ticks,
-            "instructions": self.instructions,
-            "initial_state": {
-                "flash": _b64(state.flash_image),
-                "databases": [_b64(db.to_pdb_bytes())
-                              for db in state.databases],
-                "rtc_base": state.rtc_base,
-                "card_name": state.card_name,
-                "card_image": (_b64(state.card_image)
-                               if state.card_image is not None else None),
-            },
-            "log": _b64(self.log.to_database_image().to_pdb_bytes()),
-            "final_state": [_b64(db.to_pdb_bytes())
-                            for db in self.final_state],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CollectedSession":
-        if not isinstance(data, dict) or data.get("_format") != SESSION_JSON_FORMAT:
-            raise SessionFormatError(
-                f"not a serialized CollectedSession "
-                f"(_format={data.get('_format')!r}"
-                if isinstance(data, dict) else
-                f"not a serialized CollectedSession ({type(data).__name__})")
-        if data.get("_version") != SESSION_JSON_VERSION:
-            raise SessionFormatError(
-                f"unsupported CollectedSession version "
-                f"{data.get('_version')!r} (this build reads version "
-                f"{SESSION_JSON_VERSION})")
-        try:
-            raw_state = data["initial_state"]
-            state = InitialState(
-                flash_image=_unb64(raw_state["flash"]),
-                databases=[DatabaseImage.from_pdb_bytes(_unb64(blob))
-                           for blob in raw_state["databases"]],
-                rtc_base=raw_state["rtc_base"],
-                card_name=raw_state["card_name"],
-                card_image=(_unb64(raw_state["card_image"])
-                            if raw_state["card_image"] is not None else None),
-            )
-            log = ActivityLog.from_database_image(
-                DatabaseImage.from_pdb_bytes(_unb64(data["log"])))
-            final_state = [DatabaseImage.from_pdb_bytes(_unb64(blob))
-                           for blob in data["final_state"]]
-            return cls(name=data["name"], initial_state=state, log=log,
-                       final_state=final_state,
-                       elapsed_ticks=data["elapsed_ticks"],
-                       instructions=data["instructions"])
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SessionFormatError):
-                raise
-            raise SessionFormatError(
-                f"malformed CollectedSession container: {exc}") from exc
 
 
 def collect_session(

@@ -235,6 +235,21 @@ class TestArchiveErrors:
         assert "corrupt activity log" in proc.stderr
         assert "PDB header truncated" in proc.stderr
 
+    def test_truncated_final_state(self, archive, tmp_path):
+        """``validate`` reads the archived final state through the same
+        loader: a database cut inside its PDB header is one stderr
+        line, not a ``ValueError`` traceback."""
+        import shutil
+
+        root = tmp_path / "session"
+        shutil.copytree(archive, root)
+        final = sorted((root / "final_state").glob("*.pdb"))[0]
+        final.write_bytes(final.read_bytes()[:40])
+        proc = run_cli("validate", "--session", root)
+        assert_one_line_failure(proc)
+        assert "cannot read archive" in proc.stderr
+        assert "PDB header truncated" in proc.stderr
+
 
 class TestBaselineErrors:
     """A baseline the gate cannot read prints one stderr line and exits
@@ -567,6 +582,83 @@ class TestLint:
         rc = main(["lint", "--session", str(bad)])
         assert rc == 1
         assert "non-monotonic-tick" in capsys.readouterr().out
+
+
+def damage_archive(archive, root, damage):
+    """Copy ``archive`` to ``root`` with its activity log damaged:
+    ``damage`` is a trace-fault spec, ``"blob3"`` (record 3 cut to a
+    3-byte blob) or ``"zero-seed"`` (the first seed set to zero)."""
+    import shutil
+
+    from repro.palmos.database import RecordImage
+    from repro.resilience import FaultPlan
+    from repro.tracelog import ActivityLog, LogEventType, LogRecord
+
+    shutil.copytree(archive, root)
+    path = root / "activity_log.pdb"
+    log = ActivityLog.load(path)
+    if damage == "blob3":
+        image = log.to_database_image()
+        rec = image.records[3]
+        image.records[3] = RecordImage(rec.attr, rec.uid, rec.data[:3])
+        path.write_bytes(image.to_pdb_bytes())
+        return
+    if damage == "zero-seed":
+        records = list(log.records)
+        first = next(i for i, rec in enumerate(records)
+                     if rec.type == LogEventType.RANDOM)
+        rec = records[first]
+        records[first] = LogRecord(rec.type, rec.tick, rec.rtc, 0)
+        ActivityLog(records).save(path)
+        return
+    FaultPlan.parse(damage).apply_to_log(log)[0].save(path)
+
+
+#: ``(damage, dropped, repaired, codes)``: each damaged quickstart log
+#: with the record counts salvage dropped and repaired when lint and
+#: salvage were still separate checkers (unifying them must not move
+#: the counts), and the finding codes the one check now reports.
+DAMAGED_LOGS = [
+    ("reorder", 0, 2, {"non-monotonic-tick", "non-monotonic-rtc"}),
+    ("dup:n=2", 2, 0, {"duplicate-record"}),
+    ("type-garbage:n=2", 2, 0, {"unknown-event-type"}),
+    ("bitflip:n=6;seed=2", 1, 0, {"implausible-tick", "non-monotonic-rtc"}),
+    ("blob3", 1, 0, {"truncated-record"}),
+    ("seed-underflow:n=2", 0, 0, {"seed-underrun"}),
+    ("zero-seed", 0, 0, {"zero-seed"}),
+]
+
+
+class TestLogCheck:
+    """``lint --session`` and ``replay --salvage`` print the findings of
+    one activity-log check."""
+
+    @staticmethod
+    def finding_lines(out):
+        return [line for line in out.splitlines()
+                if line.startswith(("error ", "warning "))]
+
+    @pytest.mark.parametrize("damage,dropped,repaired,codes", DAMAGED_LOGS,
+                             ids=[row[0] for row in DAMAGED_LOGS])
+    def test_lint_and_salvage_report_alike(self, archive, tmp_path, capsys,
+                                           damage, dropped, repaired,
+                                           codes):
+        import re
+
+        root = tmp_path / "session"
+        damage_archive(archive, root, damage)
+        rc = main(["lint", "--session", str(root)])
+        linted = self.finding_lines(capsys.readouterr().out)
+        main(["replay", "--session", str(root), "--salvage",
+              "--no-profile"])
+        out = capsys.readouterr().out
+        assert self.finding_lines(out) == linted
+        assert {re.search(r"\[([\w-]+)\]", line).group(1)
+                for line in linted} == codes
+        assert rc == int(any(line.startswith("error ") for line in linted))
+        counts = re.search(r"(\d+) dropped, (\d+) repaired", out)
+        assert counts and (int(counts[1]), int(counts[2])) == (dropped,
+                                                              repaired)
 
 
 class TestStaticDynamicCrossCheck:

@@ -56,7 +56,6 @@ from repro.traces.container import (
     TraceContainer,
     TraceContainerError,
     available_codecs,
-    from_reference_trace,
     open_chunk_source,
     pack_tokens,
     recover_container,
@@ -66,10 +65,7 @@ from repro.traces.container import (
 )
 from repro.traces.dinero import (
     DineroFormatError,
-    container_to_dinero,
-    dinero_to_container,
-    read_dinero,
-    write_dinero,
+    read_dinero_chunks,
     write_dinero_chunks,
 )
 from tests.cache_oracles import fed_depth_pass, lru_family_stats
@@ -176,7 +172,8 @@ class TestContainerRoundTrip:
         addrs, kinds = unpack_tokens(tokens)
         trace = ReferenceTrace(addresses=addrs, kinds=kinds)
         path = tmp_path / "t.ptrc"
-        from_reference_trace(trace, path, chunk_tokens=128)
+        write_container(pack_tokens(trace.addresses, trace.kinds), path,
+                        chunk_tokens=128)
         with TraceContainer(path) as container:
             back = container.reference_trace()
             assert np.array_equal(back.addresses, addrs)
@@ -378,15 +375,14 @@ class TestTornSalvage:
         codes = [f.code for f in result.report.findings]
         assert "torn-chunk" in codes or "torn-frame-header" in codes
 
-    def test_resilience_wrapper_strict_and_fatal(self, tmp_path):
+    def test_resilience_wrapper_fatal(self, tmp_path):
         from repro.resilience import salvage_container
 
         path = tmp_path / "junk.ptrc"
         path.write_bytes(b"\xff" * 64)
         result = salvage_container(path, tmp_path / "rec.ptrc")
         assert result.tokens_kept == 0 and not result.report.ok
-        with pytest.raises(TraceContainerError):
-            salvage_container(path, tmp_path / "rec2.ptrc", strict=True)
+        assert result.manifest is None
 
 
 # ----------------------------------------------------------------------
@@ -756,7 +752,7 @@ class TestDineroStreaming:
                            size=5000).astype(np.uint8)
         trace = ReferenceTrace(addresses=addrs, kinds=kinds)
         path = tmp_path / "t.din"
-        write_dinero(trace, path)
+        write_dinero_chunks(path, trace.chunks())
         label = {KIND_READ: 0, KIND_WRITE: 1, KIND_FETCH: 2}
         expected = "".join(f"{label[int(k)]} {int(a):x}\n"
                            for a, k in zip(addrs, kinds))
@@ -775,19 +771,26 @@ class TestDineroStreaming:
         kinds = rng.choice([KIND_FETCH, KIND_READ, KIND_WRITE],
                            size=3000).astype(np.uint8)
         din = tmp_path / "t.din"
-        write_dinero(ReferenceTrace(addresses=addrs, kinds=kinds), din)
+        write_dinero_chunks(
+            din, ReferenceTrace(addresses=addrs, kinds=kinds).chunks())
         ptrc = tmp_path / "t.ptrc"
-        manifest = dinero_to_container(din, ptrc, chunk_tokens=512)
+        manifest = write_container(
+            (pack_tokens(a, k) for a, k in read_dinero_chunks(din)), ptrc,
+            chunk_tokens=512)
         assert manifest["tokens"] == 3000
         din2 = tmp_path / "t2.din"
-        assert container_to_dinero(ptrc, din2) == 3000
+        with TraceContainer(ptrc) as container:
+            assert write_dinero_chunks(din2,
+                                       container.reference_chunks()) == 3000
         assert din2.read_bytes() == din.read_bytes()
         # The container carries the synthesized regions the reader adds.
-        back = read_dinero(din)
+        back = list(read_dinero_chunks(din))
         with TraceContainer(ptrc) as container:
             trace = container.reference_trace()
-            assert np.array_equal(trace.addresses, back.addresses)
-            assert np.array_equal(trace.kinds, back.kinds)
+            assert np.array_equal(trace.addresses,
+                                  np.concatenate([a for a, _ in back]))
+            assert np.array_equal(trace.kinds,
+                                  np.concatenate([k for _, k in back]))
 
 
 # ----------------------------------------------------------------------
@@ -819,24 +822,30 @@ class TestReplayTraceOut:
         containers for the same session."""
         from repro.emulator import replay_session
         from repro.resilience import resilient_replay
-        from repro.workloads.sessions import CollectedSession
+        from repro.tracelog import ActivityLog, InitialState
 
         apps, session = collect_tiny_session()
         # Replay mutates state in place; give each replay a fresh copy
-        # via the serialization round trip (the CLI's load-from-disk).
-        bundle = session.to_json()
+        # loaded from an archive directory, as the CLI does.
+        session.initial_state.save(tmp_path / "initial_state")
+        session.log.save(tmp_path / "activity_log.pdb")
+
+        def load():
+            return (InitialState.load(tmp_path / "initial_state"),
+                    ActivityLog.load(tmp_path / "activity_log.pdb"))
+
         streamed = tmp_path / "streamed.ptrc"
-        first = CollectedSession.from_json(bundle)
+        state, log = load()
         with ContainerWriter(streamed) as writer:
             _, profiler, _ = replay_session(
-                first.initial_state, first.log, apps=apps,
+                state, log, apps=apps,
                 emulator_kwargs={"ram_size": 8 << 20,
                                  "flash_size": 1 << 20},
                 trace_sink=writer, trace_spill=True)
             assert profiler._spilled_tokens > 0
-        second = CollectedSession.from_json(bundle)
+        state, log = load()
         outcome = resilient_replay(
-            second.initial_state, second.log, apps=apps,
+            state, log, apps=apps,
             emulator_kwargs={"ram_size": 8 << 20, "flash_size": 1 << 20},
             checkpoint_every=2000)
         drained = tmp_path / "drained.ptrc"

@@ -15,7 +15,8 @@ from repro.emulator import (
 )
 from repro.emulator.playback import _KeyStateQueue, PlaybackResult
 from repro.tracelog import LogEventType, LogRecord, read_activity_log
-from repro.traces import TraceContainer, from_reference_trace
+from repro.traces import TraceContainer, write_container
+from repro.traces.container import pack_tokens
 from repro.workloads.scripts import UserScript
 from repro.workloads.sessions import collect_session
 
@@ -161,7 +162,8 @@ class TestProfiling:
             session.initial_state, session.log, apps=APPS,
             emulator_kwargs=EMU_KW)
         trace = profiler.reference_trace()
-        from_reference_trace(trace, tmp_path / "trace.ptrc")
+        write_container(pack_tokens(trace.addresses, trace.kinds),
+                        tmp_path / "trace.ptrc")
         with TraceContainer(tmp_path / "trace.ptrc") as container:
             back = container.reference_trace()
         assert np.array_equal(back.addresses, trace.addresses)

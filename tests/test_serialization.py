@@ -1,121 +1,7 @@
-"""Stable, versioned JSON round-trips for the fleet's two payload
-types (CollectedSession, ResilientReplayResult) and the gremlins
-entropy-seed derivation fix."""
+"""The gremlins entropy-seed derivation: every campaign configuration
+gets its own deterministic, non-zero guest entropy stream."""
 
-import json
-
-import pytest
-
-from repro.emulator.playback import PlaybackResult
-from repro.resilience import (
-    ReplayFormatError,
-    ResilientReplayResult,
-    resilient_replay,
-)
-from repro.resilience.salvage import salvage_log
-from repro.resilience.watchdog import (
-    Divergence,
-    DivergenceKind,
-    DivergenceReport,
-)
-from repro.tracelog import ActivityLog
-from repro.tracelog.records import LogEventType, LogRecord
-from repro.workloads import (
-    CollectedSession,
-    SessionFormatError,
-    derive_entropy_seed,
-    gremlin_session,
-)
-from repro.workloads.sessions import SESSION_JSON_VERSION
-
-
-@pytest.fixture(scope="module")
-def session():
-    return gremlin_session(seed=13, events=40)
-
-
-class TestCollectedSessionJson:
-    def test_round_trip_is_stable(self, session):
-        blob = session.to_json()
-        wire = json.loads(json.dumps(blob))  # force a real JSON trip
-        clone = CollectedSession.from_json(wire)
-        assert clone.to_json() == blob
-
-    def test_round_trip_preserves_replayability(self, session):
-        clone = CollectedSession.from_json(session.to_json())
-        assert clone.name == session.name
-        assert clone.events == session.events
-        assert len(clone.final_state) == len(session.final_state)
-        assert [(int(r.type), r.tick, r.rtc, r.data) for r in clone.log] \
-            == [(int(r.type), r.tick, r.rtc, r.data) for r in session.log]
-        outcome = resilient_replay(
-            clone.initial_state, clone.log,
-            apps=__import__("repro.apps", fromlist=["x"]).standard_apps(),
-            profile=False,
-            emulator_kwargs={"ram_size": 8 << 20, "flash_size": 1 << 20})
-        assert outcome.clean
-
-    def test_rejects_wrong_format_and_version(self, session):
-        with pytest.raises(SessionFormatError):
-            CollectedSession.from_json({"_format": "something-else"})
-        blob = session.to_json()
-        blob["_version"] = SESSION_JSON_VERSION + 1
-        with pytest.raises(SessionFormatError):
-            CollectedSession.from_json(blob)
-
-    def test_rejects_truncated_container(self, session):
-        blob = session.to_json()
-        del blob["initial_state"]
-        with pytest.raises(SessionFormatError):
-            CollectedSession.from_json(blob)
-
-
-class TestResilientReplayResultJson:
-    def _result(self) -> ResilientReplayResult:
-        report = DivergenceReport(
-            divergences=[Divergence(
-                kind=DivergenceKind.PAYLOAD_MISMATCH,
-                event_type=int(LogEventType.PEN), index=3,
-                expected=LogRecord(LogEventType.PEN, 100, 7, 0xDEAD),
-                actual=LogRecord(LogEventType.PEN, 100, 7, 0xBEEF),
-                tick=104, detail="payload differs")],
-            last_good_tick=80, first_bad_tick=110, retries=2,
-            static_hints=["SysRandom reachable without hack"])
-        return ResilientReplayResult(
-            result=PlaybackResult(events_injected=5, seeds_served=2,
-                                  start_tick=10, end_tick=900,
-                                  instructions=12345,
-                                  delays_applied=[3, 0, 7]),
-            report=report, tainted=True, retries=2,
-            salvage=salvage_log(ActivityLog()),
-            fault_notes=["bitflip: corrupted record 3"])
-
-    def test_round_trip_is_stable(self):
-        blob = self._result().to_json()
-        wire = json.loads(json.dumps(blob))
-        clone = ResilientReplayResult.from_json(wire)
-        assert clone.to_json() == blob
-        assert clone.tainted and clone.retries == 2
-        first = clone.report.divergences[0]
-        assert first.kind is DivergenceKind.PAYLOAD_MISMATCH
-        assert first.expected.data == 0xDEAD
-        assert first.actual.data == 0xBEEF
-
-    def test_minimal_result_round_trips(self):
-        outcome = ResilientReplayResult(result=PlaybackResult())
-        blob = outcome.to_json()
-        clone = ResilientReplayResult.from_json(blob)
-        assert clone.to_json() == blob
-        assert clone.report is None and clone.salvage is None
-        assert clone.clean
-
-    def test_rejects_wrong_format_and_version(self):
-        with pytest.raises(ReplayFormatError):
-            ResilientReplayResult.from_json({"_format": "nope"})
-        blob = ResilientReplayResult(result=PlaybackResult()).to_json()
-        blob["_version"] = 99
-        with pytest.raises(ReplayFormatError):
-            ResilientReplayResult.from_json(blob)
+from repro.workloads import derive_entropy_seed
 
 
 class TestGremlinSeedDerivation:

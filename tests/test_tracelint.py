@@ -1,9 +1,10 @@
-"""Tests for the activity-log determinism linter."""
+"""Tests for the activity-log check's lint findings: the conditions
+that replay determinism needs and that ``lint --session`` reports."""
 
-from repro.analysis.static import Severity, lint_archive, lint_log
-from repro.analysis.static.tracelint import lint_playback_result
-from repro.emulator.playback import PlaybackResult
+import pytest
+
 from repro.palmos.database import RecordImage
+from repro.resilience import TraceFormatError, salvage_file, salvage_log
 from repro.tracelog.log import ActivityLog
 from repro.tracelog.records import LogEventType, LogRecord
 
@@ -11,6 +12,14 @@ from repro.tracelog.records import LogEventType, LogRecord
 def _rec(etype, tick, data=0x1234, rtc=None):
     return LogRecord(etype, tick, rtc if rtc is not None else 1000 + tick,
                      data)
+
+
+def check_log(log: ActivityLog):
+    return salvage_log(log).report
+
+
+def check_archive(path):
+    return salvage_file(path).report
 
 
 def _well_formed() -> ActivityLog:
@@ -25,14 +34,14 @@ def _well_formed() -> ActivityLog:
 
 class TestLintLog:
     def test_accepts_well_formed_log(self):
-        report = lint_log(_well_formed())
+        report = check_log(_well_formed())
         assert report.ok
         assert not report.warnings
 
     def test_rejects_non_monotonic_tick(self):
         log = _well_formed()
         log.append(_rec(LogEventType.PEN, 120))          # runs backwards
-        report = lint_log(log)
+        report = check_log(log)
         assert not report.ok
         bad = [f for f in report if f.code == "non-monotonic-tick"]
         assert len(bad) == 1
@@ -43,7 +52,7 @@ class TestLintLog:
         log.append(_rec(LogEventType.RESET, 300, data=0))
         log.append(_rec(LogEventType.RANDOM, 4, data=0xCAFE))  # new epoch
         log.append(_rec(LogEventType.KEY, 50, data=1))
-        report = lint_log(log)
+        report = check_log(log)
         assert report.ok, report.format()
         assert not report.has("non-monotonic-tick")
 
@@ -55,28 +64,28 @@ class TestLintLog:
             _rec(LogEventType.RESET, 100, data=0),
             _rec(LogEventType.KEY, 50, data=1),
         ])
-        report = lint_log(log)
+        report = check_log(log)
         assert not report.ok
         assert report.has("seed-underrun")
 
     def test_duplicate_record_warns(self):
         log = _well_formed()
         log.append(log.records[-1])                      # exact duplicate PEN
-        report = lint_log(log)
+        report = check_log(log)
         assert report.ok                                 # warning, not error
         assert report.has("duplicate-record")
 
     def test_zero_seed_warns(self):
         log = _well_formed()
         log.append(_rec(LogEventType.RANDOM, 250, data=0))
-        report = lint_log(log)
+        report = check_log(log)
         assert report.has("zero-seed")
         assert report.ok
 
     def test_non_monotonic_rtc_warns(self):
         log = _well_formed()
         log.append(_rec(LogEventType.PEN, 260, rtc=1))   # rtc runs backwards
-        report = lint_log(log)
+        report = check_log(log)
         assert report.has("non-monotonic-rtc")
         assert report.ok
 
@@ -85,25 +94,28 @@ class TestLintArchive:
     def test_lints_saved_log(self, tmp_path):
         path = tmp_path / "activity_log.pdb"
         _well_formed().save(path)
-        assert lint_archive(tmp_path).ok
-        assert lint_archive(path).ok                     # file path works too
+        assert check_archive(tmp_path).ok
+        assert check_archive(path).ok                    # file path works too
 
     def test_missing_log(self, tmp_path):
-        report = lint_archive(tmp_path)
+        with pytest.raises(TraceFormatError) as info:
+            salvage_file(tmp_path)
+        report = info.value.report
         assert not report.ok
-        assert report.has("missing-log")
+        assert report.has("unreadable-pdb")
 
     def test_corrupt_record_reported_and_rest_linted(self, tmp_path):
         good = _well_formed()
         image = good.to_database_image()
-        # Truncate one record's payload so it cannot decode.
-        image.records[1] = RecordImage(0, 2, image.records[1].data[:3])
+        # Cut the 16-byte KEY record to 13 bytes: long enough for a
+        # header, too short for its data word, so it cannot decode.
+        image.records[1] = RecordImage(0, 2, image.records[1].data[:13])
         (tmp_path / "activity_log.pdb").write_bytes(image.to_pdb_bytes())
-        report = lint_archive(tmp_path)
-        assert not report.ok
-        corrupt = [f for f in report if f.code == "corrupt-record"]
+        result = salvage_file(tmp_path)
+        assert not result.report.ok
+        corrupt = [f for f in result.report if f.code == "corrupt-record"]
         assert corrupt and corrupt[0].address == 1
-        assert report.has("log-summary")                 # the rest was linted
+        assert result.kept == 4                          # the rest was linted
 
     def test_corrupted_tick_order_rejected(self, tmp_path):
         """The acceptance scenario: take a good log, swap two records so
@@ -111,18 +123,6 @@ class TestLintArchive:
         log = _well_formed()
         log.records[1], log.records[3] = log.records[3], log.records[1]
         log.save(tmp_path / "activity_log.pdb")
-        report = lint_archive(tmp_path)
+        report = check_archive(tmp_path)
         assert not report.ok
         assert report.has("non-monotonic-tick")
-
-
-class TestLintPlaybackResult:
-    def test_clean_result(self):
-        assert lint_playback_result(PlaybackResult(seeds_served=2)).ok
-
-    def test_seed_underrun_flagged(self):
-        result = PlaybackResult(seeds_served=1, seeds_missing=2)
-        report = lint_playback_result(result)
-        assert not report.ok
-        assert report.has("seed-underrun")
-        assert report.errors[0].severity == Severity.ERROR

@@ -11,7 +11,11 @@ from repro.device.memmap import (
     REGION_RAM,
 )
 from repro.emulator import ReferenceTrace
-from repro.traces.dinero import DineroFormatError, read_dinero, write_dinero
+from repro.traces.dinero import (
+    DineroFormatError,
+    read_dinero_chunks,
+    write_dinero_chunks,
+)
 
 
 def sample_trace() -> ReferenceTrace:
@@ -27,10 +31,24 @@ def sample_trace() -> ReferenceTrace:
     return ReferenceTrace(addresses=addresses, kinds=kinds)
 
 
+def to_dinero(trace: ReferenceTrace, path) -> int:
+    return write_dinero_chunks(path, trace.chunks())
+
+
+def from_dinero(path) -> ReferenceTrace:
+    """The whole file as one trace, through the streaming reader."""
+    chunks = list(read_dinero_chunks(path))
+    return ReferenceTrace(
+        addresses=np.concatenate([np.empty(0, np.uint32)]
+                                 + [a for a, _ in chunks]),
+        kinds=np.concatenate([np.empty(0, np.uint8)]
+                             + [k for _, k in chunks]))
+
+
 class TestDinero:
     def test_write_produces_classic_format(self, tmp_path):
         path = tmp_path / "t.din"
-        count = write_dinero(sample_trace(), path)
+        count = to_dinero(sample_trace(), path)
         assert count == 5
         lines = path.read_text().splitlines()
         assert lines[0] == "0 1000"     # data read
@@ -40,21 +58,21 @@ class TestDinero:
     def test_roundtrip_addresses_and_kinds(self, tmp_path):
         path = tmp_path / "t.din"
         original = sample_trace()
-        write_dinero(original, path)
-        back = read_dinero(path)
+        to_dinero(original, path)
+        back = from_dinero(path)
         assert np.array_equal(back.addresses, original.addresses)
         assert np.array_equal(back.kind, original.kind)
 
     def test_regions_synthesised_from_addresses(self, tmp_path):
         path = tmp_path / "t.din"
-        write_dinero(sample_trace(), path)
-        back = read_dinero(path)
+        to_dinero(sample_trace(), path)
+        back = from_dinero(path)
         assert list(back.region) == [REGION_RAM] * 3 + [REGION_FLASH] * 2
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "t.din"
         path.write_text("0 1000\n\n2 2000\n")
-        back = read_dinero(path)
+        back = from_dinero(path)
         assert len(back) == 2
 
     def test_roundtrip_large_random_trace(self, tmp_path):
@@ -65,8 +83,8 @@ class TestDinero:
             addresses=rng.integers(0, 1 << 32, n,
                                    dtype=np.uint64).astype(np.uint32),
             kinds=rng.integers(0, 3, n).astype(np.uint8))
-        write_dinero(original, path)
-        back = read_dinero(path)
+        to_dinero(original, path)
+        back = from_dinero(path)
         assert np.array_equal(back.addresses, original.addresses)
         assert np.array_equal(back.kind, original.kind)
 
@@ -81,12 +99,12 @@ class TestDinero:
         path = tmp_path / "bad.din"
         path.write_text(text)
         with pytest.raises(DineroFormatError, match=message):
-            read_dinero(path)
+            from_dinero(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.din"
         path.write_text("")
-        assert len(read_dinero(path)) == 0
+        assert len(from_dinero(path)) == 0
 
 
 class TestReferenceTraceContainer:

@@ -17,13 +17,16 @@ the contract the resilience subsystem promises:
 * ``--on-divergence degrade`` + trace corruption -> exit 0, completes
   with an explicit TAINTED notice;
 * a garbled on-disk activity log -> plain and strict replays exit 1
-  with one stderr line naming ``--salvage``; ``--salvage`` repairs it.
+  with one stderr line naming ``--salvage``; ``--salvage`` repairs it,
+  and ``lint --session`` exits 1 reporting ``unknown-event-type`` and
+  ``duplicate-record`` at the very records ``--salvage`` drops.
 
 Run from a checkout: ``python tools/fault_smoke.py``.
 """
 
 import contextlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -60,6 +63,18 @@ def ptrc_digest(path):
 def summary_lines(out):
     return [line for line in out.splitlines()
             if line.startswith(("instructions", "references", "ave mem cyc"))]
+
+
+def dropped_records(out):
+    """``{(code, record index)}`` of the findings in ``out`` (as
+    ``lint`` and ``replay --salvage`` print them) that drop a record."""
+    found = set()
+    for line in out.splitlines():
+        match = re.match(r"(?:error|warning)\s+\[([\w-]+)\] (0x[0-9a-f]+): "
+                         r".*; dropped$", line)
+        if match:
+            found.add((match[1], int(match[2], 16)))
+    return found
 
 
 def main_smoke() -> int:
@@ -134,7 +149,11 @@ def main_smoke() -> int:
         from repro.tracelog import ActivityLog
         log_path = Path(archive) / "activity_log.pdb"
         log = ActivityLog.load(log_path)
-        garbled, _ = FaultPlan.parse("type-garbage,dup").apply_to_log(log)
+        # Seeded apart: with one seed, dup would pick the very record
+        # type-garbage garbled, and the log would hold no duplicate of
+        # a valid record.
+        garbled, _ = FaultPlan.parse("type-garbage,dup:seed=1").apply_to_log(
+            log)
         garbled.save(log_path)
         for name, argv in (("plain", ("replay", "--session", archive)),
                            ("strict", (*replay, "--on-divergence",
@@ -152,6 +171,17 @@ def main_smoke() -> int:
         check("exit code is zero", code == 0, f"exit={code}")
         check("salvage diagnosed the corruption",
               "salvage" in out and "dropped" in out)
+        salvage_drops = dropped_records(out)
+        code, out, err = run_cli("lint", "--session", archive)
+        check("lint of the garbled log exits 1", code == 1, f"exit={code}")
+        lint_drops = dropped_records(out)
+        check("lint reports unknown-event-type and duplicate-record at "
+              "the records --salvage drops",
+              {c for c, _ in lint_drops}
+              == {"unknown-event-type", "duplicate-record"}
+              and lint_drops == salvage_drops,
+              f"lint {sorted(lint_drops)} vs salvage "
+              f"{sorted(salvage_drops)}")
 
     if FAILURES:
         print(f"\n{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")
