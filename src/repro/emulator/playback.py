@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..device import constants as C
 from ..device.peripherals import PenSample
-from ..tracelog import ActivityLog, ParsedLog, parse_log
+from ..tracelog import ActivityLog, ParsedLog, parse_log, split_epochs
 from ..tracelog.records import LogEventType, LogRecord
 from .pose import Emulator
 
@@ -57,11 +57,15 @@ class GuestResetTimeout(RuntimeError):
     """
 
     def __init__(self, boots_expected: int, boots_seen: int,
-                 ticks_waited: int, reset_timeout: int):
+                 ticks_waited: int, reset_timeout: int, checkpoint=None):
         self.boots_expected = boots_expected
         self.boots_seen = boots_seen
         self.ticks_waited = ticks_waited
         self.reset_timeout = reset_timeout
+        #: The driver's checkpoint from the start of the wait (None
+        #: when checkpointing is off): the one point a retry can resume
+        #: from without inheriting the wasted wait.
+        self.checkpoint = checkpoint
         super().__init__(
             f"expected a guest soft reset (boot count > {boots_expected}) "
             f"that never happened during replay: boot count still "
@@ -212,12 +216,11 @@ class PlaybackDriver:
                  reset_timeout: int = DEFAULT_RESET_TIMEOUT,
                  checkpoint_every: Optional[int] = None,
                  checkpoint_hook: Optional[Callable] = None):
-        from ..tracelog import split_epochs
-
         self.emulator = emulator
         self.log = log
-        self.parsed: ParsedLog = parse_log(log)
         self.epochs = split_epochs(log)
+        #: §2.4.2's three groups, parsed once per epoch.
+        self._groups: List[ParsedLog] = [parse_log(e) for e in self.epochs]
         self.jitter = jitter
         self.reset_timeout = reset_timeout
         self.checkpoint_every = checkpoint_every
@@ -363,8 +366,8 @@ class PlaybackDriver:
         # keystate queue is still the installed override.
         keystate_epoch = epoch_index - 1 if phase == "await" else epoch_index
         if keystate_epoch >= 0:
-            parsed = parse_log(self.epochs[keystate_epoch])
-            keystate = _KeyStateQueue(parsed.keystate_queue, result)
+            keystate = _KeyStateQueue(
+                self._groups[keystate_epoch].keystate_queue, result)
             keystate._pos = driver_state["keystate_pos"]
             kernel.syscalls.key_state_override = keystate.lookup
             self._keystate = keystate
@@ -398,7 +401,8 @@ class PlaybackDriver:
         # The SysRandom seed queue is global: seeds are consumed one per
         # non-zero call, in session order, across tick epochs (each
         # epoch's boot consumes the seed its hack logged).
-        randoms = _RandomQueue(self.parsed.random_queue, result)
+        randoms = _RandomQueue([record for group in self._groups
+                                for record in group.random_queue], result)
         randoms._pos = random_pos
         self._randoms = randoms
         kernel.syscalls.random_seed_override = randoms.next_seed
@@ -429,7 +433,6 @@ class PlaybackDriver:
         kernel = self.emulator.kernel
         prev_boots = kernel.boot_count
         for index in range(start_epoch, len(self.epochs)):
-            epoch_log = self.epochs[index]
             if resume_drain is not None and index == start_epoch:
                 # State (and schedule) already restored from checkpoint.
                 target, stop_at_reset = resume_drain
@@ -439,11 +442,10 @@ class PlaybackDriver:
                              if await_boots is not None and index == start_epoch
                              else prev_boots)
                     prev_boots = self._await_guest_reset(boots, result, index)
-                ends_with_reset = bool(
-                    epoch_log.records
-                    and epoch_log.records[-1].type == LogEventType.RESET)
-                target = self._schedule_epoch(index, epoch_log, result)
-                stop_at_reset = ends_with_reset
+                records = self.epochs[index].records
+                stop_at_reset = bool(
+                    records and records[-1].type == LogEventType.RESET)
+                target = self._schedule_epoch(index, result)
             self._drain_epoch(index, result, target, stop_at_reset)
 
     def _await_guest_reset(self, prev_boots: int, result: PlaybackResult,
@@ -458,28 +460,32 @@ class PlaybackDriver:
         start = device.tick
         deadline = start + min(MAX_TICKS, self.reset_timeout)
         every = self.checkpoint_every
+        checkpoints = bool(every and self.checkpoint_hook is not None)
+        start_checkpoint = None
         while kernel.boot_count <= prev_boots or self._fault_stall_reset:
+            if checkpoints and start_checkpoint is None:
+                start_checkpoint = self.capture_checkpoint(
+                    result, 0, False, phase="await", await_boots=prev_boots)
             if device.tick >= deadline:
                 raise GuestResetTimeout(
                     boots_expected=prev_boots + 1,
                     boots_seen=kernel.boot_count,
                     ticks_waited=device.tick - start,
-                    reset_timeout=self.reset_timeout)
+                    reset_timeout=self.reset_timeout,
+                    checkpoint=start_checkpoint)
             device.advance(device.tick + 1)
-            if (every and self.checkpoint_hook is not None
-                    and device.tick % every == 0):
+            if checkpoints and device.tick % every == 0:
                 checkpoint = self.capture_checkpoint(
                     result, 0, False, phase="await", await_boots=prev_boots)
                 self.checkpoint_hook(checkpoint)
         return kernel.boot_count
 
-    def _schedule_epoch(self, index: int, epoch_log: ActivityLog,
-                        result: PlaybackResult) -> int:
+    def _schedule_epoch(self, index: int, result: PlaybackResult) -> int:
         """Install the epoch's keystate override and push its injection
         schedule; returns the drain target (wall tick)."""
         kernel = self.emulator.kernel
         device = self.emulator.device
-        parsed = parse_log(epoch_log)
+        parsed = self._groups[index]
         keystate = _KeyStateQueue(parsed.keystate_queue, result)
         kernel.syscalls.key_state_override = keystate.lookup
         self._keystate = keystate

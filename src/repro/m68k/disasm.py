@@ -50,6 +50,7 @@ _IMM_OPS = {0: "ori", 1: "andi", 2: "subi", 3: "addi", 5: "eori", 6: "cmpi"}
 _UNARY = {0x4000: "negx", 0x4200: "clr", 0x4400: "neg", 0x4600: "not",
           0x4A00: "tst"}
 _ARITH = {8: "or", 9: "sub", 0xB: "cmp", 0xC: "and", 0xD: "add"}
+_EXTENDED = {8: "sbcd", 9: "subx", 0xC: "abcd", 0xD: "addx"}
 _MULDIV = {(8, 3): "divu", (8, 7): "divs", (0xC, 3): "mulu",
            (0xC, 7): "muls"}
 _EXG = {0x0140: (DREGS, DREGS), 0x0148: (AREGS, AREGS),
@@ -519,21 +520,21 @@ def _decode(w: _Words, op: int, insn: Insn) -> None:  # noqa: C901 - a decoder i
             insn.mnemonic, insn.operands = name + suffix, (ea, DREGS[dreg])
             return
         if group == 0xB and mode == 1:               # cmpm
-            insn.mnemonic = "cmpm" + suffix
-            insn.operands = (f"(a{reg})+", f"(a{dreg})+")
+            src, dst = _read_ea(w, 3, reg, size), _read_ea(w, 3, dreg, size)
+            _effects(insn, src, read=True)
+            _effects(insn, dst, read=True)
+            insn.mnemonic, insn.operands = "cmpm" + suffix, (src, dst)
             return
-        if group in (9, 0xD) and mode in (0, 1):     # addx / subx
-            insn.mnemonic = ("subx" if group == 9 else "addx") + suffix
-            insn.operands = ((DREGS[reg], DREGS[dreg]) if mode == 0
-                             else (f"-(a{reg})", f"-(a{dreg})"))
-            return
-        if group in (8, 0xC) and opmode == 4 and mode in (0, 1):
-            insn.mnemonic = "sbcd" if group == 8 else "abcd"
+        if mode in (0, 1) and (group in (9, 0xD)
+                               or group in (8, 0xC) and opmode == 4):
+            # addx / subx / abcd / sbcd (BCD is byte-only: no suffix)
+            insn.mnemonic = _EXTENDED[group] + (
+                suffix if group in (9, 0xD) else "")
             if mode == 0:
                 insn.operands = (DREGS[reg], DREGS[dreg])
                 return
             # -(Ay),-(Ax): the destination is read-modify-write.
-            src, dst = _read_ea(w, 4, reg, 1), _read_ea(w, 4, dreg, 1)
+            src, dst = _read_ea(w, 4, reg, size), _read_ea(w, 4, dreg, size)
             _effects(insn, src, read=True)
             _effects(insn, dst, read=True, write=True)
             insn.operands = (src, dst)

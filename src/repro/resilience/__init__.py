@@ -1,5 +1,7 @@
-"""Replay resilience: checkpoint/resume, the live divergence watchdog,
-trace salvage, and the fault-injection harness.
+"""Replay resilience: checkpoint/resume, the live divergence watchdog
+(the §3.3 log comparator of :mod:`repro.validation.log_correlation`,
+fed at every checkpoint boundary), trace salvage, and the
+fault-injection harness.
 
 The paper's replay model is an all-or-nothing determinism bet: feed the
 initial state β and activity log δ to an equivalent machine and the
@@ -24,6 +26,7 @@ from .errors import (
 from .faults import RUNTIME_FAULTS, TRACE_FAULTS, FaultPlan, FaultSpec
 from .replay import (
     POLICIES,
+    DivergenceReport,
     ResilientReplayResult,
     resilient_replay,
 )
@@ -34,10 +37,9 @@ from .salvage import (
     salvage_file,
     salvage_log,
 )
-from .watchdog import (
+from ..validation.log_correlation import (
     Divergence,
     DivergenceKind,
-    DivergenceReport,
     DivergenceWatchdog,
 )
 

@@ -16,7 +16,7 @@ from ..emulator.playback import GuestResetTimeout  # noqa: F401
 from ..tracelog.records import TraceFormatError  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .watchdog import DivergenceReport
+    from .replay import DivergenceReport
 
 
 class ResilienceError(RuntimeError):
@@ -54,7 +54,7 @@ class DivergenceError(ResilienceError):
     """The live watchdog detected a divergence and the active policy is
     ``strict`` (or ``resync`` exhausted its retry budget).
 
-    Carries the structured :class:`~repro.resilience.watchdog.DivergenceReport`
+    Carries the structured :class:`~repro.resilience.replay.DivergenceReport`
     so callers get the classification, the offending records, and the
     localized first divergent tick, not just a string.
     """

@@ -33,8 +33,10 @@ the ``resync`` policy able to recover from them honestly:
                  times out (:class:`GuestResetTimeout`)
 ===============  ======================================================
 
-All randomness is seeded (``seed`` param, default 0): the same spec
-corrupts the same log the same way, so fault tests are reproducible.
+All randomness is seeded (``seed`` param, default the fault's 0-based
+position in the spec, so two faults of one spec sample apart): the same
+spec corrupts the same log the same way, so fault tests are
+reproducible.
 """
 
 from __future__ import annotations
@@ -137,8 +139,9 @@ class FaultPlan:
         untouched) plus a description of each mutation."""
         records = list(log.records)
         notes: List[str] = []
-        for spec in self.trace_specs:
-            records = _apply_trace_fault(spec, records, notes)
+        for position, spec in enumerate(self.specs):
+            if spec.name in TRACE_FAULTS:
+                records = _apply_trace_fault(spec, records, notes, position)
         return ActivityLog(records=records), notes
 
     # ------------------------------------------------------------------
@@ -183,8 +186,8 @@ class FaultPlan:
 
 
 def _apply_trace_fault(spec: FaultSpec, records: List[LogRecord],
-                       notes: List[str]) -> List[LogRecord]:
-    rng = random.Random(int(spec.get("seed", 0)))
+                       notes: List[str], position: int) -> List[LogRecord]:
+    rng = random.Random(int(spec.get("seed", position)))
     name = spec.name
     if not records and name != "truncate":
         notes.append(f"{spec.describe()}: log empty, nothing to corrupt")

@@ -4,8 +4,9 @@ Wraps a :class:`~repro.emulator.playback.PlaybackDriver` run with the
 resilience machinery:
 
 * periodic **checkpoints** into a :class:`CheckpointManager` ring;
-* the live **divergence watchdog**, fed the emulated machine's own
-  activity log at every checkpoint boundary;
+* the live **divergence watchdog** — the §3.3 log comparator,
+  :class:`~repro.validation.log_correlation.DivergenceWatchdog` — fed
+  the emulated machine's own activity log at every checkpoint boundary;
 * a **policy** deciding what a detected divergence (or an injected
   runtime fault, or a reset timeout) does to the run:
 
@@ -43,11 +44,12 @@ from ..emulator.playback import (
 )
 from ..emulator.pose import Emulator
 from ..tracelog import ActivityLog, read_activity_log
+from ..validation.log_correlation import (Divergence, DivergenceKind,
+                                          DivergenceWatchdog)
 from .checkpoint import Checkpoint, CheckpointManager
 from .errors import DivergenceError, ReplayFault
 from .faults import FaultPlan
 from .salvage import SalvageResult, salvage_log
-from .watchdog import Divergence, DivergenceReport, DivergenceWatchdog
 
 POLICIES = ("strict", "resync", "degrade")
 
@@ -58,19 +60,70 @@ _LOCALIZE_FAN = 16
 _LOCALIZE_ROUNDS = 6
 
 
-class _DivergenceDetected(Exception):
-    """Internal control flow: the watchdog hook found fresh divergences
-    at a checkpoint boundary."""
+class _Diverged(Exception):
+    """Internal control flow: a watchdog check at the checkpoint at wall
+    tick ``tick`` found fresh divergences."""
 
-    def __init__(self, fresh: List[Divergence], tick: int):
-        self.fresh = fresh
-        self.tick = tick
-        super().__init__(f"{len(fresh)} divergence(s) at wall tick {tick}")
-
-
-class _StopLocalize(Exception):
     def __init__(self, tick: int):
+        super().__init__(f"divergence by wall tick {tick}")
         self.tick = tick
+
+
+@dataclass
+class DivergenceReport:
+    """Every divergence the watchdog found, plus the runner's
+    localization."""
+
+    divergences: List[Divergence] = field(default_factory=list)
+    #: Wall tick of the last checkpoint known good / first known bad —
+    #: filled in by the runner's bisection over the checkpoint ring.
+    last_good_tick: Optional[int] = None
+    first_bad_tick: Optional[int] = None
+    retries: int = 0
+    #: Determinism-relevant findings from the semantic ROM audit
+    #: (``analysis.static.audit``), attached by the resilient runner
+    #: when a strict replay diverges: an unhacked nondeterminism source
+    #: or self-modifying code is the most likely root cause, and the
+    #: audit names it statically.
+    static_hints: List[str] = field(default_factory=list)
+
+    def __bool__(self) -> bool:
+        return bool(self.divergences)
+
+    @property
+    def kinds(self) -> List[DivergenceKind]:
+        return sorted({d.kind for d in self.divergences}, key=lambda k: k.value)
+
+    def summary(self) -> str:
+        if not self.divergences:
+            return "no divergence"
+        head = self.divergences[0]
+        text = (f"replay diverged: {len(self.divergences)} divergence(s), "
+                f"first: {head.describe()}")
+        if self.last_good_tick is not None:
+            text += f"; last good checkpoint at wall tick {self.last_good_tick}"
+        if self.first_bad_tick is not None:
+            text += f"; first divergent window ends at wall tick {self.first_bad_tick}"
+        if self.retries:
+            text += f"; after {self.retries} resync retr"
+            text += "y" if self.retries == 1 else "ies"
+        return text
+
+    def format(self) -> str:
+        lines = [self.summary()]
+        for div in self.divergences:
+            lines.append(f"  - {div.describe()}")
+            if div.expected is not None:
+                lines.append(f"      expected: tick={div.expected.tick} "
+                             f"data={div.expected.data:#010x}")
+            if div.actual is not None:
+                lines.append(f"      actual  : tick={div.actual.tick} "
+                             f"data={div.actual.data:#010x}")
+        if self.static_hints:
+            lines.append("  static audit hints (possible root causes):")
+            for hint in self.static_hints:
+                lines.append(f"    * {hint}")
+        return "\n".join(lines)
 
 
 @dataclass
@@ -94,8 +147,7 @@ class ResilientReplayResult:
 
     @property
     def clean(self) -> bool:
-        return not self.tainted and self.retries == 0 and not (
-            self.report and self.report.divergences)
+        return not (self.tainted or self.retries or self.report)
 
 
 def resilient_replay(
@@ -146,9 +198,9 @@ def resilient_replay(
 
     from ..hacks import installed_hack_traps
 
-    watchdog = None
+    watchdog = report = None
     if installed_hack_traps(emulator.kernel):
-        watchdog = DivergenceWatchdog(reference)
+        watchdog, report = DivergenceWatchdog(reference), DivergenceReport()
     else:
         # Without the logging hacks the replayed machine produces no
         # activity log, and every comparison would be a false
@@ -169,19 +221,19 @@ def resilient_replay(
         reset_timeout=reset_timeout,
         machine=functools.partial(replay_machine, apps, emulator_kwargs,
                                   profile=profile))
-    escalate = functools.partial(_escalate, outcome=outcome,
-                                 watchdog=watchdog, localize=localize,
-                                 apps=apps)
+    escalate = functools.partial(_escalate, outcome=outcome, report=report,
+                                 localize=localize, apps=apps)
 
     def watch(tick: int, final: bool = False) -> None:
         if watchdog is None:
             return
         fresh = watchdog.check(read_activity_log(emulator.kernel),
                                final=final)
+        report.divergences.extend(fresh)
         if fresh and on_divergence == "degrade":
             outcome.tainted = True
         elif fresh:
-            raise _DivergenceDetected(fresh, tick)
+            raise _Diverged(tick)
 
     def hook(checkpoint: Checkpoint) -> None:
         manager.add(checkpoint)
@@ -207,15 +259,15 @@ def resilient_replay(
                 result = driver.resume_from(resume_cp, disable_jitter=True)
             watch(emulator.device.tick, final=True)
             break
-        except (_DivergenceDetected, ReplayFault, GuestResetTimeout) as exc:
+        except (_Diverged, ReplayFault, GuestResetTimeout) as exc:
             resume_cp = _handle_failure(exc, outcome, manager, watchdog,
                                         driver, plan, on_divergence,
                                         retry_budget, escalate)
 
     outcome.result = result
-    outcome.report = watchdog.report if watchdog is not None else None
-    if outcome.report is not None:
-        outcome.report.retries = outcome.retries
+    outcome.report = report
+    if report is not None:
+        report.retries = outcome.retries
     return outcome
 
 
@@ -237,14 +289,14 @@ def _handle_failure(exc: BaseException, outcome: ResilientReplayResult,
     if outcome.retries >= retry_budget:
         raise escalate(exc)
     if isinstance(exc, GuestResetTimeout):
-        # A timeout means wall time was burned waiting; every later
-        # checkpoint embeds more of the wasted time, so the *oldest*
-        # one gives the retry the best chance of re-aligning the next
-        # epoch's schedule.  A second timeout can't do better (the ring
-        # has nothing older) — escalate rather than loop.
+        # A timeout means wall time was burned waiting, and every
+        # checkpoint the wait emitted embeds some of it: only the one
+        # the driver took as the wait began (carried by the exception,
+        # outside the ring) re-aligns the next epoch's schedule.  A
+        # second timeout can't do better — escalate rather than loop.
         if outcome.retries > 0:
             raise escalate(exc)
-        checkpoint = manager.earliest()
+        checkpoint = exc.checkpoint
     else:
         checkpoint = (manager.latest() if outcome.retries == 0
                       else manager.discard_latest())
@@ -287,23 +339,20 @@ def _static_hints(apps: Optional[Sequence[Any]]) -> List[str]:
 
 
 def _escalate(exc: BaseException, *, outcome: ResilientReplayResult,
-              watchdog: Optional[DivergenceWatchdog],
+              report: Optional[DivergenceReport],
               localize: Callable[[int], Tuple[Optional[int], int]],
               apps: Sequence[Any]) -> BaseException:
     """Build the terminal, typed error for a failure the policy cannot
     (or may not) absorb."""
-    if isinstance(exc, _DivergenceDetected):
-        report = (watchdog.report if watchdog is not None
-                  else DivergenceReport(divergences=list(exc.fresh)))
+    # ReplayFault / GuestResetTimeout are already typed and surface
+    # as-is; the report (a divergence only comes from a watchdog, so it
+    # exists then) records the retries either way.
+    if report is not None:
         report.retries = outcome.retries
+    if isinstance(exc, _Diverged):
         report.last_good_tick, report.first_bad_tick = localize(exc.tick)
         report.static_hints = _static_hints(apps)
         return DivergenceError(report)
-    # ReplayFault / GuestResetTimeout are already typed; after a failed
-    # resync they surface as-is (the caller sees retry context on the
-    # outcome object it never got — so annotate the report instead).
-    if watchdog is not None:
-        watchdog.report.retries = outcome.retries
     return exc
 
 
@@ -341,7 +390,7 @@ def _localize(manager: CheckpointManager, bad_tick: int, *,
         def hook(cp: Checkpoint) -> None:
             # Runs only inside this round's resume_from below.
             if scratch_watchdog.check(read_activity_log(scratch.kernel)):
-                raise _StopLocalize(cp.tick)
+                raise _Diverged(cp.tick)
             if cp.tick < hi:
                 last_scratch_cp[0] = cp
 
@@ -351,7 +400,7 @@ def _localize(manager: CheckpointManager, bad_tick: int, *,
                                 checkpoint_hook=hook)
         try:
             driver.resume_from(checkpoint)
-        except _StopLocalize as stop:
+        except _Diverged as stop:
             hi = min(hi, stop.tick)
             checkpoint = last_scratch_cp[0]
             lo = checkpoint.tick

@@ -42,12 +42,6 @@ class ActivityLog:
         self.records.append(record)
 
     # -- statistics -------------------------------------------------------
-    def counts_by_type(self) -> dict:
-        out: dict = {}
-        for rec in self.records:
-            out[rec.type] = out.get(rec.type, 0) + 1
-        return out
-
     @property
     def first_tick(self) -> int:
         return self.records[0].tick if self.records else 0

@@ -9,20 +9,65 @@ coordinates. ... However, the events in the emulated activity log
 sometimes occurred in short bursts ... slightly behind schedule
 (< 20 ticks)."
 
-:func:`correlate_logs` quantifies exactly that: per-event-type payload
-matching plus the tick-slip distribution.
+One per-type aligner, :class:`DivergenceWatchdog`, quantifies exactly
+that: it pairs each event type's original and replayed records in
+order, accumulates payload matches and tick slips into a
+:class:`LogCorrelation`, and classifies each disagreement as a
+:class:`Divergence` — ``tick-skew`` (same payload, ≥
+``BURST_TICK_BOUND`` ticks late), ``payload-mismatch``, ``extra-event``
+and, on the final check, ``missing-event``.  :func:`correlate_logs` is
+one final check after a replay; the resilient runner
+(:mod:`repro.resilience.replay`) runs the same comparator at every
+checkpoint.  :attr:`LogCorrelation.valid` holds exactly when the final
+check finds no divergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from enum import Enum
+from typing import Dict, List, Optional
 
 from ..tracelog import ActivityLog
 from ..tracelog.records import LogEventType, LogRecord
 
 #: The paper's burst bound: replayed events arrived < 20 ticks late.
 BURST_TICK_BOUND = 20
+
+
+def _type_name(event_type: int) -> str:
+    try:
+        return LogEventType(event_type).name
+    except ValueError:
+        return f"{event_type:#06x}"
+
+
+class DivergenceKind(Enum):
+    TICK_SKEW = "tick-skew"
+    PAYLOAD_MISMATCH = "payload-mismatch"
+    MISSING_EVENT = "missing-event"
+    EXTRA_EVENT = "extra-event"
+
+
+@dataclass(frozen=True)
+class Divergence:
+    """One classified disagreement between the original and replayed
+    activity logs."""
+
+    kind: DivergenceKind
+    event_type: int                 #: the stream (LogEventType value)
+    index: int                      #: per-type aligned record index
+    expected: Optional[LogRecord]   #: the original's record (None: extra)
+    actual: Optional[LogRecord]     #: the replay's record (None: missing)
+    tick: int                       #: best-known localization (guest tick)
+    detail: str = ""
+
+    def describe(self) -> str:
+        text = (f"{self.kind.value} in {_type_name(self.event_type)} stream "
+                f"at record {self.index} (tick {self.tick})")
+        if self.detail:
+            text += f": {self.detail}"
+        return text
 
 
 @dataclass
@@ -68,20 +113,13 @@ class LogCorrelation:
                    default=0)
 
     @property
-    def all_payloads_match(self) -> bool:
-        return all(t.payload_matches == t.original == t.replayed
-                   for t in self.by_type.values())
-
-    @property
-    def within_burst_bound(self) -> bool:
-        """Every slip under the paper's observed < 20-tick bound."""
-        return self.max_tick_delta < BURST_TICK_BOUND
-
-    @property
     def valid(self) -> bool:
         """The §3.3 verdict: the logs 'contain virtually the same
-        inputs, retaining the integrity of the log'."""
-        return self.all_payloads_match and self.within_burst_bound
+        inputs, retaining the integrity of the log' — every payload
+        matches and every slip is under the paper's < 20-tick bound."""
+        return (self.max_tick_delta < BURST_TICK_BOUND
+                and all(t.payload_matches == t.original == t.replayed
+                        for t in self.by_type.values()))
 
     def summary(self) -> str:
         lines = [
@@ -96,9 +134,9 @@ class LogCorrelation:
         ]
         for etype, t in sorted(self.by_type.items()):
             lines.append(
-                f"    {etype.name:<9} {t.original:>6} vs {t.replayed:<6} "
-                f"payload {t.payload_matches}, exact {t.exact_matches}, "
-                f"max slip {t.max_tick_delta}")
+                f"    {_type_name(etype):<9} {t.original:>6} vs "
+                f"{t.replayed:<6} payload {t.payload_matches}, exact "
+                f"{t.exact_matches}, max slip {t.max_tick_delta}")
         return "\n".join(lines)
 
 
@@ -109,25 +147,86 @@ def _streams(log: ActivityLog) -> Dict[LogEventType, List[LogRecord]]:
     return out
 
 
+class DivergenceWatchdog:
+    """The per-type aligner: an incremental original-vs-replayed log
+    comparator.
+
+    Feed it the replayed log via :meth:`check`, once or periodically.
+    Each type's cursor is the count of its replayed records already
+    aligned (:attr:`TypeCorrelation.replayed`), so a call examines only
+    the records beyond it and costs the *new* records, not the whole
+    log.  Cursors advance past divergent pairs, so in the runner's
+    ``degrade`` mode later records keep being checked after a mismatch
+    is absorbed.
+    """
+
+    def __init__(self, original: ActivityLog):
+        self._original = _streams(original)
+        self.rewind()
+
+    def rewind(self) -> None:
+        """Forget all progress (the runner restored an earlier
+        checkpoint and will re-feed the log from scratch)."""
+        #: The §3.3 statistics of the records aligned so far.
+        self.correlation = LogCorrelation(by_type={
+            etype: TypeCorrelation(original=len(stream))
+            for etype, stream in self._original.items()})
+
+    def check(self, replayed: ActivityLog,
+              final: bool = False) -> List[Divergence]:
+        """Align any newly-replayed records; returns the *fresh*
+        divergences.  With ``final=True`` the replay is over, so
+        original records beyond the replayed prefix become
+        ``MISSING_EVENT``.
+        """
+        fresh: List[Divergence] = []
+        by_type = self.correlation.by_type
+        streams = _streams(replayed)
+        for etype in sorted(self._original.keys() | streams.keys()):
+            o_stream = self._original.get(etype, [])
+            corr = by_type.setdefault(etype, TypeCorrelation())
+            for actual in streams.get(etype, [])[corr.replayed:]:
+                index = corr.replayed
+                corr.replayed += 1
+                if index >= len(o_stream):
+                    fresh.append(Divergence(
+                        DivergenceKind.EXTRA_EVENT, int(etype), index,
+                        None, actual, actual.tick,
+                        "replay produced a record the original log "
+                        "does not contain"))
+                    continue
+                expected = o_stream[index]
+                if expected.data != actual.data:
+                    fresh.append(Divergence(
+                        DivergenceKind.PAYLOAD_MISMATCH, int(etype), index,
+                        expected, actual, expected.tick,
+                        f"data {actual.data:#010x} != expected "
+                        f"{expected.data:#010x}"))
+                    continue
+                slip = actual.tick - expected.tick
+                corr.payload_matches += 1
+                if slip == 0:
+                    corr.exact_matches += 1
+                corr.tick_deltas.append(slip)
+                if abs(slip) >= BURST_TICK_BOUND:
+                    fresh.append(Divergence(
+                        DivergenceKind.TICK_SKEW, int(etype), index,
+                        expected, actual, expected.tick,
+                        f"slipped {slip} ticks (bound {BURST_TICK_BOUND})"))
+            if final and corr.replayed < len(o_stream):
+                missing = o_stream[corr.replayed]
+                fresh.append(Divergence(
+                    DivergenceKind.MISSING_EVENT, int(etype), corr.replayed,
+                    missing, None, missing.tick,
+                    f"{len(o_stream) - corr.replayed} original record(s) "
+                    f"never replayed"))
+        return fresh
+
+
 def correlate_logs(original: ActivityLog,
                    replayed: ActivityLog) -> LogCorrelation:
-    """Compare the handheld's log with the emulated session's log.
-
-    Records are aligned per event type, in order — the replay preserves
-    per-type ordering even when bursts delay delivery.
-    """
-    result = LogCorrelation()
-    original_streams = _streams(original)
-    replayed_streams = _streams(replayed)
-    for etype in set(original_streams) | set(replayed_streams):
-        o_stream = original_streams.get(etype, [])
-        r_stream = replayed_streams.get(etype, [])
-        corr = TypeCorrelation(original=len(o_stream), replayed=len(r_stream))
-        for o_rec, r_rec in zip(o_stream, r_stream):
-            if o_rec.data == r_rec.data:
-                corr.payload_matches += 1
-                if o_rec.tick == r_rec.tick:
-                    corr.exact_matches += 1
-                corr.tick_deltas.append(r_rec.tick - o_rec.tick)
-        result.by_type[etype] = corr
-    return result
+    """Compare the handheld's log with the emulated session's log: one
+    final check by a fresh :class:`DivergenceWatchdog`."""
+    comparator = DivergenceWatchdog(original)
+    comparator.check(replayed, final=True)
+    return comparator.correlation

@@ -661,6 +661,18 @@ class TestLogCheck:
                                                               repaired)
 
 
+def test_faults_of_one_spec_are_seeded_apart(archive):
+    """Each fault's default seed is its position in the spec, so ``dup``
+    duplicates a valid record, not the one ``type-garbage`` garbled."""
+    from repro.resilience import FaultPlan, salvage_log
+    from repro.tracelog import ActivityLog
+
+    garbled, _ = FaultPlan.parse("type-garbage,dup").apply_to_log(
+        ActivityLog.load(archive / "activity_log.pdb"))
+    codes = {f.code for f in salvage_log(garbled).report.findings}
+    assert "duplicate-record" in codes
+
+
 class TestStaticDynamicCrossCheck:
     def test_profiled_replay_is_contained_in_the_cfg(self, archive):
         """Every ROM-address opcode executed by a profiled replay must

@@ -15,6 +15,7 @@ from repro.resilience import (
     CheckpointError,
     CheckpointManager,
     DivergenceKind,
+    DivergenceReport,
     DivergenceWatchdog,
     FaultPlan,
     FaultSpecError,
@@ -27,7 +28,6 @@ from repro.tracelog import (
     LogRecord,
     split_epochs,
 )
-from repro.tracelog.parser import parse_log
 
 
 def make_log(*specs) -> ActivityLog:
@@ -183,7 +183,6 @@ class TestWatchdog:
         log = make_log((LogEventType.PEN, 10, 5), (LogEventType.KEY, 20, 6))
         dog = DivergenceWatchdog(log)
         assert dog.check(log, final=True) == []
-        assert not dog.diverged
 
     def test_payload_mismatch(self):
         original = make_log((LogEventType.PEN, 10, 0xAA))
@@ -197,7 +196,7 @@ class TestWatchdog:
     def test_tick_skew_beyond_burst_bound(self):
         original = make_log((LogEventType.KEY, 100, 7))
         replayed = make_log((LogEventType.KEY, 100 + 20, 7))
-        dog = DivergenceWatchdog(original, burst_bound=20)
+        dog = DivergenceWatchdog(original)
         (div,) = dog.check(replayed)
         assert div.kind is DivergenceKind.TICK_SKEW
 
@@ -205,7 +204,7 @@ class TestWatchdog:
         # §3.3: replay bursts may land late by up to the burst bound.
         original = make_log((LogEventType.KEY, 100, 7))
         replayed = make_log((LogEventType.KEY, 100 + 19, 7))
-        dog = DivergenceWatchdog(original, burst_bound=20)
+        dog = DivergenceWatchdog(original)
         assert dog.check(replayed, final=True) == []
 
     def test_missing_event_only_reported_at_final(self):
@@ -230,10 +229,10 @@ class TestWatchdog:
         bad_first = make_log((LogEventType.PEN, 10, 99))
         dog = DivergenceWatchdog(original)
         assert len(dog.check(bad_first)) == 1
-        # Re-checking the same prefix reports nothing new; the report
-        # accumulates rather than duplicating.
+        # Re-checking the same prefix reports nothing new, and the
+        # statistics count each aligned record once.
         assert dog.check(bad_first) == []
-        assert len(dog.report.divergences) == 1
+        assert dog.correlation.by_type[LogEventType.PEN].replayed == 1
 
     def test_rewind_forgets_progress(self):
         original = make_log((LogEventType.PEN, 10, 1))
@@ -247,13 +246,13 @@ class TestWatchdog:
     def test_report_summary_and_format(self):
         original = make_log((LogEventType.PEN, 10, 1))
         dog = DivergenceWatchdog(original)
-        dog.check(make_log((LogEventType.PEN, 10, 2)))
-        dog.report.last_good_tick = 100
-        dog.report.first_bad_tick = 200
-        text = dog.report.format()
+        report = DivergenceReport(
+            divergences=dog.check(make_log((LogEventType.PEN, 10, 2))),
+            last_good_tick=100, first_bad_tick=200)
+        text = report.format()
         assert "payload-mismatch" in text
         assert "last good checkpoint at wall tick 100" in text
-        assert dog.report.kinds == [DivergenceKind.PAYLOAD_MISMATCH]
+        assert report.kinds == [DivergenceKind.PAYLOAD_MISMATCH]
 
 
 # ----------------------------------------------------------------------
@@ -391,21 +390,6 @@ class TestFaultPlan:
         assert result.dropped == 2
         assert all(f.code == "unknown-event-type"
                    for f in result.report.errors)
-
-
-# ----------------------------------------------------------------------
-# parse_log counts unknown records instead of dropping them silently
-# ----------------------------------------------------------------------
-class TestParseLogUnknown:
-    def _log(self):
-        log = make_log((LogEventType.PEN, 10))
-        log.append(LogRecord(0x7F7F, 20, 200, 0))
-        return log
-
-    def test_collect_keeps_unknown_records(self):
-        parsed = parse_log(self._log())
-        assert len(parsed.unknown) == 1
-        assert parsed.unknown[0].tick == 20
 
 
 # ----------------------------------------------------------------------

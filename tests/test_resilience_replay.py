@@ -153,6 +153,20 @@ class TestCheckpointResume:
 
 
 # ----------------------------------------------------------------------
+# Records of an unknown event type name no playback group
+# ----------------------------------------------------------------------
+class TestParseLogUnknown:
+    def test_unknown_record_is_not_injected(self, session):
+        garbled = ActivityLog(records=list(session.log.records))
+        garbled.append(LogRecord(0x7F7F, garbled.last_tick, 0, 0))
+        results = [replay_session(session.initial_state, log, apps=_APPS,
+                                  profile=False, emulator_kwargs=EMU_KW)[2]
+                   for log in (session.log, garbled)]
+        assert results[0].events_injected > 0
+        assert results[1].events_injected == results[0].events_injected
+
+
+# ----------------------------------------------------------------------
 # Checkpoints hold the profiler trace by reference
 # ----------------------------------------------------------------------
 #: A chunk grain small enough that the short session spans many sealed
@@ -444,10 +458,14 @@ class TestResilientReplay:
             self._run(reset_session, on_divergence="strict",
                       faults="stall-reset", reset_timeout=800)
 
-    def test_stalled_reset_recovers_under_resync(self, reset_session):
+    @pytest.mark.parametrize("every", [100, 200, 300])
+    def test_stalled_reset_recovers_under_resync(self, reset_session, every):
+        # The wait emits checkpoints every ``every`` ticks, enough to
+        # fill the default ring with post-reset ones: the retry must
+        # resume from where the wait began, not from the ring.
         out = self._run(reset_session, on_divergence="resync",
                         faults="stall-reset", reset_timeout=800,
-                        keep_checkpoints=8)
+                        checkpoint_every=every)
         assert out.recovered and not out.tainted
         assert not out.report.divergences
 

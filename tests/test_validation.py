@@ -13,6 +13,7 @@ from repro import (
 from repro.device import Button
 from repro.palmos.database import DatabaseImage, RecordImage
 from repro.tracelog import ActivityLog, LogEventType, LogRecord, read_activity_log
+from repro.resilience import DivergenceWatchdog
 from repro.validation import BURST_TICK_BOUND
 from repro.workloads import UserScript, collect_session, preload_contacts
 
@@ -62,6 +63,79 @@ class TestLogCorrelationUnit:
         log = _log(LogRecord(LogEventType.KEY, 5, 0, 2))
         text = correlate_logs(log, log).summary()
         assert "VALID" in text and "KEY" in text
+
+
+def _records(*specs):
+    return _log(*(LogRecord(etype, tick, 0, data)
+                  for etype, tick, data in specs))
+
+
+_PEN, _KEY, _KEYSTATE = LogEventType.PEN, LogEventType.KEY, LogEventType.KEYSTATE
+
+#: ``(name, original, replayed, by_type, kinds)``: ``by_type`` maps each
+#: stream to ``(original, replayed, payload matches, exact matches, max
+#: slip)`` as the separate correlation loop computed them, and ``kinds``
+#: lists the divergences of the final check.
+COMPARATOR_TABLE = [
+    ("identical",
+     _records((_PEN, 10, 1), (_KEY, 20, 2), (_KEYSTATE, 30, 3)),
+     _records((_PEN, 10, 1), (_KEY, 20, 2), (_KEYSTATE, 30, 3)),
+     {_KEY: (1, 1, 1, 1, 0), _PEN: (1, 1, 1, 1, 0),
+      _KEYSTATE: (1, 1, 1, 1, 0)}, []),
+    ("slip-16",
+     _records((_PEN, 10, 1), (_PEN, 30, 2)),
+     _records((_PEN, 26, 1), (_PEN, 30, 2)),
+     {_PEN: (2, 2, 2, 1, 16)}, []),
+    ("slip-20",
+     _records((_PEN, 10, 1), (_KEY, 12, 2)),
+     _records((_PEN, 30, 1), (_KEY, 12, 2)),
+     {_KEY: (1, 1, 1, 1, 0), _PEN: (1, 1, 1, 0, 20)}, ["tick-skew"]),
+    ("payload-mismatch",
+     _records((_PEN, 10, 1), (_KEY, 20, 2)),
+     _records((_PEN, 10, 9), (_KEY, 20, 2)),
+     {_KEY: (1, 1, 1, 1, 0), _PEN: (1, 1, 0, 0, 0)}, ["payload-mismatch"]),
+    ("extra-record",
+     _records((_PEN, 10, 1)),
+     _records((_PEN, 10, 1), (_PEN, 15, 9)),
+     {_PEN: (1, 2, 1, 1, 0)}, ["extra-event"]),
+    ("missing-record",
+     _records((_PEN, 10, 1), (_PEN, 12, 2)),
+     _records((_PEN, 10, 1)),
+     {_PEN: (2, 1, 1, 1, 0)}, ["missing-event"]),
+    ("unknown-type",
+     _records((_PEN, 10, 1), (0x7F7F, 20, 0)),
+     _records((_PEN, 10, 1)),
+     {_PEN: (1, 1, 1, 1, 0), 0x7F7F: (1, 0, 0, 0, 0)}, ["missing-event"]),
+]
+_ROWS = {row[0]: row for row in COMPARATOR_TABLE}
+
+
+class TestOneComparator:
+    """``correlate_logs`` and the replay watchdog are one aligner: the
+    §3.3 verdict is "the final check finds no divergence"."""
+
+    @pytest.mark.parametrize("name,original,replayed,by_type,kinds",
+                             COMPARATOR_TABLE,
+                             ids=[row[0] for row in COMPARATOR_TABLE])
+    def test_verdict_and_statistics(self, name, original, replayed,
+                                    by_type, kinds):
+        corr = correlate_logs(original, replayed)
+        fresh = DivergenceWatchdog(original).check(replayed, final=True)
+        assert corr.valid == (not fresh)
+        assert [d.kind.value for d in fresh] == kinds
+        # Mid-run, records the replay has not produced yet are pending.
+        mid_run = DivergenceWatchdog(original).check(replayed)
+        assert [d.kind.value for d in mid_run] == [
+            kind for kind in kinds if kind != "missing-event"]
+        assert {etype: (t.original, t.replayed, t.payload_matches,
+                        t.exact_matches, t.max_tick_delta)
+                for etype, t in corr.by_type.items()} == by_type
+        assert corr.summary().count("\n") == 4 + len(by_type)
+
+    def test_summary_names_an_unknown_type_word(self):
+        _, original, replayed, _, _ = _ROWS["unknown-type"]
+        assert "    0x7f7f         1 vs 0      payload 0, exact 0, " \
+            "max slip 0" in correlate_logs(original, replayed).summary()
 
 
 class TestStateCorrelationUnit:

@@ -149,11 +149,7 @@ def main_smoke() -> int:
         from repro.tracelog import ActivityLog
         log_path = Path(archive) / "activity_log.pdb"
         log = ActivityLog.load(log_path)
-        # Seeded apart: with one seed, dup would pick the very record
-        # type-garbage garbled, and the log would hold no duplicate of
-        # a valid record.
-        garbled, _ = FaultPlan.parse("type-garbage,dup:seed=1").apply_to_log(
-            log)
+        garbled, _ = FaultPlan.parse("type-garbage,dup").apply_to_log(log)
         garbled.save(log_path)
         for name, argv in (("plain", ("replay", "--session", archive)),
                            ("strict", (*replay, "--on-divergence",
