@@ -16,7 +16,8 @@ or out-of-range target), not a style opinion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ...m68k.disasm import K_EMUCALL, K_ILLEGAL, K_RETURN, K_TRAP
 from ...palmos.traps import (CALL_APP_RETURNED, CALL_BOOT, CALL_DELAY_TRY,
@@ -217,17 +218,27 @@ def analyze_image(image: bytes, base: int, roots: Iterable[int], *,
     return RomAnalysis(cfg, report, TrapCensus.from_cfg(cfg), ctx)
 
 
-def analyze_rom(apps: Optional[Sequence] = None) -> RomAnalysis:
-    """Build the shipped ROM and analyze it end to end.
+class RomRoots(NamedTuple):
+    """The shipped ROM and its entry points (:func:`rom_roots`)."""
+
+    program: Any
+    origin: int
+    image: bytes
+    roots: List[int]
+    #: Trap number -> stub address.
+    stubs: Dict[int, int]
+    app_entries: List[int]
+
+
+def rom_roots(apps: Optional[Sequence] = None) -> RomRoots:
+    """Build the shipped ROM and list every entry point the hardware or
+    kernel can reach directly: the reset vector's initial PC, the trap
+    dispatcher, the interrupt service routine, the unimplemented-trap
+    handler, every trap stub and every application entry.
 
     ``apps`` defaults to the standard application set the CLI ships.
-    Roots are every entry point the hardware or kernel can reach
-    directly: the reset vector's initial PC, the trap dispatcher, the
-    interrupt service routine, the unimplemented-trap handler, every
-    trap stub and every application entry.
     """
     from ...apps import standard_apps
-    from ...device import constants as C
     from ...palmos.rom import RomBuilder
 
     builder = RomBuilder(standard_apps() if apps is None else list(apps))
@@ -235,22 +246,29 @@ def analyze_rom(apps: Optional[Sequence] = None) -> RomAnalysis:
     origin, code = program.segments[0]
     image = bytes(code)
 
-    reset_pc = int.from_bytes(image[4:8], "big")
     stubs = builder.stub_addresses(program)
     app_entries = [addr for _, addr in builder.app_entries(program)]
-    roots = [reset_pc,
+    roots = [int.from_bytes(image[4:8], "big"),
              program.symbols["trap_dispatcher"],
              program.symbols["rom_isr"],
              program.symbols["rom_unimplemented"]]
     roots += sorted(set(stubs.values()))
     roots += app_entries
+    return RomRoots(program, origin, image, roots, stubs, app_entries)
 
+
+def analyze_rom(apps: Optional[Sequence] = None) -> RomAnalysis:
+    """Build the shipped ROM and analyze it end to end from every root
+    :func:`rom_roots` lists."""
+    from ...device import constants as C
+
+    rom = rom_roots(apps)
     analysis = analyze_image(
-        image, origin, roots,
-        trap_targets=stubs,
+        rom.image, rom.origin, rom.roots,
+        trap_targets=rom.stubs,
         # Apps are invoked via jsr (a0); make them subroutine entries
         # for the stack checker even though no static jsr names them.
-        function_entries=app_entries,
+        function_entries=rom.app_entries,
         flash_range=(C.FLASH_BASE, C.FLASH_BASE + C.FLASH_SIZE))
-    analysis.program = program
+    analysis.program = rom.program
     return analysis

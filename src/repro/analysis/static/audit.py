@@ -42,6 +42,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional,
 
 from ...m68k.disasm import K_BRANCH, K_CALL, K_NORMAL
 from ...palmos.traps import Trap
+from .analyzer import rom_roots
 from .census import TrapCensus
 from .dataflow import (ConstResult, MemOp, TrapSite, analyze_constprop,
                        nondet_reachability)
@@ -526,46 +527,30 @@ def _overlaps_insn(cfg: CFG, insn_starts: List[int], addr: int,
 
 
 # ---------------------------------------------------------------------------
-# Whole-ROM convenience (mirrors analyzer.analyze_rom).
+# Whole-ROM convenience.
 # ---------------------------------------------------------------------------
 
 def audit_rom(apps: Optional[Sequence] = None, *,
               hacked_traps: Optional[Iterable[int]] = None,
               ram_size: Optional[int] = None,
               flash_size: Optional[int] = None) -> AuditResult:
-    """Build the shipped ROM and audit it semantically.
+    """Build the shipped ROM and audit it semantically from every root
+    :func:`~repro.analysis.static.analyzer.rom_roots` lists.
 
     ``hacked_traps`` defaults to the standard logging-hack set (pass
     :func:`repro.hacks.manager.installed_hack_traps` output for a live
     kernel).  ``ram_size``/``flash_size`` pin the region model to a
     session's geometry."""
-    from ...apps import standard_apps
-    from ...palmos.rom import RomBuilder
-
-    builder = RomBuilder(standard_apps() if apps is None else list(apps))
-    program = builder.build()
-    origin, code = program.segments[0]
-    image = bytes(code)
-
-    reset_pc = int.from_bytes(image[4:8], "big")
-    stubs = builder.stub_addresses(program)
-    app_entries = [addr for _, addr in builder.app_entries(program)]
-    roots = [reset_pc,
-             program.symbols["trap_dispatcher"],
-             program.symbols["rom_isr"],
-             program.symbols["rom_unimplemented"]]
-    roots += sorted(set(stubs.values()))
-    roots += app_entries
-
+    rom = rom_roots(apps)
     result = audit_image(
-        image, origin, roots,
-        trap_targets=stubs,
-        function_entries=app_entries,
+        rom.image, rom.origin, rom.roots,
+        trap_targets=rom.stubs,
+        function_entries=rom.app_entries,
         region_model=RegionModel.from_geometry(ram_size, flash_size),
         hacked_traps=hacked_traps,
         # Event delivery enters through the ISR and the app entries.
-        handler_roots=[program.symbols["rom_isr"], *app_entries])
-    result.program = program
+        handler_roots=[rom.program.symbols["rom_isr"], *rom.app_entries])
+    result.program = rom.program
     return result
 
 

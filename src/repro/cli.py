@@ -65,8 +65,6 @@ def _add_replay(sub) -> None:
                      metavar="N", help="snapshot the machine every N "
                                        "ticks and enable the divergence "
                                        "watchdog")
-    res.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="also persist checkpoints to this directory")
     res.add_argument("--on-divergence", default=None,
                      choices=("strict", "resync", "degrade"),
                      help="divergence policy: fail with a report, retry "
@@ -323,7 +321,7 @@ def _add_fleet(sub) -> None:
                         "its digest in the journal (verified on "
                         "--resume)")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                   help="PRCKPT01 checkpoint interval inside each "
+                   help="checkpoint interval inside each "
                         "replay (ticks; 0 = policy default)")
     p.add_argument("--hang-timeout", type=float, default=120.0,
                    metavar="SECONDS",
@@ -540,14 +538,13 @@ def cmd_replay(args) -> int:
                 outcome = resilient_replay(
                     state, log, **options, faults=plan,
                     on_divergence=args.on_divergence or "strict",
-                    retry_budget=args.retry_budget,
-                    checkpoint_dir=args.checkpoint_dir)
+                    retry_budget=args.retry_budget)
                 emulator, profiler, result = (
                     outcome.emulator, outcome.profiler, outcome.result)
                 elapsed = time.time() - start
                 if trace_tmp is not None:
-                    # Drained after the fact: PRCKPT01 checkpoints hold
-                    # the in-RAM trace a resync rolls back.
+                    # Drained after the fact: the checkpoints hold the
+                    # in-RAM trace a resync rolls back.
                     manifest = container.write_container(
                         profiler.chunks(), trace_tmp,
                         codec=args.trace_codec, session=trace_meta)

@@ -18,7 +18,7 @@ host-approximated RTC — so the validation experiments can show the same
 benign divergences.
 
 Resilience extensions (see :mod:`repro.resilience`): the driver keeps
-its injection schedule in a serializable side table, can capture a
+its injection schedule in a side table, can capture an in-RAM
 :class:`~repro.resilience.checkpoint.Checkpoint` every N wall ticks
 (full emulator state + its own cursors), and can
 :meth:`~PlaybackDriver.resume_from` such a checkpoint, continuing the
@@ -27,8 +27,9 @@ replay to a final state byte-identical with an uninterrupted run.
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..device import constants as C
@@ -108,32 +109,6 @@ class JitterModel:
     def rtc_offset(self) -> int:
         return self._rng.randint(0, self.rtc_drift_seconds)
 
-    # -- checkpoint support ------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot of the model (JSON-safe)."""
-        version, internal, gauss = self._rng.getstate()
-        return {
-            "rng": [version, list(internal), gauss],
-            "burst_left": self._burst_left,
-            "burst_delay": self._burst_delay,
-            "burst_probability": self.burst_probability,
-            "max_delay": self.max_delay,
-            "burst_length": list(self.burst_length),
-            "rtc_drift_seconds": self.rtc_drift_seconds,
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "JitterModel":
-        model = cls(burst_probability=state["burst_probability"],
-                    max_delay=state["max_delay"],
-                    burst_length=tuple(state["burst_length"]),
-                    rtc_drift_seconds=state["rtc_drift_seconds"])
-        version, internal, gauss = state["rng"]
-        model._rng.setstate((version, tuple(internal), gauss))
-        model._burst_left = state["burst_left"]
-        model._burst_delay = state["burst_delay"]
-        return model
-
 
 @dataclass
 class PlaybackResult:
@@ -185,7 +160,7 @@ class _RandomQueue:
         return original
 
 
-#: Schedule-entry kinds (serialized into checkpoints).
+#: Schedule-entry kinds (carried by checkpoints).
 _SCHED_PEN = "pen"
 _SCHED_KEY = "key"
 _SCHED_CARD_INSERT = "card+"
@@ -226,8 +201,8 @@ class PlaybackDriver:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_hook = checkpoint_hook
 
-        #: Serializable side table of every scheduled injection that may
-        #: still be pending: ``(wall_tick, kind, payload)`` where pen and
+        #: Side table of every scheduled injection that may still be
+        #: pending: ``(wall_tick, kind, payload)`` where pen and
         #: key payloads are ``(type, tick, rtc, data)`` record tuples.
         #: Entries strictly before the current tick are pruned lazily.
         self._sched: List[Tuple[int, str, Optional[tuple]]] = []
@@ -265,7 +240,7 @@ class PlaybackDriver:
     def _push_entry(self, tick: int, kind: str,
                     payload: Optional[tuple]) -> None:
         """Schedule one injection on the device and record it in the
-        serializable side table."""
+        side table."""
         device = self.emulator.device
         if kind == _SCHED_PEN or kind == _SCHED_KEY:
             record = LogRecord(LogEventType(payload[0]), payload[1],
@@ -286,15 +261,13 @@ class PlaybackDriver:
             raise ValueError(f"unknown schedule entry kind {kind!r}")
         self._sched.append((tick, kind, payload))
 
-    def _pending_entries(self, from_tick: int) -> List[list]:
+    def _pending_entries(self, from_tick: int) -> List[tuple]:
         """Schedule entries not yet applied at a checkpoint at
         ``from_tick`` (stimuli at exactly the checkpoint tick have not
         been delivered yet — `_apply_due_stimuli` runs strictly before
         the tick counter reaches them)."""
         self._sched = [e for e in self._sched if e[0] >= from_tick]
-        return [[tick, kind, list(payload) if payload else None]
-                for tick, kind, payload in sorted(self._sched,
-                                                  key=lambda e: e[0])]
+        return sorted(self._sched, key=lambda e: e[0])
 
     # -- the run -----------------------------------------------------------
     def run(self, reset: bool = False) -> PlaybackResult:
@@ -349,19 +322,19 @@ class PlaybackDriver:
 
         kernel = self.emulator.kernel
         device = self.emulator.device
-        result = PlaybackResult(**driver_state["result"])
-        jitter_state = driver_state.get("jitter")
-        if jitter_state is not None and not disable_jitter:
-            self.jitter = JitterModel.from_state_dict(jitter_state)
-        else:
-            self.jitter = None
-        drift = driver_state.get("drift")
+        # Private copies: one checkpoint may be resumed more than once
+        # (each localization round does), always from what was captured.
+        result = copy.deepcopy(driver_state["result"])
+        jitter = driver_state["jitter"]
+        self.jitter = (copy.deepcopy(jitter)
+                       if jitter is not None and not disable_jitter else None)
+        drift = driver_state["drift"]
         self._install_overrides(result,
                                 random_pos=driver_state["random_pos"],
                                 drift=drift)
 
         epoch_index = driver_state["epoch_index"]
-        phase = driver_state.get("phase", "drain")
+        phase = driver_state["phase"]
         # During an inter-epoch reset wait the *previous* epoch's
         # keystate queue is still the installed override.
         keystate_epoch = epoch_index - 1 if phase == "await" else epoch_index
@@ -374,8 +347,7 @@ class PlaybackDriver:
 
         self._sched = []
         for tick, kind, payload in driver_state["pending"]:
-            self._push_entry(tick, kind,
-                             tuple(payload) if payload is not None else None)
+            self._push_entry(tick, kind, payload)
 
         drain = driver_state["drain"]
         try:
@@ -576,7 +548,7 @@ class PlaybackDriver:
 
         device = self.emulator.device
         checkpoint = capture_emulator(self.emulator)
-        state = dict(result=asdict(result))
+        state = dict(result=copy.deepcopy(result))
         state["epoch_index"] = self._current_epoch
         state["phase"] = phase
         state["await_boots"] = await_boots
@@ -584,11 +556,8 @@ class PlaybackDriver:
         state["keystate_pos"] = self._keystate._pos if self._keystate else 0
         state["random_pos"] = self._randoms._pos if self._randoms else 0
         state["pending"] = self._pending_entries(device.tick)
-        state["jitter"] = (self.jitter.state_dict()
-                           if self.jitter is not None else None)
+        state["jitter"] = copy.deepcopy(self.jitter)
         state["drift"] = self._drift
-        state["idle_grace_ticks"] = IDLE_GRACE_TICKS
-        state["max_ticks"] = MAX_TICKS
         checkpoint.manifest["driver"] = state
         return checkpoint
 

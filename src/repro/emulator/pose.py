@@ -146,26 +146,6 @@ class Emulator:
         return profiler
 
     # ------------------------------------------------------------------
-    # Checkpointing (resilience subsystem)
-    # ------------------------------------------------------------------
-    def snapshot(self):
-        """Capture the full machine state as a
-        :class:`~repro.resilience.checkpoint.Checkpoint` (CPU, RAM,
-        peripherals, virtual time, syscall context, profiler)."""
-        from ..resilience.checkpoint import capture_emulator
-
-        return capture_emulator(self)
-
-    def restore(self, checkpoint) -> None:
-        """Restore a snapshot onto this emulator.  Requires the same
-        memory geometry and flash image (equivalent-systems check);
-        raises :class:`~repro.resilience.errors.CheckpointError`
-        otherwise."""
-        from ..resilience.checkpoint import restore_emulator
-
-        restore_emulator(self, checkpoint)
-
-    # ------------------------------------------------------------------
     # Final state (HotSync out, §3.1)
     # ------------------------------------------------------------------
     def final_state(self):

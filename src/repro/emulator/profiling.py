@@ -242,9 +242,9 @@ class Profiler:
         replay runs in bounded memory however long the session is, and
         the container becomes the only copy of the trace (the in-RAM
         accessors :meth:`chunks`/:meth:`reference_trace`/
-        :meth:`trace_bytes` then raise; resilient replays keep
-        ``spill=False`` because PRCKPT01 checkpoints serialize the
-        in-RAM trace).
+        :meth:`trace_snapshot` then raise; resilient replays keep
+        ``spill=False`` because their checkpoints hold the in-RAM
+        trace).
         """
         if not self.trace_references:
             raise RuntimeError(
@@ -399,12 +399,9 @@ class Profiler:
             kinds=(packed >> np.uint64(32)).astype(np.uint8),
         )
 
-    # -- checkpoint serialization ---------------------------------------
-    # The resilience checkpoints (PRCKPT01) store the profiler's counts,
-    # opcode histogram and trace as sections; these methods and
-    # :class:`TraceSnapshot` own their byte layout so the container
-    # stays byte-identical no matter how the profiler buffers its data
-    # internally (and across replay cores).
+    # -- checkpoint capture/restore -------------------------------------
+    # The resilience checkpoints hold the profiler's counts as a section
+    # and its trace as a :class:`TraceSnapshot`.
     def counts_bytes(self) -> bytes:
         """The flat counters as 256 native uint64 values (the
         ``prof_counts`` checkpoint section)."""
@@ -418,12 +415,6 @@ class Profiler:
             return
         self._counts = array("Q")
         self._counts.frombytes(blob)
-
-    def trace_bytes(self) -> bytes:
-        """The reference trace as little-endian packed tokens — the
-        ``prof_tokens`` checkpoint section, the bytes of a raw PTRC
-        payload."""
-        return self.trace_snapshot().section_bytes()
 
     def trace_snapshot(self) -> "TraceSnapshot":
         """The trace recorded so far, by reference: the sealed chunks
@@ -444,16 +435,6 @@ class Profiler:
         self._stage = np.empty(TRACE_CHUNK, dtype=np.uint64)
         self._fill = 0
         self._stage_tokens(snapshot.tail)
-
-    def restore_trace(self, blob: bytes) -> None:
-        """Restore from the ``prof_tokens`` section, re-chunked at
-        :data:`TRACE_CHUNK` (the chunks are read-only views of it)."""
-        packed = np.frombuffer(blob, dtype="<u8")
-        sealed = len(packed) - len(packed) % TRACE_CHUNK
-        self.restore_snapshot(TraceSnapshot(
-            tuple(packed[i:i + TRACE_CHUNK]
-                  for i in range(0, sealed, TRACE_CHUNK)),
-            packed[sealed:]))
 
     # -- opcode statistics -----------------------------------------------------
     def top_opcodes(self, n: int = 10) -> list[tuple[int, int]]:
@@ -518,12 +499,6 @@ class TraceSnapshot(NamedTuple):
 
     chunks: Tuple[np.ndarray, ...]
     tail: np.ndarray
-
-    def section_bytes(self) -> bytes:
-        """The ``prof_tokens`` checkpoint section: every token,
-        little-endian, in stream order."""
-        return np.concatenate(self.chunks + (self.tail,)).astype(
-            "<u8", copy=False).tobytes()
 
 
 class ReferenceTrace:

@@ -111,7 +111,7 @@ class CampaignSpec:
     #: Replay divergence policy for every session (see
     #: :data:`repro.resilience.replay.POLICIES`).
     policy: str = "resync"
-    #: PRCKPT01 checkpoint interval (wall ticks) inside each replay;
+    #: Checkpoint interval (wall ticks) inside each replay;
     #: 0 means "use the policy default" (the resilient runner's 2000
     #: ticks — see :func:`repro.fleet.worker.run_session`).
     checkpoint_every: int = 0

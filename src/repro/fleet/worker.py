@@ -49,7 +49,7 @@ _EMULATOR_KW = {"ram_size": WORKER_RAM, "flash_size": WORKER_FLASH}
 #: Pipeline stages, in order.  Chaos directives address these names.
 STAGES = ("collect", "replay", "simulate")
 
-#: PRCKPT01 interval used when the campaign spec leaves
+#: Checkpoint interval used when the campaign spec leaves
 #: ``checkpoint_every`` at 0 ("policy default") — matches the
 #: resilient runner's own default.
 DEFAULT_CHECKPOINT_EVERY = 2000

@@ -60,13 +60,12 @@ class TracedAccess:
     fetch would.
     """
 
-    def __init__(self, cpu: "CPU", microcode_fetch: bool = True):
+    def __init__(self, cpu: "CPU"):
         self._cpu = cpu
-        self.microcode_fetch = microcode_fetch
 
     def _note_fetch(self) -> None:
         cpu = self._cpu
-        if self.microcode_fetch and getattr(cpu.bus, "tracer", None) is not None:
+        if getattr(cpu.bus, "tracer", None) is not None:
             cpu.bus.fetch16(cpu.pc & 0xFFFFFFFE)
             cpu.cycles += 4
 
@@ -149,8 +148,7 @@ class TracedAccess:
         if tracer is None:
             cpu.cycles += 4 * length
             return addr - bus._ram_base
-        if (not self.microcode_fetch
-                or type(tracer) is not _profiler_type()
+        if (type(tracer) is not _profiler_type()
                 or not tracer.trace_references
                 or tracer.track_reference_pcs):
             return None

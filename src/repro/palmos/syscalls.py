@@ -109,42 +109,27 @@ class SysCalls:
         §2.4.2: for non-zero SysRandom calls "the seed value from the
         queue is queried before SysRandom is called.  The parameter is
         overwritten with the seed value from the queue and execution
-        continues" — done here, before any dispatch, so installed hacks
-        log the overridden value exactly as the original session's
-        hacks logged theirs.
+        continues" — done before any dispatch, so installed hacks log
+        the overridden value exactly as the original session's hacks
+        logged theirs.  The per-trap entries of :meth:`aline_fast_table`
+        implement it; the block core calls that table directly.
         """
-        idx = op & 0x1FF
-        if idx == int(Trap.SysRandom) and self.random_seed_override is not None:
-            seed = self.acc.read32(cpu.a[7])
-            if seed:
-                replacement = self.random_seed_override(seed) & 0xFFFFFFFF
-                self.acc.write32(cpu.a[7], replacement)
-        if not self.k.allow_native:
-            return False
-        handler = self._native.get(idx)
-        if handler is None:
-            return False
-        # A patched dispatch-table entry (a hack) disables the fast path
-        # for that trap so the hack code actually executes.
-        entry = self.k.host.read32(L.TRAP_TABLE + idx * 4)
-        if entry != self.k.default_stubs.get(idx):
-            return False
-        handler(cpu, 0)
-        return True
+        fn = self.aline_fast_table()[op & 0x1FF]
+        return fn is not None and fn(cpu, op)
 
     def aline_fast_table(self) -> List[Optional[Callable]]:
-        """A 512-entry per-trap-number dispatch table for the block
-        core's trap tail (see ``BlockCore._resolve_trap_table``).
+        """The 512-entry per-trap-number native dispatch table, the one
+        implementation of :meth:`aline` (the block core's trap tail
+        calls it directly, see ``BlockCore._resolve_trap_table``).
 
-        Each entry is ``fn(cpu, op) -> bool`` with semantics identical
-        to :meth:`aline` for that trap number — the per-call dynamic
-        state (``allow_native``, the hack-patch check against the
-        guest dispatch table, the replay seed override) is read inside
-        the closure, so installing a hack or a replay hook mid-run
-        behaves exactly as on the generic path.  Numbers with no
-        native handler are ``None`` (straight to the guest exception
-        path), except ``SysRandom``, whose seed-override preamble must
-        run even when the dispatch itself declines.
+        Each entry is ``fn(cpu, op) -> bool``; the per-call dynamic
+        state (``allow_native``, the hack-patch check against the guest
+        dispatch table, the replay seed override) is read inside the
+        closure, so installing a hack or a replay hook mid-run takes
+        effect at the next trap.  Numbers with no native handler are
+        ``None`` (straight to the guest exception path), except
+        ``SysRandom``, whose seed-override preamble must run even when
+        the dispatch itself declines.
         """
         table = self._fast_table
         if table is not None:
@@ -160,6 +145,8 @@ class SysCalls:
             def fast(cpu: "CPU", op: int) -> bool:
                 if not k.allow_native:
                     return False
+                # A patched dispatch-table entry (a hack) disables the
+                # fast path for that trap so the hack code executes.
                 if host_read(entry_addr) != expected:
                     return False
                 handler(cpu, 0)

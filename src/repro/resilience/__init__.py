@@ -7,8 +7,9 @@ The paper's replay model is an all-or-nothing determinism bet: feed the
 initial state β and activity log δ to an equivalent machine and the
 whole session re-executes — or something is subtly off and you find out
 hours later when the final states disagree.  This subsystem makes long
-replays survivable: periodic checkpoints bound the cost of a failure,
-the watchdog notices a divergence within one checkpoint interval of it
+replays survivable: periodic in-RAM checkpoints bound the cost of a
+failure (only the archive, β plus δ, persists: a checkpoint is a cache
+of its replay, not a record of the session), the watchdog notices a divergence within one checkpoint interval of it
 happening, salvage recovers playable logs from damaged captures, and
 the fault harness proves all of it actually works.
 """

@@ -13,52 +13,35 @@ Flash is write-protected for the whole replay, so checkpoints store
 only its SHA-256 and verify equivalence on restore — the same
 "equivalent systems" requirement as ``Emulator.load_state``.
 
-On-disk container::
-
-    +0   magic  b"PRCKPT01"
-    +8   u32    manifest length (big-endian)
-    +12  JSON   manifest (UTF-8); its "_sections" entry lists
-                [name, stored_size, compressed] in payload order
-    ...  payload  concatenated sections (zlib per the flag)
-    -32  sha256 of everything before it (integrity digest)
+Checkpoints live in RAM only.  A replay is a deterministic function of
+its archive (β plus δ, §2.4.3), so a checkpoint is a cache of the
+replay, not a record of the session: the archive is what persists.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
-import zlib
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..storage import write_atomic
 from .errors import CheckpointError
 
 if TYPE_CHECKING:
     from ..emulator.profiling import TraceSnapshot
 
-MAGIC = b"PRCKPT01"
-#: Version 2 stores the profiler trace as one ``prof_tokens`` section
-#: (version 1 split it into ``prof_addr``/``prof_kind``).
-FORMAT_VERSION = 2
-
-#: Sections smaller than this are stored raw (zlib overhead dominates).
-_COMPRESS_THRESHOLD = 4096
+#: Checkpoints a :class:`CheckpointManager` ring keeps.
+RING_SIZE = 4
 
 
 @dataclass
 class Checkpoint:
-    """One captured machine state: a JSON-safe manifest plus named
-    binary sections.
+    """One captured machine state: a manifest plus named binary
+    sections.
 
-    A captured profiler trace is held by reference in ``trace`` (its
+    A captured profiler trace is held by reference in ``trace``: its
     sealed chunks are shared with the live profiler and with other
-    checkpoints) and becomes the ``prof_tokens`` section (little-endian
-    packed tokens, the bytes of a raw PTRC payload) only when the
-    checkpoint is serialized.
+    checkpoints.
     """
 
     manifest: dict
@@ -68,69 +51,6 @@ class Checkpoint:
     @property
     def tick(self) -> int:
         return self.manifest["tick"]
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        index: List[list] = []
-        payload = bytearray()
-        sections = dict(self.sections)
-        if self.trace is not None:
-            sections["prof_tokens"] = self.trace.section_bytes()
-        for name in sorted(sections):
-            blob = sections[name]
-            compressed = len(blob) >= _COMPRESS_THRESHOLD
-            stored = zlib.compress(bytes(blob), 6) if compressed else bytes(blob)
-            index.append([name, len(stored), compressed])
-            payload += stored
-        manifest = dict(self.manifest)
-        manifest["_format"] = FORMAT_VERSION
-        manifest["_sections"] = index
-        blob = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
-        body = MAGIC + struct.pack(">I", len(blob)) + blob + bytes(payload)
-        return body + hashlib.sha256(body).digest()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Checkpoint":
-        if len(data) < len(MAGIC) + 4 + 32:
-            raise CheckpointError("checkpoint container truncated")
-        body, digest = data[:-32], data[-32:]
-        if hashlib.sha256(body).digest() != digest:
-            raise CheckpointError("checkpoint integrity digest mismatch "
-                                  "(corrupted or truncated container)")
-        if body[:len(MAGIC)] != MAGIC:
-            raise CheckpointError("not a checkpoint container (bad magic)")
-        (mlen,) = struct.unpack_from(">I", body, len(MAGIC))
-        start = len(MAGIC) + 4
-        try:
-            manifest = json.loads(body[start:start + mlen].decode("utf-8"))
-        except ValueError as exc:
-            raise CheckpointError(f"unreadable checkpoint manifest: {exc}")
-        if manifest.get("_format") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint format {manifest.get('_format')!r} "
-                f"(this build reads version {FORMAT_VERSION})")
-        sections: Dict[str, bytes] = {}
-        offset = start + mlen
-        for name, stored, compressed in manifest.pop("_sections"):
-            blob = body[offset:offset + stored]
-            if len(blob) != stored:
-                raise CheckpointError(f"section {name!r} truncated")
-            sections[name] = zlib.decompress(blob) if compressed else blob
-            offset += stored
-        manifest.pop("_format", None)
-        return cls(manifest=manifest, sections=sections)
-
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, self.to_bytes())
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Checkpoint":
-        return cls.from_bytes(Path(path).read_bytes())
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +151,7 @@ def restore_emulator(emulator: Any, checkpoint: Checkpoint) -> None:
     The emulator must be built with the same application set and memory
     sizes (flash SHA-256 and region lengths are verified).  Its pending
     stimulus schedule is cleared — the playback driver re-pushes the
-    pending entries from its own serialized side table.
+    pending entries from its own side table.
     """
     from ..device.memcard import MemoryCard
 
@@ -332,8 +252,6 @@ def restore_emulator(emulator: Any, checkpoint: Checkpoint) -> None:
         profiler.restore_counts(checkpoint.sections["prof_counts"])
         if checkpoint.trace is not None:
             profiler.restore_snapshot(checkpoint.trace)
-        elif prof_state["trace_references"]:
-            profiler.restore_trace(checkpoint.sections["prof_tokens"])
         profiler.opcode_addresses = {}
         if "prof_opaddr_pc" in checkpoint.sections:
             addrs = array("I")
@@ -348,20 +266,15 @@ def restore_emulator(emulator: Any, checkpoint: Checkpoint) -> None:
 
 
 class CheckpointManager:
-    """Keeps the most recent checkpoints of a run — an in-memory ring,
-    optionally mirrored to a directory (``ckpt-<tick>.bin``).
+    """Keeps the :data:`RING_SIZE` most recent checkpoints of a run in
+    an in-memory ring.
 
     The resilient runner's ``resync`` policy retries from the latest
     checkpoint and falls back to earlier ones on repeated failure
     (:meth:`discard_latest`).
     """
 
-    def __init__(self, directory: Union[str, Path, None] = None,
-                 keep: int = 4):
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
-        self.directory = Path(directory) if directory else None
-        self.keep = keep
+    def __init__(self):
         self._ring: List[Checkpoint] = []
 
     def __len__(self) -> int:
@@ -372,13 +285,8 @@ class CheckpointManager:
         return [cp.tick for cp in self._ring]
 
     def add(self, checkpoint: Checkpoint) -> None:
-        # Saved before the oldest is trimmed: a save that fails leaves
-        # the ring, and the directory, as they were.
-        if self.directory is not None:
-            checkpoint.save(self.directory / self._filename(checkpoint))
         self._ring.append(checkpoint)
-        while len(self._ring) > self.keep:
-            self._unlink(self._ring.pop(0))
+        del self._ring[:-RING_SIZE]
 
     def latest(self) -> Optional[Checkpoint]:
         return self._ring[-1] if self._ring else None
@@ -390,7 +298,7 @@ class CheckpointManager:
         """Drop the newest checkpoint (it leads into the failure) and
         return the next-older one, or None when the ring is empty."""
         if self._ring:
-            self._unlink(self._ring.pop())
+            self._ring.pop()
         return self.latest()
 
     def before(self, tick: int) -> Optional[Checkpoint]:
@@ -400,23 +308,3 @@ class CheckpointManager:
             if cp.tick < tick and (best is None or cp.tick > best.tick):
                 best = cp
         return best
-
-    @staticmethod
-    def _filename(checkpoint: Checkpoint) -> str:
-        return f"ckpt-{checkpoint.tick:012d}.bin"
-
-    def _unlink(self, checkpoint: Checkpoint) -> None:
-        if self.directory is None:
-            return
-        (self.directory / self._filename(checkpoint)).unlink(missing_ok=True)
-
-    @classmethod
-    def load_directory(cls, directory: Union[str, Path],
-                       keep: int = 4) -> "CheckpointManager":
-        """Rebuild a manager from a checkpoint directory (resume after
-        the process died)."""
-        manager = cls(directory=directory, keep=keep)
-        paths = sorted(Path(directory).glob("ckpt-*.bin"))
-        for path in paths[-keep:]:
-            manager._ring.append(Checkpoint.load(path))
-        return manager

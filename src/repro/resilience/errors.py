@@ -24,9 +24,9 @@ class ResilienceError(RuntimeError):
 
 
 class CheckpointError(ResilienceError):
-    """A checkpoint could not be captured, serialized, or restored:
-    integrity digest mismatch, truncated container, version skew, or a
-    restore onto a non-equivalent machine (different sizes / flash)."""
+    """A checkpoint could not be restored: it carries no emulator state
+    or RAM image, or the machine is not equivalent (different sizes,
+    flash or profiler configuration)."""
 
 
 class FaultSpecError(ResilienceError, ValueError):

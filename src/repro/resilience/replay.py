@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -160,8 +159,6 @@ def resilient_replay(
     emulator_kwargs: Optional[dict] = None,
     reset_timeout: int = DEFAULT_RESET_TIMEOUT,
     checkpoint_every: int = 2000,
-    checkpoint_dir: Union[str, Path, None] = None,
-    keep_checkpoints: int = 4,
     on_divergence: str = "strict",
     retry_budget: int = 3,
     faults: Union[str, FaultPlan, None] = None,
@@ -209,8 +206,7 @@ def resilient_replay(
             "watchdog disabled: no logging hacks installed in the "
             "imported state")
 
-    manager = CheckpointManager(directory=checkpoint_dir,
-                                keep=keep_checkpoints)
+    manager = CheckpointManager()
     outcome = ResilientReplayResult(result=PlaybackResult(),
                                     emulator=emulator, profiler=profiler,
                                     checkpoints=manager,

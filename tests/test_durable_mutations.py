@@ -1,18 +1,16 @@
 """Seeded mutations of every durable input a campaign trace store, a
-session archive, a replay checkpoint and a findings baseline are read
-from.
+session archive and a findings baseline are read from.
 
 Each input is truncated at a seeded offset and overwritten with seeded
-garbage bytes; the PTRC members, whose frames are checksummed, the
-PRCKPT01 checkpoint, sealed by a sha256, and the activity log also take
-single bit flips.  A mutant must read back equal or raise its format's
-typed error (``CheckpointError`` for a checkpoint, a ``ValueError``
-subclass for the rest) — never a bare ``KeyError``, ``struct.error``,
-``zlib.error``, ``UnicodeDecodeError`` or any other untyped exception.
-What "equal" means per input:
+garbage bytes; the PTRC members, whose frames are checksummed, and the
+activity log also take single bit flips.  A mutant must read back equal
+or raise its format's typed error (a ``ValueError`` subclass) — never a
+bare ``KeyError``, ``struct.error``, ``zlib.error``,
+``UnicodeDecodeError`` or any other untyped exception.  What "equal"
+means per input:
 
-* a PTRC member, a checkpoint and the campaign ``manifest.json`` (its
-  digest names its spec): the data read back equals the original's;
+* a PTRC member and the campaign ``manifest.json`` (its digest names
+  its spec): the data read back equals the original's;
 * the journal: every member the campaign reads back (deep-verified)
   is an original member with identical tokens — a torn final line may
   drop the session it recorded, as it was never durable;
@@ -45,8 +43,6 @@ from repro.fleet.journal import (
     trace_path,
 )
 from repro.palmos.database import DatabaseImage
-from repro.resilience.checkpoint import Checkpoint
-from repro.resilience.errors import CheckpointError
 from repro.traces.container import (
     TraceContainer,
     TraceContainerError,
@@ -262,19 +258,3 @@ def test_activity_log(tmp_path):
                 assert got in (None, log), (kind, seed)
             elif got is not None:
                 assert got.records == records_spelled(blob), (kind, seed)
-
-
-def test_checkpoint(tmp_path):
-    # One section above the compression threshold, one below it.
-    checkpoint = Checkpoint(
-        manifest={"tick": 1234, "cpu": {"pc": 0x10C00000, "d": [0] * 8}},
-        sections={"ram": bytes(range(256)) * 64, "regs": b"\x01" * 40})
-    path = checkpoint.save(tmp_path / "replay.prckpt")
-    original = Checkpoint.load(path)
-    assert original == checkpoint
-    data = path.read_bytes()
-    for seed in SEEDS:
-        for kind, blob in mutants(data, seed, bitflips=True):
-            path.write_bytes(blob)
-            got = read_typed(lambda: Checkpoint.load(path), CheckpointError)
-            assert got in (None, original), (kind, seed)

@@ -12,7 +12,7 @@ Three layers of evidence:
   faults, when one is raised);
 * a full recorded session replayed under both cores, comparing the
   replay result and every profiler statistic;
-* checkpoint interop: a ``PRCKPT01`` snapshot taken under one core and
+* checkpoint interop: a checkpoint taken under one core and
   resumed under the other must land on the reference final state.
 """
 
@@ -27,6 +27,7 @@ from repro.device.device import PalmDevice
 from repro.emulator import Emulator, PlaybackDriver
 from repro.emulator.profiling import Profiler
 from repro.workloads import UserScript, collect_session
+from tests.profiler_utils import trace_fingerprint
 
 EMU_KW = {"ram_size": 8 << 20, "flash_size": 1 << 20}
 _APPS = standard_apps()
@@ -90,7 +91,7 @@ def _assert_bit_exact(words, cycle_limit=200_000):
     assert prof_f.instructions == prof_s.instructions
     assert bytes(prof_f.opcode_counts) == bytes(prof_s.opcode_counts)
     assert prof_f.counts_bytes() == prof_s.counts_bytes()
-    assert prof_f.trace_bytes() == prof_s.trace_bytes()
+    assert trace_fingerprint(prof_f) == trace_fingerprint(prof_s)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +211,7 @@ def session():
 
 def _profiler_fingerprint(prof):
     return (prof.instructions, bytes(prof.opcode_counts),
-            prof.counts_bytes(), prof.trace_bytes())
+            prof.counts_bytes(), trace_fingerprint(prof))
 
 
 def test_session_replay_matches_across_cores(session):

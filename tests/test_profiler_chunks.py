@@ -189,9 +189,10 @@ def test_restore_of_a_tail_longer_than_one_chunk():
     assert prof.counts_dict() == first_counts
     assert np.array_equal(np.concatenate(again), tokens)
 
-    # The deserialized path re-chunks the same tail identically.
+    # The snapshot is unchanged by the recording past its restore: a
+    # second profiler restores the same chunks and tail from it.
     fresh = Profiler()
-    fresh.restore_trace(snap.section_bytes())
+    fresh.restore_snapshot(snap)
     assert [len(c) for c in fresh._chunks] == [TRACE_CHUNK]
     assert fresh.counts_dict() == counts
     assert np.array_equal(np.concatenate(list(fresh.chunks())),

@@ -1,18 +1,13 @@
 """Unit tests for the replay resilience subsystem: the checkpoint
-container, the divergence watchdog's taxonomy, the trace salvage
+ring, the divergence watchdog's taxonomy, the trace salvage
 parser, and the fault-spec grammar.  Integration tests that drive a
 full emulator live in ``test_resilience_replay.py``.
 """
-
-import builtins
-import errno
-import io
 
 import pytest
 
 from repro.resilience import (
     Checkpoint,
-    CheckpointError,
     CheckpointManager,
     DivergenceKind,
     DivergenceReport,
@@ -22,6 +17,7 @@ from repro.resilience import (
     TraceFormatError,
     salvage_log,
 )
+from repro.resilience.checkpoint import RING_SIZE
 from repro.tracelog import (
     ActivityLog,
     LogEventType,
@@ -47,66 +43,23 @@ def seeded_log(*specs) -> ActivityLog:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint container
+# Checkpoint ring
 # ----------------------------------------------------------------------
-class TestCheckpointContainer:
-    def _sample(self) -> Checkpoint:
-        return Checkpoint(
-            manifest={"tick": 1234, "nested": {"pc": 0x10C0_0000}},
-            sections={"ram": bytes(range(256)) * 64,   # compressible
-                      "small": b"tiny"})               # stored raw
-
-    def test_round_trip(self):
-        cp = self._sample()
-        again = Checkpoint.from_bytes(cp.to_bytes())
-        assert again.manifest == cp.manifest
-        assert again.sections == cp.sections
-        assert again.tick == 1234
-
-    def test_container_is_deterministic(self):
-        cp = self._sample()
-        assert cp.to_bytes() == cp.to_bytes()
-
-    def test_corruption_is_detected(self):
-        blob = bytearray(self._sample().to_bytes())
-        blob[len(blob) // 2] ^= 0x40
-        with pytest.raises(CheckpointError, match="digest"):
-            Checkpoint.from_bytes(bytes(blob))
-
-    def test_truncation_is_detected(self):
-        blob = self._sample().to_bytes()
-        with pytest.raises(CheckpointError):
-            Checkpoint.from_bytes(blob[:-10])
-        with pytest.raises(CheckpointError):
-            Checkpoint.from_bytes(blob[:8])
-
-    def test_bad_magic_is_detected(self):
-        blob = bytearray(self._sample().to_bytes())
-        body = b"NOTCKPT!" + bytes(blob[8:-32])
-        import hashlib
-        with pytest.raises(CheckpointError, match="magic"):
-            Checkpoint.from_bytes(body + hashlib.sha256(body).digest())
-
-    def test_save_load(self, tmp_path):
-        cp = self._sample()
-        path = cp.save(tmp_path / "sub" / "cp.bin")
-        assert Checkpoint.load(path).manifest == cp.manifest
-
-
 class TestCheckpointManager:
     def _cp(self, tick: int) -> Checkpoint:
         return Checkpoint(manifest={"tick": tick})
 
     def test_ring_trims_to_keep(self):
-        mgr = CheckpointManager(keep=3)
-        for tick in (100, 200, 300, 400, 500):
+        assert RING_SIZE == 4
+        mgr = CheckpointManager()
+        for tick in (100, 200, 300, 400, 500, 600):
             mgr.add(self._cp(tick))
-        assert mgr.ticks == [300, 400, 500]
-        assert mgr.latest().tick == 500
+        assert mgr.ticks == [300, 400, 500, 600]
+        assert mgr.latest().tick == 600
         assert mgr.earliest().tick == 300
 
     def test_before_and_discard(self):
-        mgr = CheckpointManager(keep=4)
+        mgr = CheckpointManager()
         for tick in (100, 200, 300):
             mgr.add(self._cp(tick))
         assert mgr.before(250).tick == 200
@@ -119,60 +72,6 @@ class TestCheckpointManager:
         assert mgr.latest() is None
         assert mgr.earliest() is None
         assert mgr.discard_latest() is None
-
-    def test_directory_mirror_and_reload(self, tmp_path):
-        mgr = CheckpointManager(directory=tmp_path, keep=2)
-        for tick in (100, 200, 300):
-            mgr.add(self._cp(tick))
-        # The trimmed checkpoint's file is unlinked with it.
-        names = sorted(p.name for p in tmp_path.glob("ckpt-*.bin"))
-        assert names == ["ckpt-000000000200.bin", "ckpt-000000000300.bin"]
-        again = CheckpointManager.load_directory(tmp_path, keep=2)
-        assert again.ticks == [200, 300]
-
-    @pytest.mark.parametrize("keep", [1, 2])
-    def test_interrupted_save_leaves_previous_loadable(self, tmp_path,
-                                                       monkeypatch, keep):
-        """A save that dies partway (here: the disk fills after half the
-        bytes) must not leave a torn ``ckpt-*.bin`` for resume to trip
-        on, nor cost the checkpoint it was meant to follow."""
-        mgr = CheckpointManager(directory=tmp_path, keep=keep)
-        mgr.add(Checkpoint(manifest={"tick": 100},
-                           sections={"ram": bytes(range(256)) * 64}))
-        real_open = builtins.open
-
-        class HalfWritten:
-            def __init__(self, handle):
-                self._handle = handle
-
-            def write(self, data):
-                self._handle.write(bytes(data)[:len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-            def __getattr__(self, name):
-                return getattr(self._handle, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self._handle.close()
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            handle = real_open(file, mode, *args, **kwargs)
-            return HalfWritten(handle) if "w" in mode else handle
-
-        monkeypatch.setattr(builtins, "open", failing_open)
-        monkeypatch.setattr(io, "open", failing_open)
-        with pytest.raises(OSError):
-            mgr.add(Checkpoint(manifest={"tick": 200},
-                               sections={"ram": bytes(16384)}))
-        monkeypatch.undo()
-        assert mgr.ticks == [100]
-        again = CheckpointManager.load_directory(tmp_path, keep=keep)
-        assert again.ticks == [100]
-        assert [p.name for p in tmp_path.iterdir()] == \
-            ["ckpt-000000000100.bin"]
 
 
 # ----------------------------------------------------------------------

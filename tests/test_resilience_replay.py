@@ -13,17 +13,18 @@ from repro.device import Button
 from repro.emulator.playback import (
     DEFAULT_RESET_TIMEOUT,
     GuestResetTimeout,
+    JitterModel,
     PlaybackDriver,
     _region_facts,
     replay_machine,
 )
 from repro.emulator.pose import Emulator
 from repro.resilience import (
-    Checkpoint,
     DivergenceError,
     DivergenceKind,
     FaultPlan,
     ReplayFault,
+    restore_emulator,
     resilient_replay,
 )
 from repro.resilience import replay as replay_module
@@ -34,6 +35,7 @@ from repro.tracelog import (
     read_activity_log,
 )
 from repro.workloads import UserScript, collect_session
+from tests.profiler_utils import trace_fingerprint
 
 EMU_KW = {"ram_size": 8 << 20, "flash_size": 1 << 20}
 
@@ -78,11 +80,13 @@ def db_fingerprint(databases):
             for db in databases]
 
 
-def run_with_checkpoints(session, every=100):
+def run_with_checkpoints(session, every=100, jitter=None):
     cps = []
     emulator = Emulator(apps=_APPS, **EMU_KW)
-    emulator.load_state(session.initial_state, final_reset=False)
-    driver = PlaybackDriver(emulator, session.log, checkpoint_every=every,
+    emulator.load_state(session.initial_state, final_reset=False,
+                        restore_clock=jitter is None)
+    driver = PlaybackDriver(emulator, session.log, jitter=jitter,
+                            checkpoint_every=every,
                             checkpoint_hook=cps.append)
     result = driver.run(reset=True)
     return emulator, result, cps
@@ -113,10 +117,9 @@ class TestCheckpointResume:
         ref_log = log_tuples(reference.kernel)
         ref_fp = db_fingerprint(reference.final_state())
         for cp in cps:
-            # Round-trip through the serialized container: what resumes
-            # is what a crashed process would reload from disk.
-            reloaded = Checkpoint.from_bytes(cp.to_bytes())
-            emulator, result = resume_on_fresh_emulator(session, reloaded)
+            # Every checkpoint resumes after the reference run moved on:
+            # a capture shares nothing the later replay mutates.
+            emulator, result = resume_on_fresh_emulator(session, cp)
             assert vars(result) == vars(res_ref), f"checkpoint @{cp.tick}"
             assert log_tuples(emulator.kernel) == ref_log
             assert db_fingerprint(emulator.final_state()) == ref_fp
@@ -142,6 +145,26 @@ class TestCheckpointResume:
             bytes(profiler.opcode_counts)
         assert fresh.profiler.reference_trace().addresses.tobytes() == \
             profiler.reference_trace().addresses.tobytes()
+
+    def test_jittered_checkpoint_resumes_twice(self, reset_session):
+        """A jittered replay's checkpoint, resumed on two fresh machines
+        in turn, lands on the uninterrupted jittered run both times:
+        each resume draws the bursts of the epochs still to schedule
+        from its own copy of the captured jitter state."""
+        reference, res_ref, cps = run_with_checkpoints(
+            reset_session, every=20, jitter=JitterModel(seed=4))
+        # Taken before the guest's reset: later epochs, and the burst
+        # delays they draw, come after it.
+        cp = cps[1]
+        captured = cp.manifest["driver"]["result"]
+        assert len(res_ref.delays_applied) > len(captured.delays_applied)
+        ref_log = log_tuples(reference.kernel)
+        ref_fp = db_fingerprint(reference.final_state())
+        for attempt in range(2):
+            emulator, result = resume_on_fresh_emulator(reset_session, cp)
+            assert vars(result) == vars(res_ref), f"resume {attempt}"
+            assert log_tuples(emulator.kernel) == ref_log
+            assert db_fingerprint(emulator.final_state()) == ref_fp
 
     def test_resume_across_a_guest_reset(self, reset_session):
         reference, res_ref, cps = run_with_checkpoints(reset_session)
@@ -193,7 +216,7 @@ def profiled_run_with_checkpoints(session, hook=None, every=100):
     def keep(cp):
         cps.append(cp)
         if hook is not None:
-            hook(cp)
+            hook(emulator, cp)
     driver = PlaybackDriver(emulator, session.log, checkpoint_every=every,
                             checkpoint_hook=keep)
     result = driver.run(reset=True)
@@ -202,15 +225,18 @@ def profiled_run_with_checkpoints(session, hook=None, every=100):
 
 def profiler_fingerprint(prof):
     return (prof.instructions, bytes(prof.opcode_counts),
-            prof.counts_bytes(), prof.trace_bytes(), prof.counts_dict())
+            prof.counts_bytes(), trace_fingerprint(prof), prof.counts_dict())
 
 
 class TestCheckpointTraceByReference:
     def test_serialization_ignores_later_recording(self, session,
                                                    small_chunks):
+        """Restoring a checkpoint after the run has recorded past it
+        reinstates the profiler exactly as it was at capture."""
         at_capture = []
         emulator, _, cps = profiled_run_with_checkpoints(
-            session, hook=lambda cp: at_capture.append(cp.to_bytes()))
+            session, hook=lambda emu, cp: at_capture.append(
+                profiler_fingerprint(emu.profiler)))
         profiler = emulator.profiler
         assert len(profiler._chunks) >= 3
         assert len(cps) >= 2
@@ -219,31 +245,29 @@ class TestCheckpointTraceByReference:
         assert len(shared) >= 3
         assert all(a is b for a, b in zip(shared, profiler._chunks))
         assert all(not c.flags.writeable for c in profiler._chunks)
-        for cp, blob in zip(cps, at_capture):
-            assert cp.to_bytes() == blob, f"checkpoint @{cp.tick}"
+        fresh = Emulator(apps=_APPS, **EMU_KW)
+        fresh.start_profiling(trace_references=True)
+        for cp, fingerprint in zip(cps, at_capture):
+            restore_emulator(fresh, cp)
+            assert profiler_fingerprint(fresh.profiler) == fingerprint, \
+                f"checkpoint @{cp.tick}"
 
     def test_in_memory_and_serialized_restores_agree(self, session,
                                                      small_chunks):
         reference, res_ref, cps = profiled_run_with_checkpoints(session)
         cp = cps[len(cps) // 2]
         assert len(cp.trace.chunks) >= 3
-        restored = {}
-        for how, source in (("memory", cp),
-                            ("bytes", Checkpoint.from_bytes(cp.to_bytes()))):
-            fresh = Emulator(apps=_APPS, **EMU_KW)
-            fresh.start_profiling(trace_references=True)
-            fresh.restore(source)
-            prof = fresh.profiler
-            # Re-chunked at the grain: only the unsealed tail is short.
-            assert [len(c) for c in prof._chunks] == \
-                [small_chunks] * len(cp.trace.chunks)
-            restored[how] = (prof.trace_bytes(), prof.counts_bytes(),
-                             prof.counts_dict(), prof.trace_tokens)
-            result = PlaybackDriver(fresh, session.log).resume_from(source)
-            assert vars(result) == vars(res_ref)
-            assert profiler_fingerprint(prof) == \
-                profiler_fingerprint(reference.profiler), how
-        assert restored["memory"] == restored["bytes"]
+        fresh = Emulator(apps=_APPS, **EMU_KW)
+        fresh.start_profiling(trace_references=True)
+        restore_emulator(fresh, cp)
+        prof = fresh.profiler
+        # The shared chunks come back as sealed: only the tail is short.
+        assert [len(c) for c in prof._chunks] == \
+            [small_chunks] * len(cp.trace.chunks)
+        result = PlaybackDriver(fresh, session.log).resume_from(cp)
+        assert vars(result) == vars(res_ref)
+        assert profiler_fingerprint(prof) == \
+            profiler_fingerprint(reference.profiler)
 
 
 @st.composite
@@ -468,9 +492,3 @@ class TestResilientReplay:
                         checkpoint_every=every)
         assert out.recovered and not out.tainted
         assert not out.report.divergences
-
-    def test_checkpoint_dir_is_populated(self, session, tmp_path):
-        out = self._run(session, on_divergence="strict",
-                        checkpoint_dir=tmp_path)
-        assert list(tmp_path.glob("ckpt-*.bin"))
-        assert out.clean

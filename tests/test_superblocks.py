@@ -9,7 +9,7 @@ unlikely to hit by chance:
   superblock (past the unconditional branch the chain crossed);
 * suspend/resume with the cycle budget landing mid-superblock — the
   split run must be bit-identical to an uninterrupted one, and a
-  ``PRCKPT01`` checkpoint captured there must resume bit-identically;
+  checkpoint captured there must resume bit-identically;
 * the sanitizer riding along with the fast core (fused bodies are
   gated off while shadow checking is attached);
 * dataflow region facts: replays with and without the audit's fact set
@@ -29,6 +29,7 @@ from repro.device.device import PalmDevice
 from repro.emulator import Emulator, PlaybackDriver
 from repro.emulator.profiling import Profiler
 from repro.workloads import UserScript, collect_session
+from tests.profiler_utils import trace_fingerprint
 
 EMU_KW = {"ram_size": 8 << 20, "flash_size": 1 << 20}
 _APPS = standard_apps()
@@ -71,7 +72,7 @@ def _state(dev, prof):
     return (tuple(cpu.d), tuple(cpu.a), cpu.pc, cpu.sr, cpu.stopped,
             cpu.cycles, cpu.instructions, bytes(dev.mem.ram.data),
             prof.instructions, bytes(prof.opcode_counts),
-            prof.counts_bytes(), prof.trace_bytes())
+            prof.counts_bytes(), trace_fingerprint(prof))
 
 
 def _assert_bit_exact(words, cycle_limit=200_000, fuse_threshold=None):
@@ -186,7 +187,7 @@ def session():
 
 
 def test_checkpoint_mid_superblock_resumes_bit_identically(session):
-    """PRCKPT01 checkpoints captured at a fine cadence (so captures
+    """Checkpoints captured at a fine cadence (so captures
     land while superblock state is hot) must resume on the fast core
     bit-identically to the uninterrupted reference run."""
     cps = []
@@ -205,8 +206,8 @@ def test_checkpoint_mid_superblock_resumes_bit_identically(session):
         assert vars(result) == vars(reference)
         assert bytes(fresh.device.mem.ram.data) == \
             bytes(emulator.device.mem.ram.data)
-        assert fresh.profiler.trace_bytes() == \
-            emulator.profiler.trace_bytes()
+        assert trace_fingerprint(fresh.profiler) == \
+            trace_fingerprint(emulator.profiler)
         assert fresh.profiler.counts_bytes() == \
             emulator.profiler.counts_bytes()
 
@@ -231,7 +232,7 @@ def test_sanitizer_rides_fast_core_bit_identically(session):
         findings = sorted((f.code, int(f.severity), f.address, f.block)
                           for f in emulator.sanitizer.report.sorted())
         outputs[run] = (vars(result), findings, prof.instructions,
-                        prof.counts_bytes(), prof.trace_bytes())
+                        prof.counts_bytes(), trace_fingerprint(prof))
     assert outputs["fast"] == outputs["simple"]
     assert outputs["full"][1] == outputs["fast"][1]
     assert outputs["fast"][1] == []
@@ -274,7 +275,7 @@ def test_region_facts_do_not_change_replay(session, monkeypatch):
             session.initial_state, session.log, apps=_APPS,
             emulator_kwargs={**EMU_KW, "core": "fast"})
         outputs[label] = (vars(result), prof.instructions,
-                         prof.counts_bytes(), prof.trace_bytes(),
+                         prof.counts_bytes(), trace_fingerprint(prof),
                          bytes(emulator.device.mem.ram.data))
     assert outputs["facts"] == outputs["absent"]
 

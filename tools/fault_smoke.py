@@ -7,6 +7,9 @@ the contract the resilience subsystem promises:
 
 * ``--on-divergence strict``  + trace corruption -> nonzero exit and a
   typed, localized divergence report (never a bare traceback);
+* the same under ``--jitter`` -> localization resumes the jittered
+  replay's in-RAM checkpoints and narrows the divergent window to at
+  most 8 ticks;
 * ``--on-divergence resync``  + a one-shot runtime fault -> exit 0,
   recovered from a checkpoint;
 * the same recovery with profiling on and ``--trace-out`` -> the
@@ -98,6 +101,17 @@ def main_smoke() -> int:
         check("typed divergence report printed",
               "replay diverged" in err and "missing-event" in err)
         check("divergence is localized", "last good checkpoint" in err)
+
+        print("strict + bit flips, jittered:")
+        code, out, err = run_cli(*replay, "--on-divergence", "strict",
+                                 "--faults", "bitflip:n=3", "--jitter", "1")
+        check("exit code is 1", code == 1, f"exit={code}")
+        window = re.search(r"last good checkpoint at wall tick (\d+); first "
+                           r"divergent window ends at wall tick (\d+)", err)
+        check("jittered divergence localized to at most 8 ticks",
+              window is not None
+              and int(window[2]) - int(window[1]) <= 8,
+              window[0] if window else err.strip()[-200:])
 
         print("resync + runtime crash fault:")
         code, out, err = run_cli(*replay, "--on-divergence", "resync",
