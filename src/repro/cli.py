@@ -639,10 +639,17 @@ def cmd_replay(args) -> int:
 def _print_hot(emulator, profiler, n: int) -> None:
     """The ``--hot`` report: where replay time goes, from data the
     cores and the profiler already keep."""
-    hot = getattr(emulator.device.core, "hot_blocks", None)
+    core = emulator.device.core
+    hot = getattr(core, "hot_blocks", None)
     if hot is None:
         print("hot blocks   : (requires --core fast)")
     else:
+        print(f"translation  : {core.blocks_built:,} blocks built "
+              f"({core.blocks_bound:,} bound from the translation cache, "
+              f"{core.blocks_built - core.blocks_bound:,} decoded); "
+              f"{core.fused_built:,} fused bodies "
+              f"({core.fused_bound:,} bound, "
+              f"{core.fused_built - core.fused_bound:,} generated)")
         total = max(1, profiler.total_refs) if profiler is not None else 0
         print(f"hot blocks   : {'entry':>10} {'runs':>9} {'insns':>11} "
               f"{'ref share':>9} {'invalid':>7} {'fused':>5} "

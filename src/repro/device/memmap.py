@@ -9,7 +9,7 @@ bus).  Long accesses count as two references: the DragonBall has a
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Callable, List, Optional, Protocol
 
 from ..m68k.bus import FlatMemory, WriteWatch, check_aligned
 from ..m68k.errors import AddressError, BusError
@@ -97,6 +97,10 @@ class MemoryMap:
 
     def __init__(self, device, ram_size: int = C.RAM_SIZE,
                  flash_size: int = C.FLASH_SIZE):
+        #: Called with no arguments after ``tracer`` or ``san`` is
+        #: assigned: accessors that pick their access path per tracer
+        #: and sanitizer (``TracedAccess``) re-pick it here.
+        self.route_hooks: List[Callable[[], None]] = []
         self._device = device
         self.ram = FlatMemory(ram_size, base=C.RAM_BASE)
         self.flash = FlatMemory(flash_size, base=C.FLASH_BASE)
@@ -140,6 +144,9 @@ class MemoryMap:
                     _ref(addr + 2, kind, region)
             object.__setattr__(self, "_tracer_pair", pair)
         object.__setattr__(self, name, value)
+        if name == "tracer" or name == "san":
+            for hook in self.route_hooks:
+                hook()
 
     # -- region helpers -----------------------------------------------------
     def region_of(self, addr: int) -> int:

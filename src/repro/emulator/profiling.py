@@ -27,7 +27,7 @@ kept (there is nothing to derive from).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -176,14 +176,20 @@ class Profiler:
 
         return reference, reference_pair
 
-    def bulk_references(self, chunk: np.ndarray) -> None:
-        """Append a pre-packed uint64 token block wholesale (the fused
-        replay core's vectorized fills and the trap layer's RAM byte
-        runs).  Equivalent to one :meth:`reference` call per element:
-        the block joins the same staging buffer as the per-token list,
-        behind its pending tokens.  Callers guarantee the tracing
-        configuration (the fused dispatch gate and
+    def bulk_references(self, chunk: Union[np.ndarray, List[int]]) -> None:
+        """Append a pre-packed token block wholesale (the fused replay
+        core's vectorized fills and the trap layer's RAM byte runs).
+        Equivalent to one :meth:`reference` call per element: a list
+        (a short run) joins the pending tokens, a uint64 array joins
+        the same staging buffer behind them.  Callers guarantee the
+        tracing configuration (the fused dispatch gate and
         ``TracedAccess._ram_run`` check it)."""
+        if type(chunk) is list:
+            pending = self._pending
+            pending.extend(chunk)
+            if len(pending) >= TRACE_CHUNK:
+                self._stage_pending()
+            return
         self._stage_pending()
         self._stage_tokens(chunk)
 

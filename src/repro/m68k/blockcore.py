@@ -21,6 +21,21 @@ per-instruction cycle/reference/histogram updates into per-block
 constants, and — when the PR-4 dataflow audit proved an access's
 region — drops the region dispatch entirely (``load_facts``).
 
+Decoding and fusing are paid once per *process*, not once per core:
+collection and every replay build a new core over the same ROM, so
+templates and generated bodies live in a module-level translation
+cache (``_STORE``), Shade's translation cache shared across runs.  An
+entry is keyed on (region, entry pc, backing geometry) and holds the
+decoded block, the code bytes the decode read and, per region-facts
+key, the fused body's source (:class:`repro.m68k.fuse.FusedCode`).
+``_build`` binds a fresh per-core block to an entry whose bytes still
+match memory and decodes afresh otherwise; fusion still happens at
+``fuse_threshold`` runs, binding the cached source when there is one.
+Entries hold no core, memory map, profiler, watch or block, so a
+finished replay's machine stays collectable.  Counters, validity,
+page watches, invalidation, the tracer epoch and the trap table stay
+per core.
+
 Two cores implement the same contract —
 ``run_until_cycles(limit)`` with the exact semantics of
 :meth:`repro.m68k.cpu.CPU.step` iterated under the device scheduler's
@@ -159,31 +174,182 @@ class CodeWatch:
         self._core.flush()
 
 
-class _Block:
-    """One predecoded superblock."""
+class _Template:
+    """One translation-cache entry: a decoded superblock, core-free.
 
-    __slots__ = ("pc", "entries", "valid", "pages", "region", "op_counts",
-                 "tail", "tok_prefix", "tok_total", "runs",
-                 "insns_executed", "fetch_refs", "fused", "fuse_epoch",
-                 "prov")
+    Everything here is a pure function of the code bytes the decode
+    read (``reads``) and the backing geometry in the store key, so any
+    core whose memory holds the same bytes may bind it.  It holds no
+    core, memory map, profiler, watch or :class:`_Block` — a finished
+    replay's machine stays collectable while its blocks stay cached.
+    ``fused`` maps the block's region-facts key to its generated body
+    (:class:`repro.m68k.fuse.FusedCode`), or to ``None`` when the
+    generator found it unfusable.
+    """
 
-    def __init__(self, pc: int, entries: List[tuple],
-                 pages: Tuple[int, ...], region: int,
+    __slots__ = ("region", "entries", "tail", "pages", "tok_prefix",
+                 "op_counts", "reads", "fused")
+
+    def __init__(self, region: int, entries: List[tuple],
+                 spans: List[Tuple[int, int]],
                  tail: Optional[Tuple[int, int, int, int]],
-                 tok_prefix: Tuple[int, ...]):
-        self.pc = pc
-        self.entries = entries
-        self.valid = True
-        self.pages = pages
+                 reads: Tuple[Tuple[int, bytes], ...]):
         self.region = region
+        self.entries = entries
         #: Terminating A-line/F-line word: (pc, opcode, fetch_token,
         #: opcode group), dispatched inline after the entries complete.
         self.tail = tail
+        pages: Set[int] = set()
+        for start, stop in spans:
+            pages.update(range(start >> PAGE_SHIFT,
+                               ((stop - 1) >> PAGE_SHIFT) + 1))
+        if tail is not None:
+            pages.add(tail[0] >> PAGE_SHIFT)
+            pages.add((tail[0] + 1) >> PAGE_SHIFT)
+        self.pages = tuple(sorted(pages))
         #: ``tok_prefix[k]`` = fetch references emitted by the first
         #: ``k`` instructions (opcode + extension words); used for the
         #: ``--hot`` per-block reference accounting.
-        self.tok_prefix = tok_prefix
-        self.tok_total = tok_prefix[-1] if tok_prefix else 0
+        prefix = [0]
+        for start, stop in spans:
+            prefix.append(prefix[-1] + ((stop - start) >> 1))
+        self.tok_prefix = tuple(prefix)
+        # The block's opcode histogram, pre-aggregated: a full block
+        # run (the overwhelmingly common case) bumps one counter per
+        # *distinct* opcode instead of one per instruction.  The
+        # histogram is order-insensitive, so batching is unobservable.
+        agg: Dict[int, int] = {}
+        for entry in entries:
+            op = entry[3]
+            agg[op] = agg.get(op, 0) + 1
+        self.op_counts = tuple(agg.items())
+        #: ``(offset into the backing store, bytes)`` of every run the
+        #: decode read, the terminating word included.
+        self.reads = reads
+        self.fused: Dict[tuple, Any] = {}
+
+    def matches(self, data: bytearray) -> bool:
+        """Whether ``data`` still holds the bytes this block decoded."""
+        for off, blob in self.reads:
+            if data[off:off + len(blob)] != blob:
+                return False
+        return True
+
+
+#: The process-wide translation cache: (region, entry pc, ram base,
+#: ram limit, flash base, flash limit) -> :class:`_Template`.  An
+#: entry is re-validated against the backing bytes on every lookup
+#: and replaced when they differ, so it never needs evicting for
+#: correctness; it is bounded by the distinct block entries of the
+#: images a process runs.
+_STORE: Dict[tuple, _Template] = {}
+
+
+def _decode(pc: int, region: int, base: int, limit: int,
+            data: bytearray) -> Optional[_Template]:
+    """Predecode the superblock entered at ``pc`` from ``data`` (the
+    backing store of ``region``, mapped at ``base`` up to ``limit``);
+    None when its first word is neither decodable nor an A/F-line
+    trap."""
+    size = len(data)
+
+    def fetch(a: int) -> int:
+        off = a - base
+        if 0 <= off and off + 1 < size:
+            return (data[off] << 8) | data[off + 1]
+        return 0
+
+    entries: List[tuple] = []
+    spans: List[Tuple[int, int]] = []
+    seen: Set[int] = set()
+    tail: Optional[Tuple[int, int, int, int]] = None
+    # The word that ended decoding, when one was read and is not
+    # part of the spans (a trap or illegal word, or an instruction
+    # running past the limit).
+    stop_read: Optional[Tuple[int, int]] = None
+    addr = pc
+    while len(entries) < MAX_BLOCK_INSNS:
+        if addr in seen or addr < base or addr + 1 >= limit:
+            break
+        off = addr - base
+        op = (data[off] << 8) | data[off + 1]
+        # Resolved before the snapshot: entries never hold an
+        # unbuilt slot.
+        handler = resolve(op)
+        if handler is None:
+            stop_read = (addr, addr + 2)
+            group = op >> 12
+            if group in (0xA, 0xF):
+                # A-line / F-line: record as the block's tail and
+                # dispatch it inline after the entries complete.
+                tail = (addr, op, addr | (region << 36), group)
+            # Genuine illegal words keep the stepping fallback,
+            # which owns the exception plumbing.
+            break
+        insn = decode_insn(fetch, addr)
+        if insn.end > limit:
+            stop_read = (addr, limit)
+            break
+        # The fetch reference the stepping loop would emit for this
+        # opcode word, packed for the profiler's trace buffer.
+        token = addr | (region << 36)
+        entries.append((addr, (addr + 2) & _MASK32, token, op, handler))
+        seen.add(addr)
+        spans.append((addr, insn.end))
+        kind = insn.kind
+        if kind == K_NORMAL:
+            addr = insn.end
+        elif kind == K_BRANCH and insn.target is not None \
+                and not insn.indirect and not insn.target & 1:
+            # Chain through the unconditional branch when the
+            # target stays in the same backing region.
+            addr = insn.target
+        elif kind == K_CONDBRANCH:
+            if insn.target == pc:
+                # Backedge to the block entry: end the block here so
+                # the whole loop body fuses into a while-loop.
+                break
+            # Otherwise chain the fallthrough; a taken branch exits
+            # the block.
+            addr = insn.end
+        else:
+            # Calls, returns, stop, trap #n: terminal — control
+            # continues at a pc only execution knows.
+            break
+    if not entries and tail is None:
+        return None
+    runs = sorted(spans + [stop_read] if stop_read else spans)
+    merged: List[List[int]] = []
+    for start, stop in runs:
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], stop)
+        else:
+            merged.append([start, stop])
+    reads = tuple((start - base, bytes(data[start - base:stop - base]))
+                  for start, stop in merged)
+    return _Template(region, entries, spans, tail, reads)
+
+
+class _Block:
+    """One predecoded superblock, bound to one core: the shared
+    :class:`_Template` plus this core's validity and counters."""
+
+    __slots__ = ("pc", "tpl", "entries", "valid", "pages", "region",
+                 "op_counts", "tail", "tok_prefix", "tok_total", "runs",
+                 "insns_executed", "fetch_refs", "fused", "fuse_epoch",
+                 "prov")
+
+    def __init__(self, pc: int, tpl: _Template):
+        self.pc = pc
+        self.tpl = tpl
+        self.entries = tpl.entries
+        self.valid = True
+        self.pages = tpl.pages
+        self.region = tpl.region
+        self.tail = tpl.tail
+        self.tok_prefix = tpl.tok_prefix
+        self.tok_total = tpl.tok_prefix[-1]
+        self.op_counts = tpl.op_counts
         # Hotness / observability counters.
         self.runs = 0
         self.insns_executed = 0
@@ -195,15 +361,6 @@ class _Block:
         #: :class:`repro.m68k.fuse.FuseProvenance` once fused (entry
         #: pc, insn count, elision list, generated-source hash, ...).
         self.prov: Any = None
-        # The block's opcode histogram, pre-aggregated: a full block
-        # run (the overwhelmingly common case) bumps one counter per
-        # *distinct* opcode instead of one per instruction.  The
-        # histogram is order-insensitive, so batching is unobservable.
-        agg: Dict[int, int] = {}
-        for entry in entries:
-            op = entry[3]
-            agg[op] = agg.get(op, 0) + 1
-        self.op_counts = tuple(agg.items())
 
 
 class BlockCore:
@@ -224,6 +381,10 @@ class BlockCore:
         self.blocks_built = 0
         self.invalidations = 0
         self.fused_built = 0
+        #: Of those, blocks and fused bodies bound from the process-wide
+        #: translation cache instead of decoded or generated afresh.
+        self.blocks_bound = 0
+        self.fused_bound = 0
         #: Dispatch count before a block is compiled to a fused body.
         self.fuse_threshold = FUSE_THRESHOLD
         #: Debug hook: called with the block right after a fused body
@@ -344,10 +505,11 @@ class BlockCore:
 
     # -- block construction ---------------------------------------------
     def _build(self, pc: int) -> Optional[_Block]:
-        """Predecode the superblock entered at ``pc``; None when the pc
-        is not block-eligible (odd, outside RAM/flash, or its first
-        word is neither decodable nor an A/F-line trap) — the caller
-        single-steps instead."""
+        """Bind the superblock entered at ``pc`` from the translation
+        cache, decoding it only when the cache has no entry whose bytes
+        still match memory; None when the pc is not block-eligible
+        (odd, outside RAM/flash, or its first word is neither decodable
+        nor an A/F-line trap) — the caller single-steps instead."""
         if pc & 1:
             return None
         mem = self.mem
@@ -358,81 +520,17 @@ class BlockCore:
         else:
             return None
         data = backing.data
-        base = backing.base
-        size = len(data)
-
-        def fetch(a: int) -> int:
-            off = a - base
-            if 0 <= off and off + 1 < size:
-                return (data[off] << 8) | data[off + 1]
-            return 0
-
-        entries: List[tuple] = []
-        spans: List[Tuple[int, int]] = []
-        seen: Set[int] = set()
-        tail: Optional[Tuple[int, int, int, int]] = None
-        addr = pc
-        while len(entries) < MAX_BLOCK_INSNS:
-            if addr in seen or addr < base or addr + 1 >= limit:
-                break
-            off = addr - base
-            op = (data[off] << 8) | data[off + 1]
-            # Resolved before the snapshot: entries never hold an
-            # unbuilt slot.
-            handler = resolve(op)
-            if handler is None:
-                group = op >> 12
-                if group in (0xA, 0xF):
-                    # A-line / F-line: record as the block's tail and
-                    # dispatch it inline after the entries complete.
-                    tail = (addr, op, addr | (region << 36), group)
-                # Genuine illegal words keep the stepping fallback,
-                # which owns the exception plumbing.
-                break
-            insn = decode_insn(fetch, addr)
-            if insn.end > limit:
-                break
-            # The fetch reference the stepping loop would emit for this
-            # opcode word, packed for the profiler's trace buffer.
-            token = addr | (region << 36)
-            entries.append((addr, (addr + 2) & _MASK32, token, op, handler))
-            seen.add(addr)
-            spans.append((addr, insn.end))
-            kind = insn.kind
-            if kind == K_NORMAL:
-                addr = insn.end
-            elif kind == K_BRANCH and insn.target is not None \
-                    and not insn.indirect and not insn.target & 1:
-                # Chain through the unconditional branch when the
-                # target stays in the same backing region.
-                addr = insn.target
-            elif kind == K_CONDBRANCH:
-                if insn.target == pc:
-                    # Backedge to the block entry: end the block here so
-                    # the whole loop body fuses into a while-loop.
-                    break
-                # Otherwise chain the fallthrough; a taken branch exits
-                # the block.
-                addr = insn.end
-            else:
-                # Calls, returns, stop, trap #n: terminal — control
-                # continues at a pc only execution knows.
-                break
-        if not entries and tail is None:
-            return None
-
-        pages: Set[int] = set()
-        for start, stop in spans:
-            pages.update(range(start >> PAGE_SHIFT,
-                               ((stop - 1) >> PAGE_SHIFT) + 1))
-        if tail is not None:
-            pages.add(tail[0] >> PAGE_SHIFT)
-            pages.add((tail[0] + 1) >> PAGE_SHIFT)
-        prefix = [0]
-        for start, stop in spans:
-            prefix.append(prefix[-1] + ((stop - start) >> 1))
-        block = _Block(pc, entries, tuple(sorted(pages)), region, tail,
-                       tuple(prefix))
+        key = (region, pc, mem.ram.base, mem.ram_limit, mem.flash.base,
+               mem.flash_limit)
+        tpl = _STORE.get(key)
+        if tpl is not None and tpl.matches(data):
+            self.blocks_bound += 1
+        else:
+            tpl = _decode(pc, region, backing.base, limit, data)
+            if tpl is None:
+                return None
+            _STORE[key] = tpl
+        block = _Block(pc, tpl)
         self.blocks[pc] = block
         if region == 0:
             # Only RAM pages need write watching; flash is

@@ -32,6 +32,16 @@ Loops whose backedge targets the block entry compile into a ``while``
 body (the backedge folds cycles/instruction counts and re-enters
 without leaving the function); the caller reconstructs per-iteration
 histogram/reference totals from ``ex[0]``.
+
+Generation and binding are separate.  :class:`_Fuser` reads only the
+block's code bytes, the memory geometry and the region facts, and
+produces a core-free :class:`FusedCode` that the translation cache
+(:mod:`repro.m68k.blockcore`) keeps per block template and facts key,
+together with the unfusable verdicts.  :func:`build_fused` binds such
+a body to one core — its trace list, write watch, memory arms and
+block — and attaches a fresh :class:`FuseProvenance`, so a cached body
+looks to the validator and the ``--hot`` report exactly like a freshly
+generated one.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from .disasm import Insn, K_BRANCH, K_CONDBRANCH, decode_insn
 from .errors import AddressError
 from .instructions import COND_EXPRS, M32, MASKS, MSBS, _shift, _specialize
 
-__all__ = ["FuseProvenance", "build_fused"]
+__all__ = ["FuseProvenance", "FusedCode", "build_fused"]
 
 SIZE_BY_BITS = {0: 1, 1: 2, 2: 4}
 
@@ -94,7 +104,9 @@ class FuseProvenance:
     it equivalent to the per-insn reference semantics, and the elision
     auditor re-derives the proof obligation behind every entry in
     ``elisions``.  ``source_hash`` gives validator findings and the
-    ``--hot`` report a shared block identity that survives re-fusing.
+    ``--hot`` report a shared block identity that survives re-fusing
+    and binding from the translation cache.  ``env`` belongs to one
+    bind (it holds the core's trace list, watch and block).
     """
 
     __slots__ = ("pc", "region", "loop", "bulk", "insn_count", "elisions",
@@ -137,12 +149,104 @@ class FuseProvenance:
         self.env = env
 
 
+class FusedCode:
+    """A generated body, free of any core: what the translation cache
+    (``_Template.fused`` in :mod:`repro.m68k.blockcore`) keeps so a
+    later core binds the block without generating it again.
+
+    ``handlers`` lists the instruction indices whose specialized
+    handler the body calls (its ``h{k}`` names); ``tdyn``/``tval`` are
+    the read-only token constants of a vectorized fill prelude, or
+    ``None`` without one.
+    """
+
+    __slots__ = ("source", "loop", "bulk", "elisions", "handlers",
+                 "tdyn", "tval", "spans", "code")
+
+    def __init__(self, source: str, loop: bool, bulk: bool,
+                 elisions: List[Tuple[int, str, int]],
+                 handlers: Tuple[int, ...], tdyn: Any, tval: Any,
+                 spans: List[Tuple[int, int]],
+                 code: List[Tuple[int, bytes]]) -> None:
+        self.source = source
+        self.loop = loop
+        self.bulk = bulk
+        self.elisions = elisions
+        self.handlers = handlers
+        self.tdyn = tdyn
+        self.tval = tval
+        self.spans = spans
+        self.code = code
+
+
 def build_fused(core: Any, block: Any) -> Any:
-    """Compile ``block`` to a fused body, or ``False`` when unfusable."""
-    try:
-        return _Fuser(core, block).build()
-    except _Unfusable:
-        return False
+    """Bind ``block``'s fused body for ``core``, or ``False`` when
+    unfusable.
+
+    The body (or the unfusable verdict) is generated once per
+    translation-cache entry and region-facts key; every later call
+    binds the cached source to this core's environment, which
+    ``instructions._CODE_CACHE`` makes an ``exec`` of an
+    already-compiled code object.
+    """
+    tpl = block.tpl
+    key: tuple = ()
+    if block.region == 1 and core.facts:
+        facts = core.facts
+        key = tuple(facts.get(entry[0]) for entry in block.entries)
+        if all(fact is None for fact in key):
+            key = ()
+    if key in tpl.fused:
+        fc = tpl.fused[key]
+        if fc is None:
+            return False
+        core.fused_bound += 1
+    else:
+        try:
+            fc = _Fuser(core.mem, block,
+                        core.facts if key else {}).build()
+        except _Unfusable:
+            fc = None
+        tpl.fused[key] = fc
+        if fc is None:
+            return False
+    return _bind(core, block, fc)
+
+
+def _bind(core: Any, block: Any, fc: FusedCode) -> Any:
+    """Specialize ``fc`` for ``core``: its trace list, write watch,
+    memory arms and this block, plus the handlers the body calls."""
+    mem = core.mem
+    tracer = core._fuse_tracer
+    env: Dict[str, Any] = {
+        "append": tracer._pending.append,
+        "extend": tracer._pending.extend,
+        "wpages": core.watch.pages,
+        "whit": core.watch.hit,
+        "block": block,
+        "AddressError": AddressError,
+        "_shift": _shift,
+        "br1": mem.read8, "br2": mem.read16, "br4": mem.read32,
+        "bw1": mem.write8, "bw2": mem.write16, "bw4": mem.write32,
+        "ram": mem._ram_data,
+        "flash": mem._flash_data,
+        "pk2": _ST2.pack_into, "pk4": _ST4.pack_into,
+        "up2": _ST2.unpack_from, "up4": _ST4.unpack_from,
+    }
+    entries = block.entries
+    for k in fc.handlers:
+        env[f"h{k}"] = entries[k][4]
+    if fc.bulk:
+        env["np"] = np
+        env["bulk"] = tracer.bulk_references
+        env["wdis"] = core.watch.pages.isdisjoint
+        env["tdyn"] = fc.tdyn
+        env["tval"] = fc.tval
+    block.prov = FuseProvenance(
+        block.pc, block.region, fc.loop, fc.bulk, fc.elisions, fc.source,
+        entries, fc.spans, fc.code, mem._ram_base, mem.ram_limit,
+        mem._flash_base, mem.flash_limit, tuple(block.pages), env)
+    return _specialize(fc.source, env, name=f"<fused:{block.pc:#x}>")
 
 
 def _sxb(expr: str) -> str:
@@ -167,41 +271,34 @@ def _lit(v: Addr) -> str:
 
 
 class _Fuser:
-    """Single-use code generator for one superblock."""
+    """Single-use code generator for one superblock.
 
-    def __init__(self, core: Any, block: Any) -> None:
-        self.core = core
+    Generation reads only the block's code bytes, the memory geometry
+    and ``facts``, never a core: its :class:`FusedCode` is valid for
+    every core whose memory holds the same bytes.
+    """
+
+    def __init__(self, mem: Any, block: Any,
+                 facts: Dict[int, Tuple[Optional[int], Optional[int]]],
+                 ) -> None:
+        self.mem = mem
         self.block = block
-        self.mem = core.mem
         self.region: int = block.region
         self.entries: List[tuple] = block.entries
         self.N = len(self.entries)
-        tracer = core._fuse_tracer
-        self.env: Dict[str, Any] = {
-            "append": tracer._pending.append,
-            "extend": tracer._pending.extend,
-            "wpages": core.watch.pages,
-            "whit": core.watch.hit,
-            "block": block,
-            "AddressError": AddressError,
-            "_shift": _shift,
-            "br1": self.mem.read8, "br2": self.mem.read16,
-            "br4": self.mem.read32,
-            "bw1": self.mem.write8, "bw2": self.mem.write16,
-            "bw4": self.mem.write32,
-            "ram": self.mem._ram_data,
-            "flash": self.mem._flash_data,
-            "pk2": _ST2.pack_into, "pk4": _ST4.pack_into,
-            "up2": _ST2.unpack_from, "up4": _ST4.unpack_from,
-        }
-        self.ram_base: int = self.mem._ram_base
-        self.ram_limit: int = self.mem.ram_limit
-        self.flash_base: int = self.mem._flash_base
-        self.flash_limit: int = self.mem.flash_limit
+        self.ram_base: int = mem._ram_base
+        self.ram_limit: int = mem.ram_limit
+        self.flash_base: int = mem._flash_base
+        self.flash_limit: int = mem.flash_limit
         #: Region facts are consulted only for flash-resident code
-        #: (immutable during replay; SMC in RAM could invalidate them).
-        self.facts: Dict[int, Tuple[Optional[int], Optional[int]]] = (
-            core.facts if block.region == 1 else {})
+        #: (immutable during replay; SMC in RAM could invalidate them);
+        #: the caller passes none for RAM blocks.
+        self.facts = facts
+        #: Instruction indices whose handler the body calls (``h{k}``).
+        self.handlers: List[int] = []
+        #: Token constants of the vectorized fill prelude.
+        self.tdyn: Any = None
+        self.tval: Any = None
         self.lines: List[str] = []
         #: Region-dispatch elisions performed on dataflow facts,
         #: recorded for the provenance/audit trail.
@@ -666,7 +763,7 @@ class _Fuser:
         generated state, call, then re-verify pc/validity/irq exactly
         as the interpreted loop's per-entry checks would."""
         h = f"h{k}"
-        self.env[h] = self.entries[k][4]
+        self.handlers.append(k)
         self._flush_pend()
         self._materialize()
         self.emit(f"cpu.pc = {(self.addr + 2) & M32:#x}")
@@ -1171,13 +1268,11 @@ class _Fuser:
         assert info is not None
         S, N = self.bulk_S, self.N
         tpl = info["tpl"]
-        self.env["np"] = np
-        self.env["bulk"] = self.core._fuse_tracer.bulk_references
-        self.env["wdis"] = self.core.watch.pages.isdisjoint
-        self.env["tdyn"] = np.array(
+        self.tdyn = np.array(
             [1 if dyn else 0 for dyn, _v in tpl], dtype=np.uint64)
-        self.env["tval"] = np.array(
-            [v for _dyn, v in tpl], dtype=np.uint64)
+        self.tval = np.array([v for _dyn, v in tpl], dtype=np.uint64)
+        self.tdyn.flags.writeable = False
+        self.tval.flags.writeable = False
         z, ar, nb = info["z"], info["areg"], info["bytes"]
         pat = " + ".join(
             f"(d[{sr}] & 0xFFFF).to_bytes(2, 'big')" if sz == 2
@@ -1234,7 +1329,7 @@ class _Fuser:
             return self._shift_insn(k, insn, op)
         return self._call_handler(k, insn)
 
-    def build(self) -> Any:
+    def build(self) -> FusedCode:
         mem = self.mem
         backing = mem.ram if self.region == 0 else mem.flash
         data = backing.data
@@ -1296,11 +1391,7 @@ class _Fuser:
         spans = [(insn.addr, insn.end) for insn in insns]
         code = [(start, bytes(data[start - base:stop - base]))
                 for start, stop in spans]
-        self.block.prov = FuseProvenance(
-            self.block.pc, self.region, self.loop,
-            self.bulk_info is not None and bool(self.bulk_S),
-            self.elisions, src, self.entries, spans, code,
-            self.ram_base, self.ram_limit,
-            self.flash_base, self.flash_limit,
-            tuple(self.block.pages), self.env)
-        return _specialize(src, self.env, name=f"<fused:{self.block.pc:#x}>")
+        return FusedCode(src, self.loop,
+                         self.bulk_info is not None and bool(self.bulk_S),
+                         self.elisions, tuple(self.handlers),
+                         self.tdyn, self.tval, spans, code)

@@ -62,6 +62,9 @@ class SysCalls:
 
     def __init__(self, kernel: "PalmOS"):
         self.k = kernel
+        #: The kernel's traced accessor: every trap's guest memory
+        #: traffic goes through its word arms.
+        self.acc: TracedAccess = kernel.traced
         self._ctx: List[dict] = []
         #: Replay hooks (installed by the playback driver).
         self.key_state_override: Optional[Callable[[int, int], int]] = None
@@ -179,10 +182,6 @@ class SysCalls:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @property
-    def acc(self) -> TracedAccess:
-        return self.k.traced
-
     def _arg(self, cpu: "CPU", base: int, i: int) -> int:
         return self.acc.read32(cpu.a[7] + base + 4 * i)
 

@@ -126,6 +126,7 @@ class TestReplay:
         out = capsys.readouterr().out
         assert "checkpoints" in out
         assert "hot blocks" in out and "hot traps" in out
+        assert "bound from the translation cache" in out
 
     @pytest.mark.parametrize("core", ["fast", "simple"])
     @pytest.mark.parametrize("resilience", [
