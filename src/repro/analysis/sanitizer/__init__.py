@@ -1,26 +1,23 @@
-"""Guest memory sanitizer: dynamic shadow checking with static elision.
+"""Guest memory sanitizer: dynamic shadow checking of guest data accesses.
 
-The dynamic layer (:mod:`.shadow`, :mod:`.core`) keeps MemCheck-style
+:mod:`.shadow` and :mod:`.core` keep MemCheck-style
 addressability/definedness bits over the allocator-managed part of
-guest RAM and turns violations into typed findings.  The static layer
-(:mod:`.elide`) proves accesses safe from the PR-4 dataflow facts and
-emits a per-pc elision set so sanitized replay skips checks it can
-discharge at analysis time.  :mod:`.corpus` holds the seeded defect
-programs that prove every class is caught.
+guest RAM and turn violations into typed findings, attributed to the
+owning instruction through the CFG the static walker builds.
+:mod:`.corpus` holds the seeded defect programs that prove every class
+is caught.
 """
 
-from .core import AllocInfo, MemorySanitizer, REDZONE
-from .elide import ElisionResult, compute_elision
+from .core import AllocInfo, MemorySanitizer, REDZONE, attribution
 from .shadow import A_BIT, D_BIT, OK, ShadowMap
 
 __all__ = [
     "A_BIT",
     "AllocInfo",
     "D_BIT",
-    "ElisionResult",
     "MemorySanitizer",
     "OK",
     "REDZONE",
     "ShadowMap",
-    "compute_elision",
+    "attribution",
 ]

@@ -17,16 +17,17 @@ code                severity  meaning
 ``san-wild``        ERROR     access to unmanaged heap space
 ==================  ========  ==========================================
 
-Three layers keep the overhead inside the ~3x budget:
+Two layers keep the overhead inside the ~3x budget:
 
 * accesses made while **kernel microcode** runs (trap semantics, the
   allocator itself) are exempt from checking — the kernel is trusted —
   but writes still mark bytes defined so app data written by the kernel
   (events, record copies) never reads back as uninitialized;
-* a **per-pc elision set** (see :mod:`.elide`) discharges accesses the
-  static pre-pass proved can never touch allocator-managed storage;
 * the remaining accesses hit a **range compare** first (only the heap
   window carries shadow) and a byte-AND shadow probe second.
+
+Findings name the instruction, not the raw pc: :func:`attribution`
+maps every pc an instruction's execution can show to its start address.
 
 Red zones and the free-chunk quarantine are wired into
 :class:`repro.palmos.heap.Heap` via the ``Heap.san`` attribute; the heap
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, Mapping, Optional, Tuple
 
 from ...palmos import layout as L
 from ...palmos.heap import Heap, HeapError
@@ -45,6 +46,7 @@ from ..static.findings import Report, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...palmos.kernel import PalmOS
+    from ..static.walker import CFG
 
 from .shadow import A_BIT, D_BIT, OK, ShadowMap
 
@@ -55,6 +57,21 @@ QUARANTINE_CHUNKS = 16
 #: Findings are deduplicated per (code, instruction); this caps the
 #: total so a buggy loop cannot flood the report.
 MAX_FINDINGS = 256
+
+
+def attribution(cfg: "CFG") -> Dict[int, int]:
+    """pc -> start address of the instruction executing at that pc.
+
+    Both cores advance pc past the opcode word before the handler runs,
+    and handlers fetch their own extension words, so while an
+    instruction at ``addr`` executes pc sweeps ``[addr+2, end]``.  Of
+    overlapping decodes the first walked claims a shared pc.
+    """
+    owner: Dict[int, int] = {}
+    for insn in cfg.instructions():
+        for pc in range(insn.addr + 2, insn.end + 2, 2):
+            owner.setdefault(pc, insn.addr)
+    return owner
 
 
 @dataclass(frozen=True)
@@ -73,8 +90,7 @@ class AllocInfo:
 class MemorySanitizer:
     """MemCheck-style shadow checking for replayed guest code."""
 
-    def __init__(self, *, elide_pcs: Optional[FrozenSet[int]] = None,
-                 attribution: Optional[Mapping[int, int]] = None,
+    def __init__(self, *, attribution: Optional[Mapping[int, int]] = None,
                  redzone: int = REDZONE,
                  quarantine_chunks: int = QUARANTINE_CHUNKS,
                  max_findings: int = MAX_FINDINGS):
@@ -84,7 +100,6 @@ class MemorySanitizer:
         self.quarantine_chunks = quarantine_chunks
         self.max_findings = max_findings
         self.report = Report()
-        self._elide = elide_pcs if elide_pcs is not None else frozenset()
         self._attr: Dict[int, int] = dict(attribution or {})
         self._seen: set[Tuple[str, int]] = set()
         self.suppressed = 0
@@ -102,8 +117,6 @@ class MemorySanitizer:
 
         #: Non-kernel guest data accesses seen by the bus hook.
         self.n_data = 0
-        #: Accesses discharged by the static elision set.
-        self.n_elided = 0
         #: Accesses that reached a shadow probe (inside the heap window).
         self.n_probed = 0
 
@@ -176,9 +189,6 @@ class MemorySanitizer:
         if self._kernel_depth:
             return
         self.n_data += 1
-        if getattr(self._cpu, "pc") in self._elide:
-            self.n_elided += 1
-            return
         if addr < self._lo or addr >= self._hi:
             return
         self.n_probed += 1
@@ -204,9 +214,6 @@ class MemorySanitizer:
                 self._shadow.set_defined(addr, size)
             return
         self.n_data += 1
-        if getattr(self._cpu, "pc") in self._elide:
-            self.n_elided += 1
-            return
         if addr < self._lo or addr >= self._hi:
             return
         self.n_probed += 1
@@ -414,18 +421,10 @@ class MemorySanitizer:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    @property
-    def elision_rate(self) -> float:
-        """Fraction of guest data accesses discharged statically."""
-        return self.n_elided / self.n_data if self.n_data else 0.0
-
     def stats(self) -> Dict[str, object]:
         return {
             "data_accesses": self.n_data,
-            "elided": self.n_elided,
             "probed": self.n_probed,
-            "elision_rate": round(self.elision_rate, 4),
-            "elide_pcs": len(self._elide),
             "live_allocations": len(self.live),
             "quarantined": len(self._quarantined),
             "findings": len(self.report),

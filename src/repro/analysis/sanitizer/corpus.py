@@ -12,13 +12,9 @@ the sanitized window (``PTR_SLOT``) so the harness can compute exact
 expected addresses after the run; allocation addresses are fully
 deterministic (same ROM, same boot, same heap walk), which is what lets
 ``tools/sanitize_baseline.json`` store absolute addresses and CI fail
-only on *new* findings.
-
-Every program is also its own elision test bed: a CFG walk plus
-constant propagation over the program text feeds
-:func:`repro.analysis.sanitizer.elide.compute_elision`, so each run
-exercises the static layer, and :func:`differential` asserts the
-elided and full-check runs report bit-identical findings.
+only on *new* findings.  A CFG walk over the program text attributes
+each finding to the instruction that made it
+(:func:`repro.analysis.sanitizer.core.attribution`).
 """
 
 from __future__ import annotations
@@ -28,10 +24,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...m68k.asm import assemble
 from ...palmos.kernel import PalmOS
-from ..static.dataflow import analyze_constprop
 from ..static.walker import walk
-from .core import MemorySanitizer
-from .elide import ElisionResult, compute_elision
+from .core import MemorySanitizer, attribution
 
 #: Where corpus programs live: between the frame buffer and the
 #: dynamic heap, outside every region the kernel or sanitizer manages.
@@ -152,7 +146,6 @@ class ProgramResult:
     program: DefectProgram
     ptr: int
     findings: List[Tuple[str, str, int]]  # (code, severity, address)
-    elision: ElisionResult
     san_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -210,15 +203,7 @@ def _run_guest(kernel: PalmOS, entry: int, max_ticks: int = 50_000) -> None:
     cpu.stopped = saved_stopped
 
 
-def _program_elision(kernel: PalmOS, start: int, end: int) -> ElisionResult:
-    fetch = kernel.host.read16
-    cfg = walk(fetch, [start], code_range=(start, end))
-    const = analyze_constprop(cfg, fetch)
-    return compute_elision(cfg, const,
-                           heap_hi=int(kernel.device.mem.ram_limit))
-
-
-def run_program(program: DefectProgram, *, elide: bool = True,
+def run_program(program: DefectProgram, *,
                 ram_size: int = RAM_SIZE) -> ProgramResult:
     """Boot a fresh machine, plant the program, run it sanitized."""
     kernel = PalmOS(ram_size=ram_size)
@@ -228,10 +213,8 @@ def run_program(program: DefectProgram, *, elide: bool = True,
     for addr, data in blob.segments:
         kernel.device.mem.load_ram(addr, data)
         end = max(end, addr + len(data))
-    elision = _program_elision(kernel, CODE_AT, end)
-    san = MemorySanitizer(
-        elide_pcs=elision.safe_pcs if elide else frozenset(),
-        attribution=elision.attribution)
+    cfg = walk(kernel.host.read16, [CODE_AT], code_range=(CODE_AT, end))
+    san = MemorySanitizer(attribution=attribution(cfg))
     san.attach(kernel)
     try:
         _run_guest(kernel, CODE_AT)
@@ -241,27 +224,14 @@ def run_program(program: DefectProgram, *, elide: bool = True,
     findings = [(f.code, f.severity.name, f.address or 0)
                 for f in report.sorted()]
     return ProgramResult(program=program, ptr=ptr, findings=findings,
-                         elision=elision, san_stats=san.stats())
+                         san_stats=san.stats())
 
 
-def run_corpus(names: Optional[Sequence[str]] = None, *,
-               elide: bool = True) -> List[ProgramResult]:
+def run_corpus(names: Optional[Sequence[str]] = None) -> List[ProgramResult]:
     table = programs_by_name()
     selected = (PROGRAMS if names is None
                 else tuple(table[n] for n in names))
-    return [run_program(p, elide=elide) for p in selected]
-
-
-def differential(names: Optional[Sequence[str]] = None) -> List[str]:
-    """Run every program with and without elision; the finding sets
-    must be bit-identical (the elision proof is sound).  Returns the
-    names that diverged (empty == pass)."""
-    bad: List[str] = []
-    for full, elided in zip(run_corpus(names, elide=False),
-                            run_corpus(names, elide=True)):
-        if sorted(full.findings) != sorted(elided.findings):
-            bad.append(full.program.name)
-    return bad
+    return [run_program(p) for p in selected]
 
 
 # ----------------------------------------------------------------------

@@ -138,14 +138,6 @@ def _mask_bit(write: bool, region: int) -> int:
     return 1 << (region | (4 if write else 0))
 
 
-def _sole_region(nibble: int) -> Optional[int]:
-    """The single region encoded in a 4-bit kind nibble, or None when
-    the nibble is empty or names more than one region."""
-    if nibble == 0 or nibble & (nibble - 1):
-        return None
-    return nibble.bit_length() - 1
-
-
 def describe_mask(mask: int) -> str:
     """Render a reference bitmask as e.g. ``read:ram+write:hw``."""
     parts = []
@@ -200,28 +192,6 @@ class AuditResult:
     @property
     def trap_sites(self) -> List[TrapSite]:
         return self.const.trap_sites
-
-    def region_facts(self) -> Dict[int, Tuple[Optional[int], Optional[int]]]:
-        """Per-instruction proven access regions for the fused replay
-        core (:meth:`repro.m68k.blockcore.BlockCore.load_facts`).
-
-        ``pc -> (read_region, write_region)``, each component the single
-        region every dynamic data reference of that kind provably hits,
-        or ``None`` when unproven (no complete prediction, no reference
-        of that kind, or more than one possible region).  Only complete
-        predictions participate: an incomplete mask may under-cover the
-        dynamic behaviour, and the fused code generator uses a fact to
-        drop the region dispatch entirely.
-        """
-        facts: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-        for pc, p in self.predictions.items():
-            if not p.complete or not p.mask:
-                continue
-            read = _sole_region(p.mask & 0x0F)
-            write = _sole_region((p.mask >> 4) & 0x0F)
-            if read is not None or write is not None:
-                facts[pc] = (read, write)
-        return facts
 
     def to_json(self) -> Dict[str, object]:
         return {

@@ -1,4 +1,4 @@
-"""Per-block translation validation and elision auditing.
+"""Per-block translation validation.
 
 :func:`validate_block` proves one fused superblock equivalent to the
 per-insn reference semantics over a driving battery (see
@@ -16,18 +16,13 @@ machine actually exhibits (``tv-mismatch-exit``).
 Anything the validator cannot prove is a typed finding — unreachable
 arms are ``tv-uncovered`` warnings, uninstrumentable sources are
 ``tv-unsupported`` — never a silent pass.
-
-:func:`audit_region_elisions` / :func:`audit_sanitizer_elisions`
-re-derive the proof obligation behind every elided check (PR-4 region
-facts, PR-6 sanitizer elisions) and flag any elision the freshly
-computed facts no longer justify.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Optional, Set, Tuple
 
 from ..static.findings import Report, Severity
 from .engine import build_vectors, instrument, random_vector
@@ -313,14 +308,6 @@ def _run_vector(code: Any, prov: Any, ws: Workspace, vector: Vector,
                    f"execute: {type(exc).__name__}: {exc}",
                    address=prov.pc, block=prov.pc)
         return
-    if (prov.elisions and gen.fault is not None
-            and gen.fault[0] in ("error", "IndexError")):
-        # A buffer-level error inside the generated body means the
-        # vector drove an elision-specialized access outside its
-        # statically proven region — a precondition production inputs
-        # cannot violate (that is what the elision audit certifies).
-        # The vector proves nothing either way; skip it.
-        return
     ref, log = _run_ref(prov, ws, vector, gen.executed)
     try:
         _check_pair(prov, vector, gen, ref, log)
@@ -333,51 +320,3 @@ def _run_vector(code: Any, prov: Any, ws: Workspace, vector: Vector,
                        f"{where}: vector '{vector.label}': {mm.detail}",
                        address=prov.pc, block=prov.pc)
 
-
-# -- elision auditing ----------------------------------------------------
-
-def audit_region_elisions(provs: Iterable[Any],
-                          fresh_facts: Dict[int, Tuple[Optional[int],
-                                                       Optional[int]]]
-                          ) -> Report:
-    """Re-derive the proof obligation behind every region-dispatch
-    elision: the access's freshly computed dataflow fact must still
-    name the region the generator baked in, and the block must be
-    flash-resident (facts are only stable there)."""
-    report = Report()
-    for prov in provs:
-        for addr, rw, fact in prov.elisions:
-            where = (f"block {prov.pc:#x} [{prov.source_hash[:12]}] "
-                     f"{rw} at {addr:#x}")
-            if prov.region != 1:
-                report.add(Severity.ERROR, "tv-elide-region",
-                           f"{where}: region dispatch elided in a "
-                           f"RAM-resident block; self-modifying code "
-                           f"can invalidate the fact",
-                           address=addr, block=prov.pc)
-                continue
-            fresh = fresh_facts.get(addr)
-            current = (fresh[0] if rw == "read" else fresh[1]) \
-                if fresh is not None else None
-            if current != fact:
-                report.add(Severity.ERROR, "tv-elide-region",
-                           f"{where}: baked region {fact} no longer "
-                           f"justified (fresh fact: {current})",
-                           address=addr, block=prov.pc)
-    return report
-
-
-def audit_sanitizer_elisions(claimed: Iterable[int],
-                             fresh_safe: Iterable[int]) -> Report:
-    """Every pc whose sanitizer check was elided must still be proven
-    safe by a fresh :func:`compute_elision` derivation."""
-    report = Report()
-    fresh = set(fresh_safe)
-    for pc in sorted(set(claimed)):
-        if pc not in fresh:
-            report.add(Severity.ERROR, "tv-elide-sanitizer",
-                       f"sanitizer check elided at {pc:#x} but the "
-                       f"fresh dataflow derivation cannot prove the "
-                       f"access safe",
-                       address=pc)
-    return report

@@ -88,9 +88,6 @@ def _add_replay(sub) -> None:
                           "attached (shadow checking, heap red zones, "
                           "leak check at exit; not combinable with the "
                           "resilience options)")
-    san.add_argument("--no-sanitize-elide", action="store_true",
-                     help="disable the static check-elision set "
-                          "(full shadow checking on every access)")
     p.add_argument("--validate-codegen", action="store_true",
                    help="run the translation validator inline on every "
                         "superblock the replay fuses; exit 1 on any "
@@ -189,18 +186,11 @@ def _add_sanitize(sub) -> None:
     p = sub.add_parser(
         "sanitize",
         help="run the seeded defect corpus through the guest memory "
-             "sanitizer (shadow state + static check elision) and gate "
-             "against the committed baseline")
+             "sanitizer and gate against the committed baseline")
     p.add_argument("--program", action="append", default=None,
                    metavar="NAME",
                    help="run only this corpus program (repeatable); "
                         "default: all")
-    p.add_argument("--no-elide", action="store_true",
-                   help="disable the static elision set (full shadow "
-                        "checking)")
-    p.add_argument("--differential", action="store_true",
-                   help="also run every program with and without "
-                        "elision and require bit-identical findings")
     p.add_argument("--baseline", default=None, metavar="FILE",
                    help="compare against this baseline and fail only "
                         "on NEW findings (missing defect classes still "
@@ -210,7 +200,7 @@ def _add_sanitize(sub) -> None:
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write machine-readable results to FILE")
     p.add_argument("--verbose", action="store_true",
-                   help="also print per-program elision statistics")
+                   help="also print per-program access statistics")
 
 
 def _add_verify_codegen(sub) -> None:
@@ -219,8 +209,7 @@ def _add_verify_codegen(sub) -> None:
         help="translation-validate the fused superblock codegen: "
              "replay the standard session with eager fusion, prove "
              "every fused block equivalent to its per-insn reference "
-             "semantics, audit every elided check against a fresh "
-             "derivation, and run the seeded miscompile self-test")
+             "semantics, and run the seeded miscompile self-test")
     p.add_argument("--session", default=None, metavar="DIR",
                    help="validate the blocks this archive fuses instead "
                         "of collecting the standard quickstart session")
@@ -233,8 +222,6 @@ def _add_verify_codegen(sub) -> None:
                    help="write the current findings as a new baseline")
     p.add_argument("--no-selftest", action="store_true",
                    help="skip the seeded miscompile self-test")
-    p.add_argument("--no-elision-audit", action="store_true",
-                   help="skip the region/sanitizer elision audits")
     p.add_argument("--verbose", action="store_true",
                    help="also print info findings (per-class self-test "
                         "detections)")
@@ -557,7 +544,6 @@ def cmd_replay(args) -> int:
                 with writer or nullcontext():
                     emulator, profiler, result = replay_session(
                         state, log, **options, sanitize=args.sanitize,
-                        sanitize_elide=not args.no_sanitize_elide,
                         validate_codegen=args.validate_codegen,
                         trace_sink=writer, trace_spill=True)
                     elapsed = time.time() - start
@@ -615,8 +601,6 @@ def cmd_replay(args) -> int:
         san = emulator.sanitizer
         stats = san.stats()
         print(f"sanitizer    : {stats['data_accesses']:,} data accesses, "
-              f"{stats['elided']:,} statically elided "
-              f"(rate {stats['elision_rate']}), "
               f"{stats['probed']:,} shadow probes")
         report = san.report
         if len(report):
@@ -653,16 +637,15 @@ def _print_hot(emulator, profiler, n: int) -> None:
         total = max(1, profiler.total_refs) if profiler is not None else 0
         print(f"hot blocks   : {'entry':>10} {'runs':>9} {'insns':>11} "
               f"{'ref share':>9} {'invalid':>7} {'fused':>5} "
-              f"{'elide':>5} {'source':>12} {'loop':>4}")
+              f"{'source':>12} {'loop':>4}")
         for row in hot(n):
             share = (f"{100 * row['fetch_refs'] / total:>8.2f}%"
                      if total else f"{row['fetch_refs']:>9,}")
             if "fused_insns" in row:
-                fused = (f"{row['fused_insns']:>5} {row['elisions']:>5} "
-                         f"{row['source_hash']:>12} "
+                fused = (f"{row['fused_insns']:>5} {row['source_hash']:>12} "
                          f"{'yes' if row.get('loop') else 'no':>4}")
             else:
-                fused = f"{'-':>5} {'-':>5} {'-':>12} {'-':>4}"
+                fused = f"{'-':>5} {'-':>12} {'-':>4}"
             print(f"               {row['pc']:#010x} {row['runs']:>9,} "
                   f"{row['insns']:>11,} {share} "
                   f"{row['invalidations']:>7} {fused}")
@@ -937,15 +920,12 @@ def cmd_verify_codegen(args) -> int:
     report, stats = verify_codegen(
         session=session,
         run_selftest=not args.no_selftest,
-        audit_elisions=not args.no_elision_audit,
         progress=lambda msg: print(msg, file=sys.stderr))
 
     print(f"verify-codegen: {stats.blocks} fused block(s), "
           f"{stats.vectors:,} vector(s), "
           f"{stats.arms_covered}/{stats.arms} live arm(s) covered "
           f"({100 * stats.coverage:.1f}%), {stats.arms_dead} proven dead")
-    print(f"elided checks : {stats.elisions} region, "
-          f"{stats.sanitizer_elisions} sanitizer")
     print(f"throughput    : {stats.blocks_per_sec:.1f} blocks/s "
           f"({stats.wall:.2f}s validate, {stats.replay_wall:.2f}s replay)")
     min_severity = Severity.INFO if args.verbose else Severity.WARNING
@@ -992,10 +972,9 @@ def cmd_sanitize(args) -> int:
             print(f"unknown corpus program(s): {', '.join(unknown)}; "
                   f"choose from {', '.join(known)}", file=sys.stderr)
             return 2
-    results = san_corpus.run_corpus(names, elide=not args.no_elide)
+    results = san_corpus.run_corpus(names)
 
-    print("sanitize: seeded defect corpus "
-          f"({'full checking' if args.no_elide else 'static elision on'})")
+    print("sanitize: seeded defect corpus")
     failures = []
     for r in results:
         expect = (f"{r.program.code}@{r.expected_address:#x}"
@@ -1008,21 +987,9 @@ def cmd_sanitize(args) -> int:
         print(f"  {r.program.name:12s} {status:7s} expected {expect}, "
               f"got {got}")
         if args.verbose:
-            e = r.elision.stats()
             s = r.san_stats
-            print(f"  {'':12s} elision: {e['proven_insns']}/"
-                  f"{e['candidate_insns']} insns proven, dynamic rate "
-                  f"{s['elision_rate']} ({s['elided']}/{s['data_accesses']})")
-
-    if args.differential:
-        diverged = san_corpus.differential(names)
-        if diverged:
-            print(f"DIFFERENTIAL FAILURE (elided vs full findings "
-                  f"differ): {', '.join(diverged)}")
-            failures.extend(diverged)
-        else:
-            print("differential : elided and full checking report "
-                  "identical findings")
+            print(f"  {'':12s} checks: {s['data_accesses']} data "
+                  f"accesses, {s['probed']} shadow probes")
 
     if args.json:
         payload = {
@@ -1033,7 +1000,6 @@ def cmd_sanitize(args) -> int:
                     "expected_address": r.expected_address,
                     "matched": r.matched,
                     "findings": [list(f) for f in r.findings],
-                    "elision": r.elision.stats(),
                     "stats": r.san_stats,
                 } for r in results
             },

@@ -571,7 +571,6 @@ def replay_session(state, log: ActivityLog, apps=(), profile: bool = True,
                    reset_timeout: int = DEFAULT_RESET_TIMEOUT,
                    core: Optional[str] = None,
                    sanitize: bool = False,
-                   sanitize_elide: bool = True,
                    fuse_threshold: Optional[int] = None,
                    on_fuse=None,
                    validate_codegen: bool = False,
@@ -591,9 +590,7 @@ def replay_session(state, log: ActivityLog, apps=(), profile: bool = True,
 
     ``sanitize=True`` attaches the guest memory sanitizer for the whole
     replay (leak check at the end) and leaves it — detached, report
-    intact — as ``emulator.sanitizer``.  ``sanitize_elide=False``
-    disables the static check-elision set (full shadow checking; used
-    by the differential suite).
+    intact — as ``emulator.sanitizer``.
 
     ``fuse_threshold`` overrides the superblock core's fusion trigger
     (``1`` fuses every block on first sight — the translation
@@ -621,8 +618,7 @@ def replay_session(state, log: ActivityLog, apps=(), profile: bool = True,
         track_opcode_addresses=track_opcode_addresses,
         track_reference_pcs=track_reference_pcs,
         trace_sink=trace_sink, trace_spill=trace_spill,
-        sanitize=sanitize, sanitize_elide=sanitize_elide,
-        fuse_threshold=fuse_threshold, on_fuse=on_fuse,
+        sanitize=sanitize, fuse_threshold=fuse_threshold, on_fuse=on_fuse,
         validate_codegen=validate_codegen)
     san = emulator.sanitizer
     driver = PlaybackDriver(emulator, log, jitter=jitter,
@@ -645,15 +641,15 @@ def replay_machine(apps, emulator_kwargs: Optional[dict] = None, *,
                    track_opcode_addresses: bool = False,
                    track_reference_pcs: bool = False,
                    trace_sink=None, trace_spill: bool = False,
-                   sanitize: bool = False, sanitize_elide: bool = True,
+                   sanitize: bool = False,
                    fuse_threshold: Optional[int] = None, on_fuse=None,
                    validate_codegen: bool = False):
     """Build a replay machine; returns ``(emulator, profiler)``.
 
     The one set-up path of every replay: :func:`replay_session`, the
     resilient runner and its localization scratch machines all build
-    here, so each gets the same profiler, trace sink, sanitizer,
-    dataflow region facts and fuse hooks.  ``state`` (β) is loaded
+    here, so each gets the same profiler, trace sink, sanitizer and
+    fuse hooks.  ``state`` (β) is loaded
     when given; a machine built without it is one that a checkpoint
     restore will fill.  The keywords are :func:`replay_session`'s.
     """
@@ -674,13 +670,9 @@ def replay_machine(apps, emulator_kwargs: Optional[dict] = None, *,
             profiler.attach_trace_sink(trace_sink, spill=trace_spill)
     san = None
     if sanitize:
-        san = _session_sanitizer(emulator, apps, kwargs,
-                                 elide=sanitize_elide)
+        san = _session_sanitizer(apps, kwargs)
         san.attach(emulator.kernel)
     emulator.sanitizer = san
-    load_facts = getattr(emulator.device.core, "load_facts", None)
-    if load_facts is not None:
-        load_facts(_region_facts(apps, kwargs))
     emulator.codegen_report = _install_fuse_hooks(
         emulator, fuse_threshold, on_fuse, validate_codegen)
     return emulator, profiler
@@ -733,59 +725,15 @@ def _install_fuse_hooks(emulator: Emulator,
     return report
 
 
-#: (app specs, geometry) -> dataflow region facts.  The audit is pure
-#: in its inputs (identical specs build identical ROMs), so repeated
-#: replays of the same image skip the static analysis entirely.
-_FACTS_CACHE: dict = {}
-
-
-def _region_facts(apps, kwargs: dict) -> dict:
-    """Memoized dataflow region facts for the fused replay core.
-
-    Conservative by construction: any failure — unhashable custom app
-    specs aside, which simply bypass the cache — yields the empty fact
-    set, and the fused code generator keeps its dynamic region arms.
-    """
-    from ..analysis.static.audit import audit_rom
-
-    key: object
-    try:
-        key = (tuple((a.name, a.source, a.button) for a in apps),
-               kwargs.get("ram_size"), kwargs.get("flash_size"))
-        hit = _FACTS_CACHE.get(key)
-    except (AttributeError, TypeError):
-        key = None
-        hit = None
-    if hit is not None:
-        return hit
-    try:
-        facts = audit_rom(apps=list(apps),
-                          ram_size=kwargs.get("ram_size"),
-                          flash_size=kwargs.get("flash_size")).region_facts()
-    except Exception:
-        facts = {}
-    if key is not None:
-        _FACTS_CACHE[key] = facts
-    return facts
-
-
-def _session_sanitizer(emulator: Emulator, apps, kwargs: dict, *,
-                       elide: bool):
-    """Build a sanitizer for a replay: the elision set comes from the
-    static audit of the same ROM the emulator is running (identical
-    builds place code at identical addresses), so ROM pcs proven safe
-    skip their shadow probes; RAM-resident code (installed hacks) never
-    appears in the set and is always checked."""
-    from ..analysis.sanitizer import MemorySanitizer
-    from ..analysis.sanitizer.elide import compute_elision
+def _session_sanitizer(apps, kwargs: dict):
+    """Build a sanitizer for a replay.  Findings are attributed over
+    the CFG of the same ROM the emulator is running (identical builds
+    place code at identical addresses); a pc outside it (installed
+    hacks run from RAM) is reported as is."""
+    from ..analysis.sanitizer import MemorySanitizer, attribution
     from ..analysis.static.audit import audit_rom
 
     audit = audit_rom(apps=apps,
                       ram_size=kwargs.get("ram_size"),
                       flash_size=kwargs.get("flash_size"))
-    elision = compute_elision(
-        audit.cfg, audit.const,
-        heap_hi=int(emulator.kernel.device.mem.ram_limit))
-    return MemorySanitizer(
-        elide_pcs=elision.safe_pcs if elide else frozenset(),
-        attribution=elision.attribution)
+    return MemorySanitizer(attribution=attribution(audit.cfg))

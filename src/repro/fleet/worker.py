@@ -42,8 +42,7 @@ from .campaign import SessionPlan, mix_to_apps
 #: pinned explicitly — the two machines must be equivalent).
 WORKER_RAM = 8 << 20
 WORKER_FLASH = 1 << 20
-#: The replay's emulator geometry; :func:`prewarm` audits each ROM at
-#: exactly this geometry, the key of the region-facts memo.
+#: The replay's emulator geometry.
 _EMULATOR_KW = {"ram_size": WORKER_RAM, "flash_size": WORKER_FLASH}
 
 #: Pipeline stages, in order.  Chaos directives address these names.
@@ -206,11 +205,9 @@ def run_session(plan: SessionPlan, *, policy: str = "resync",
 def prewarm(app_mixes: Iterable[Sequence[str]]) -> None:
     """Do once, in the calling process, the set-up every session would
     otherwise repeat: import :func:`run_session`'s stage modules,
-    assemble the ROM image of each app mix plus the five collection
-    hacks into the :func:`repro.m68k.asm.assemble_cached` memo, and
-    audit each mix's ROM at the worker geometry into the replay's
-    region-facts memo (the fused core loads those facts on every
-    replay).
+    and assemble the ROM image of each app mix plus the five
+    collection hacks into the :func:`repro.m68k.asm.assemble_cached`
+    memo.
 
     The supervisor calls this before it forks, so every worker inherits
     the modules and the memo through copy-on-write pages.  Stats records
@@ -218,7 +215,6 @@ def prewarm(app_mixes: Iterable[Sequence[str]]) -> None:
     """
     from ..analysis import energy  # noqa: F401
     from ..cache import kernels  # noqa: F401
-    from ..emulator.playback import _region_facts
     from ..hacks import standard_hacks
     from ..hacks.manager import hack_payload
     from ..m68k import blockcore, fuse  # noqa: F401
@@ -229,7 +225,6 @@ def prewarm(app_mixes: Iterable[Sequence[str]]) -> None:
 
     for mix in set(map(tuple, app_mixes)):
         RomBuilder(mix_to_apps(mix)).build()
-        _region_facts(mix_to_apps(mix), _EMULATOR_KW)
     for spec in standard_hacks():
         hack_payload(spec)
 

@@ -18,16 +18,15 @@ and if/else joins.  Hot superblocks are additionally compiled into
 function per block that inlines operand address arithmetic and the
 RAM/flash access arms, folds dead flag computations, batches the
 per-instruction cycle/reference/histogram updates into per-block
-constants, and — when the PR-4 dataflow audit proved an access's
-region — drops the region dispatch entirely (``load_facts``).
+constants.
 
 Decoding and fusing are paid once per *process*, not once per core:
 collection and every replay build a new core over the same ROM, so
 templates and generated bodies live in a module-level translation
 cache (``_STORE``), Shade's translation cache shared across runs.  An
 entry is keyed on (region, entry pc, backing geometry) and holds the
-decoded block, the code bytes the decode read and, per region-facts
-key, the fused body's source (:class:`repro.m68k.fuse.FusedCode`).
+decoded block, the code bytes the decode read and the fused body's
+source (:class:`repro.m68k.fuse.FusedCode`).
 ``_build`` binds a fresh per-core block to an entry whose bytes still
 match memory and decodes afresh otherwise; fusion still happens at
 ``fuse_threshold`` runs, binding the cached source when there is one.
@@ -107,6 +106,9 @@ _Profiler: Any = None
 _TRACE_CHUNK = 0
 _build_fused: Any = None
 
+#: ``_Template.fused`` before the block was first offered to the fuser.
+_UNSET: Any = object()
+
 
 def _resolve_profiler() -> Any:
     global _Profiler, _TRACE_CHUNK
@@ -182,9 +184,9 @@ class _Template:
     core whose memory holds the same bytes may bind it.  It holds no
     core, memory map, profiler, watch or :class:`_Block` — a finished
     replay's machine stays collectable while its blocks stay cached.
-    ``fused`` maps the block's region-facts key to its generated body
-    (:class:`repro.m68k.fuse.FusedCode`), or to ``None`` when the
-    generator found it unfusable.
+    ``fused`` holds the block's generated body
+    (:class:`repro.m68k.fuse.FusedCode`), ``None`` when the generator
+    found it unfusable, or ``_UNSET`` before it was tried.
     """
 
     __slots__ = ("region", "entries", "tail", "pages", "tok_prefix",
@@ -226,7 +228,7 @@ class _Template:
         #: ``(offset into the backing store, bytes)`` of every run the
         #: decode read, the terminating word included.
         self.reads = reads
-        self.fused: Dict[tuple, Any] = {}
+        self.fused: Any = _UNSET
 
     def matches(self, data: bytearray) -> bool:
         """Whether ``data`` still holds the bytes this block decoded."""
@@ -359,7 +361,7 @@ class _Block:
         self.fused: Any = None
         self.fuse_epoch = -1
         #: :class:`repro.m68k.fuse.FuseProvenance` once fused (entry
-        #: pc, insn count, elision list, generated-source hash, ...).
+        #: pc, insn count, generated-source hash, ...).
         self.prov: Any = None
 
 
@@ -391,9 +393,6 @@ class BlockCore:
         #: is built (``replay --validate-codegen`` installs the
         #: translation validator here; see repro.analysis.transval).
         self.fuse_validator: Optional[Callable[[Any], None]] = None
-        #: Dataflow region facts: pc -> (read_region, write_region),
-        #: each ``None`` when unproven (see ``load_facts``).
-        self.facts: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         #: Counters of dead blocks, folded in on invalidation so the
         #: ``--hot`` report survives block churn:
         #: pc -> [runs, insns_executed, fetch_refs, invalidations].
@@ -418,22 +417,6 @@ class BlockCore:
             mem.flash.watch = None
         if getattr(mem, "ram_watch", None) is self.watch:
             mem.ram_watch = None
-
-    def load_facts(
-        self, facts: Dict[int, Tuple[Optional[int], Optional[int]]],
-    ) -> None:
-        """Install dataflow region facts (from
-        :meth:`repro.analysis.static.audit.AuditResult.region_facts`).
-
-        A fact ``pc -> (read_region, write_region)`` lets the fused
-        code generator emit the proven region's access arm with no
-        region dispatch and no fallback.  Facts are only consulted for
-        flash-resident code (immutable during replay); RAM-resident
-        code keeps the conservative dynamic arms.  Existing fused
-        bodies are invalidated so they pick the facts up on recompile.
-        """
-        self.facts = dict(facts)
-        self._fuse_epoch += 1
 
     # -- invalidation ---------------------------------------------------
     def flush(self) -> None:
@@ -477,7 +460,7 @@ class BlockCore:
         """The ``n`` hottest superblocks by fetch references, merging
         live blocks with the folded counters of invalidated ones.
         Fused blocks carry their provenance identity (insn count,
-        elision count, generated-source hash) so the ``--hot`` report
+        generated-source hash) so the ``--hot`` report
         and the translation validator name blocks the same way."""
         agg: Dict[int, List[int]] = {
             pc: list(st) for pc, st in self.pc_stats.items()}
@@ -496,7 +479,6 @@ class BlockCore:
             prov = live.prov if live is not None else None
             if prov is not None:
                 info["fused_insns"] = prov.insn_count
-                info["elisions"] = len(prov.elisions)
                 info["source_hash"] = prov.source_hash[:12]
                 if prov.loop:
                     info["loop"] = 1

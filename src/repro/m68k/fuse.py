@@ -16,9 +16,7 @@
   handler call, an escape path) — consecutive overwrites fold away;
 * cycle accounting batched into per-segment constants against a local
   ``cyc`` snapshot, with a per-instruction budget gate preserving the
-  stepping loop's exact scheduling boundaries;
-* PR-4 dataflow region facts (``BlockCore.load_facts``) eliding the
-  region dispatch for proven RAM/flash accesses.
+  stepping loop's exact scheduling boundaries.
 
 Bit-exactness contract: every exit path — budget gate, taken branch,
 alignment fault, watch hit, non-RAM/flash access, handler call —
@@ -34,10 +32,10 @@ without leaving the function); the caller reconstructs per-iteration
 histogram/reference totals from ``ex[0]``.
 
 Generation and binding are separate.  :class:`_Fuser` reads only the
-block's code bytes, the memory geometry and the region facts, and
-produces a core-free :class:`FusedCode` that the translation cache
-(:mod:`repro.m68k.blockcore`) keeps per block template and facts key,
-together with the unfusable verdicts.  :func:`build_fused` binds such
+block's code bytes and the memory geometry, and produces a core-free
+:class:`FusedCode` that the translation cache
+(:mod:`repro.m68k.blockcore`) keeps per block template, or the
+unfusable verdict.  :func:`build_fused` binds such
 a body to one core — its trace list, write watch, memory arms and
 block — and attaches a fresh :class:`FuseProvenance`, so a cached body
 looks to the validator and the ``--hot`` report exactly like a freshly
@@ -52,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .blockcore import _UNSET
 from .disasm import Insn, K_BRANCH, K_CONDBRANCH, decode_insn
 from .errors import AddressError
 from .instructions import COND_EXPRS, M32, MASKS, MSBS, _shift, _specialize
@@ -101,21 +100,20 @@ class FuseProvenance:
     Attached to the block as ``block.prov`` by :meth:`_Fuser.build`:
     the translation validator (:mod:`repro.analysis.transval`)
     re-specializes ``source`` into an instrumented harness and proves
-    it equivalent to the per-insn reference semantics, and the elision
-    auditor re-derives the proof obligation behind every entry in
-    ``elisions``.  ``source_hash`` gives validator findings and the
-    ``--hot`` report a shared block identity that survives re-fusing
-    and binding from the translation cache.  ``env`` belongs to one
-    bind (it holds the core's trace list, watch and block).
+    it equivalent to the per-insn reference semantics.  ``source_hash``
+    gives validator findings and the ``--hot`` report a shared block
+    identity that survives re-fusing and binding from the translation
+    cache.  ``env`` belongs to one bind (it holds the core's trace
+    list, watch and block).
     """
 
-    __slots__ = ("pc", "region", "loop", "bulk", "insn_count", "elisions",
-                 "source", "source_hash", "entries", "spans", "code",
+    __slots__ = ("pc", "region", "loop", "bulk", "insn_count", "source",
+                 "source_hash", "entries", "spans", "code",
                  "ram_base", "ram_limit", "flash_base", "flash_limit",
                  "pages", "env")
 
     def __init__(self, pc: int, region: int, loop: bool, bulk: bool,
-                 elisions: List[Tuple[int, str, int]], source: str,
+                 source: str,
                  entries: List[tuple], spans: List[Tuple[int, int]],
                  code: List[Tuple[int, bytes]],
                  ram_base: int, ram_limit: int,
@@ -126,10 +124,6 @@ class FuseProvenance:
         self.loop = loop
         self.bulk = bulk
         self.insn_count = len(entries)
-        #: ``(insn addr, "read"|"write", proven region)`` for every
-        #: region-dispatch elision the generator performed on the
-        #: strength of a PR-4 dataflow fact.
-        self.elisions = elisions
         self.source = source
         self.source_hash = hashlib.sha256(source.encode()).hexdigest()
         self.entries = entries
@@ -160,18 +154,16 @@ class FusedCode:
     ``None`` without one.
     """
 
-    __slots__ = ("source", "loop", "bulk", "elisions", "handlers",
-                 "tdyn", "tval", "spans", "code")
+    __slots__ = ("source", "loop", "bulk", "handlers", "tdyn", "tval",
+                 "spans", "code")
 
     def __init__(self, source: str, loop: bool, bulk: bool,
-                 elisions: List[Tuple[int, str, int]],
                  handlers: Tuple[int, ...], tdyn: Any, tval: Any,
                  spans: List[Tuple[int, int]],
                  code: List[Tuple[int, bytes]]) -> None:
         self.source = source
         self.loop = loop
         self.bulk = bulk
-        self.elisions = elisions
         self.handlers = handlers
         self.tdyn = tdyn
         self.tval = tval
@@ -184,32 +176,22 @@ def build_fused(core: Any, block: Any) -> Any:
     unfusable.
 
     The body (or the unfusable verdict) is generated once per
-    translation-cache entry and region-facts key; every later call
-    binds the cached source to this core's environment, which
-    ``instructions._CODE_CACHE`` makes an ``exec`` of an
-    already-compiled code object.
+    translation-cache entry; every later call binds the cached source
+    to this core's environment, which ``instructions._CODE_CACHE``
+    makes an ``exec`` of an already-compiled code object.
     """
     tpl = block.tpl
-    key: tuple = ()
-    if block.region == 1 and core.facts:
-        facts = core.facts
-        key = tuple(facts.get(entry[0]) for entry in block.entries)
-        if all(fact is None for fact in key):
-            key = ()
-    if key in tpl.fused:
-        fc = tpl.fused[key]
-        if fc is None:
-            return False
-        core.fused_bound += 1
-    else:
+    fc = tpl.fused
+    if fc is _UNSET:
         try:
-            fc = _Fuser(core.mem, block,
-                        core.facts if key else {}).build()
+            fc = _Fuser(core.mem, block).build()
         except _Unfusable:
             fc = None
-        tpl.fused[key] = fc
-        if fc is None:
-            return False
+        tpl.fused = fc
+    elif fc is not None:
+        core.fused_bound += 1
+    if fc is None:
+        return False
     return _bind(core, block, fc)
 
 
@@ -243,7 +225,7 @@ def _bind(core: Any, block: Any, fc: FusedCode) -> Any:
         env["tdyn"] = fc.tdyn
         env["tval"] = fc.tval
     block.prov = FuseProvenance(
-        block.pc, block.region, fc.loop, fc.bulk, fc.elisions, fc.source,
+        block.pc, block.region, fc.loop, fc.bulk, fc.source,
         entries, fc.spans, fc.code, mem._ram_base, mem.ram_limit,
         mem._flash_base, mem.flash_limit, tuple(block.pages), env)
     return _specialize(fc.source, env, name=f"<fused:{block.pc:#x}>")
@@ -273,14 +255,12 @@ def _lit(v: Addr) -> str:
 class _Fuser:
     """Single-use code generator for one superblock.
 
-    Generation reads only the block's code bytes, the memory geometry
-    and ``facts``, never a core: its :class:`FusedCode` is valid for
-    every core whose memory holds the same bytes.
+    Generation reads only the block's code bytes and the memory
+    geometry, never a core: its :class:`FusedCode` is valid for every
+    core whose memory holds the same bytes.
     """
 
-    def __init__(self, mem: Any, block: Any,
-                 facts: Dict[int, Tuple[Optional[int], Optional[int]]],
-                 ) -> None:
+    def __init__(self, mem: Any, block: Any) -> None:
         self.mem = mem
         self.block = block
         self.region: int = block.region
@@ -290,19 +270,12 @@ class _Fuser:
         self.ram_limit: int = mem.ram_limit
         self.flash_base: int = mem._flash_base
         self.flash_limit: int = mem.flash_limit
-        #: Region facts are consulted only for flash-resident code
-        #: (immutable during replay; SMC in RAM could invalidate them);
-        #: the caller passes none for RAM blocks.
-        self.facts = facts
         #: Instruction indices whose handler the body calls (``h{k}``).
         self.handlers: List[int] = []
         #: Token constants of the vectorized fill prelude.
         self.tdyn: Any = None
         self.tval: Any = None
         self.lines: List[str] = []
-        #: Region-dispatch elisions performed on dataflow facts,
-        #: recorded for the provenance/audit trail.
-        self.elisions: List[Tuple[int, str, int]] = []
         self.level = 1
         #: Statically-known trace tokens awaiting one batched append.
         self.pend: List[int] = []
@@ -559,8 +532,7 @@ class _Fuser:
         self.emit(f"o{k} = {_lit(q)} - {self.flash_base:#x}")
         self._emit_load(v, "flash", f"o{k}", size)
 
-    def _arm_read(self, k: int, q: Addr, size: int, v: str,
-                  fact: Optional[int]) -> None:
+    def _arm_read(self, k: int, q: Addr, size: int, v: str) -> None:
         self.S += 8 if size == 4 else 4
         P = self._cur_pc()
         exe = self._exe(k + 1)
@@ -580,20 +552,6 @@ class _Fuser:
         self._ensure_sl()
         pref = self.pend[:]
         self.pend.clear()
-        if fact is not None:
-            self.elisions.append((self.addr, "read", fact))
-        if fact == 0:
-            self._ram_read_body(k, q, size, v, P, exe, static=False,
-                                pref=pref)
-            return
-        if fact == 1:
-            self._flash_read_body(k, q, size, v, P, exe, static=False,
-                                  pref=pref)
-            return
-        if fact is not None:
-            self._emit_toks(pref, [])
-            self._fallback_read(q, size, v, P, exe)
-            return
         self.emit(f"if {q} <= {self.ram_limit - size:#x}:")
         self.push()
         self._ram_read_body(k, q, size, v, P, exe, static=False, pref=pref)
@@ -650,8 +608,7 @@ class _Fuser:
                            else f"{q} - {self.ram_base:#x}"))
         self._emit_store("ram", off, size, val)
 
-    def _arm_write(self, k: int, q: Addr, size: int, val: str,
-                   fact: Optional[int]) -> None:
+    def _arm_write(self, k: int, q: Addr, size: int, val: str) -> None:
         self.S += 8 if size == 4 else 4
         P = self._cur_pc()
         exe = self._exe(k + 1)
@@ -667,16 +624,6 @@ class _Fuser:
             return
         pref = self.pend[:]
         self.pend.clear()
-        if fact is not None:
-            self.elisions.append((self.addr, "write", fact))
-        if fact == 0:
-            self._ram_write_body(k, q, size, val, P, exe, static=False,
-                                 pref=pref)
-            return
-        if fact is not None:
-            self._emit_toks(pref, [])
-            self._fallback_write(q, size, val, P, exe)
-            return
         self.emit(f"if {q} <= {self.ram_limit - size:#x}:")
         self.push()
         self._ram_write_body(k, q, size, val, P, exe, static=False, pref=pref)
@@ -721,18 +668,14 @@ class _Fuser:
         self.flags["z"] = f"cpu.z = 1 if {r} == 0 else 0"
 
     # -- instruction families --------------------------------------------
-    def _fact(self, insn: Insn) -> Tuple[Optional[int], Optional[int]]:
-        fact = self.facts.get(insn.addr) if self.facts else None
-        return fact if fact is not None else (None, None)
-
     def _writeback_d(self, reg: int, r: str, size: int) -> None:
         if size == 4:
             self.emit(f"d[{reg}] = {r}")
         else:
             self.emit(f"d[{reg}] = (d[{reg}] & {_INV[size]:#x}) | {r}")
 
-    def _src_value(self, k: int, mode: int, reg: int, size: int,
-                   fact: Optional[int]) -> Optional[Addr]:
+    def _src_value(self, k: int, mode: int, reg: int,
+                   size: int) -> Optional[Addr]:
         """Emit a source-operand read; returns its value as a var name
         or codegen-time literal (callers pre-check the indexed modes,
         so no tokens/cycles leak before a handler bail-out)."""
@@ -755,7 +698,7 @@ class _Fuser:
         if q is None:
             return None
         v = f"v{k}"
-        self._arm_read(k, q, size, v, fact)
+        self._arm_read(k, q, size, v)
         return v
 
     def _call_handler(self, k: int, insn: Insn) -> str:
@@ -803,7 +746,6 @@ class _Fuser:
             return self._call_handler(k, insn)   # invalid encodings
         if size == 1 and (smode == 1 or dmode == 1):
             return self._call_handler(k, insn)
-        fr, fw = self._fact(insn)
         mask = MASKS[size]
         src: Addr
         if smode == 0:
@@ -821,7 +763,7 @@ class _Fuser:
             if q is None:
                 raise _Unfusable
             src = f"v{k}"
-            self._arm_read(k, q, size, src, fr)
+            self._arm_read(k, q, size, src)
         if dmode == 0:
             if size == 4:
                 self.emit(f"d[{dreg}] = {_lit(src)}")
@@ -841,7 +783,7 @@ class _Fuser:
             p = self._addr_of(k, dmode, dreg, size, f"p{k}")
             if p is None:
                 raise _Unfusable
-            self._arm_write(k, p, size, _lit(src), fw)
+            self._arm_write(k, p, size, _lit(src))
         self._set_flags_logic(src, size)
         return "fall"
 
@@ -999,12 +941,11 @@ class _Fuser:
             # cmpi to memory: read-only, fusable
             imm = (self._ext32() if size == 4
                    else (self._ext16() & mask))
-            fr, _fw = self._fact(insn)
             q = self._addr_of(k, mode, reg, size, f"q{k}")
             if q is None:
                 raise _Unfusable
             v, r = f"v{k}", f"r{k}"
-            self._arm_read(k, q, size, v, fr)
+            self._arm_read(k, q, size, v)
             self.emit(f"{r} = ({v} - {imm:#x}) & {mask:#x}")
             self._set_flags_sub(v, imm, r, size, with_x=False)
             return "fall"
@@ -1057,12 +998,11 @@ class _Fuser:
                 return "fall"
             if mode == 6 or (mode == 7 and reg >= 2):
                 return self._call_handler(k, insn)
-            fr, _fw = self._fact(insn)
             q = self._addr_of(k, mode, reg, size, f"q{k}")
             if q is None:
                 raise _Unfusable
             v = f"v{k}"
-            self._arm_read(k, q, size, v, fr)
+            self._arm_read(k, q, size, v)
             self._set_flags_logic(v, size)
             return "fall"
         if mode != 0:                    # clr/not/neg to memory: RMW
@@ -1097,14 +1037,13 @@ class _Fuser:
         opmode = (op >> 6) & 7
         dreg = (op >> 9) & 7
         mode, reg = (op >> 3) & 7, op & 7
-        fr, _fw = self._fact(insn)
         if opmode in (3, 7):             # adda/suba/cmpa (or mul/div)
             if group in (8, 0xC):
                 return self._call_handler(k, insn)
             size = 2 if opmode == 3 else 4
             if mode == 6 or (mode == 7 and reg == 3):
                 return self._call_handler(k, insn)
-            src = self._src_value(k, mode, reg, size, fr)
+            src = self._src_value(k, mode, reg, size)
             if src is None:
                 return self._call_handler(k, insn)
             if group == 0xB:             # cmpa: compare as long
@@ -1137,7 +1076,7 @@ class _Fuser:
                 return self._call_handler(k, insn)
             if group in (8, 0xC) and mode == 1:
                 return self._call_handler(k, insn)   # An source illegal
-            src = self._src_value(k, mode, reg, size, fr)
+            src = self._src_value(k, mode, reg, size)
             if src is None:
                 return self._call_handler(k, insn)
             u, t, r = f"u{k}", f"t{k}", f"r{k}"
@@ -1393,5 +1332,5 @@ class _Fuser:
                 for start, stop in spans]
         return FusedCode(src, self.loop,
                          self.bulk_info is not None and bool(self.bulk_S),
-                         self.elisions, tuple(self.handlers),
+                         tuple(self.handlers),
                          self.tdyn, self.tval, spans, code)

@@ -169,10 +169,11 @@ def resilient_replay(
 
     The machine is built by :func:`~repro.emulator.playback.replay_machine`,
     the set-up :func:`~repro.emulator.playback.replay_session` uses, so
-    both replays run the same core with the same region facts.  The
-    watchdog compares the replayed machine's activity log against
-    the *pristine* input log (after salvage, before fault injection),
-    so injected trace corruption is detected as genuine divergence.
+    both replays run the same core with the same profiler and fuse
+    hooks.  The watchdog compares the replayed machine's activity log
+    against the *pristine* input log (after salvage, before fault
+    injection), so injected trace corruption is detected as genuine
+    divergence.
     """
     if on_divergence not in POLICIES:
         raise ValueError(f"on_divergence must be one of {POLICIES}, "

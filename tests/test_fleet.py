@@ -302,26 +302,28 @@ class TestChaosPlan:
 # ----------------------------------------------------------------------
 
 class TestPrewarm:
-    def test_prewarm_fills_the_region_facts_memo(self, monkeypatch):
-        """Forked workers inherit the facts: after ``prewarm`` the
-        replay's facts lookup at the worker geometry needs no audit."""
-        from repro.analysis.static import audit
-        from repro.emulator import playback
+    def test_prewarm_fills_the_rom_assembly_memo(self, monkeypatch):
+        """Forked workers inherit the assembled images: after
+        ``prewarm`` the mix's ROM and the collection hacks come from
+        the ``assemble_cached`` memo without assembling anything."""
         from repro.fleet.campaign import mix_to_apps
-        from repro.fleet.worker import WORKER_FLASH, WORKER_RAM, prewarm
+        from repro.fleet.worker import prewarm
+        from repro.hacks import standard_hacks
+        from repro.hacks.manager import hack_payload
+        from repro.m68k import asm
+        from repro.palmos.rom import RomBuilder
 
         mix = TINY["app_mixes"][0]
-        monkeypatch.setattr(playback, "_FACTS_CACHE", {})
+        asm._assemble_memo.cache_clear()
         prewarm([mix])
 
-        def no_audit(*args, **kwargs):
-            raise AssertionError("the ROM audit ran after prewarm")
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("an image was assembled after prewarm")
 
-        monkeypatch.setattr(audit, "audit_rom", no_audit)
-        facts = playback._region_facts(
-            mix_to_apps(mix),
-            {"ram_size": WORKER_RAM, "flash_size": WORKER_FLASH})
-        assert facts
+        monkeypatch.setattr(asm, "assemble", no_assembly)
+        assert RomBuilder(mix_to_apps(mix)).build().segments
+        for spec in standard_hacks():
+            hack_payload(spec)
 
 
 class TestLiveCampaign:

@@ -15,7 +15,6 @@ from repro.emulator.playback import (
     GuestResetTimeout,
     JitterModel,
     PlaybackDriver,
-    _region_facts,
     replay_machine,
 )
 from repro.emulator.pose import Emulator
@@ -387,15 +386,12 @@ class TestResilientReplay:
         assert not out.report
         assert out.checkpoints.ticks, "no checkpoints captured"
 
-    def test_fast_core_loads_region_facts(self, session):
-        out = self._run(session, on_divergence="strict")
-        facts = out.emulator.device.core.facts
-        assert facts and facts == _region_facts(_APPS, EMU_KW)
-
     def test_scratch_machines_share_the_replay_set_up(self, session,
                                                       monkeypatch):
         """The replay's machine and every localization scratch machine
-        are built by ``replay_machine`` and carry the region facts."""
+        are built by ``replay_machine``: each is profiled with the
+        replay's profiler configuration and carries the sanitizer and
+        codegen-report slots only ``replay_machine`` sets."""
         built = []
 
         def recording(*args, **kwargs):
@@ -405,12 +401,16 @@ class TestResilientReplay:
 
         monkeypatch.setattr(replay_module, "replay_machine", recording)
         with pytest.raises(DivergenceError) as exc_info:
-            self._run(session, on_divergence="strict",
+            self._run(session, on_divergence="strict", profile=True,
                       faults="truncate:frac=0.6")
         assert exc_info.value.report.last_good_tick is not None
         assert len(built) > 1
         for emulator in built:
-            assert emulator.device.core.facts == _region_facts(_APPS, EMU_KW)
+            profiler = emulator.profiler
+            assert profiler is not None and profiler.trace_references
+            assert emulator.device.mem.tracer is profiler
+            assert emulator.sanitizer is None
+            assert emulator.codegen_report is None
 
     def test_runtime_crash_recovers_under_resync(self, session):
         clean = self._run(session, on_divergence="strict")

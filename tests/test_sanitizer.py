@@ -1,6 +1,6 @@
 """Tests for the guest memory sanitizer: shadow encoding, heap
-integration, the static elision prover, and one deterministic
-regression test per defect class (exact address and severity)."""
+integration, finding attribution, and one deterministic regression
+test per defect class (exact address and severity)."""
 
 import pytest
 
@@ -10,11 +10,9 @@ from repro.analysis.sanitizer import (
     MemorySanitizer,
     OK,
     ShadowMap,
-    compute_elision,
+    attribution,
 )
 from repro.analysis.sanitizer import corpus
-from repro.analysis.sanitizer.elide import STACK_SLACK
-from repro.analysis.static.dataflow import analyze_constprop
 from repro.analysis.static.findings import Severity
 from repro.analysis.static.walker import walk
 from repro.m68k.asm import assemble
@@ -140,14 +138,6 @@ class TestDefectCorpus:
         assert len(ptrs) == 1
         assert ptrs.pop() == L.DYNAMIC_HEAP_BASE + L.CHUNK_HEADER_SIZE + 16
 
-    def test_every_program_elides_something(self, corpus_results):
-        for r in corpus_results.values():
-            assert r.elision.proven_insns > 0
-            assert r.san_stats["elided"] > 0
-
-    def test_differential_elided_vs_full(self):
-        assert corpus.differential() == []
-
     def test_baseline_round_trip(self, corpus_results):
         results = list(corpus_results.values())
         baseline = corpus.baseline_keys(results)
@@ -227,9 +217,9 @@ class TestHeapIntegration:
 
 
 # ----------------------------------------------------------------------
-# Static elision prover
+# Finding attribution
 # ----------------------------------------------------------------------
-def _elision_of(source, heap_hi=0x200000):
+def _attribution_of(source):
     program = assemble(source, origin=0x14000)
     blob = program.image(0x14000, 0x100)
 
@@ -238,50 +228,24 @@ def _elision_of(source, heap_hi=0x200000):
         return (blob[off] << 8) | blob[off + 1]
 
     end = 0x14000 + max(len(b) + a - 0x14000 for a, b in program.segments)
-    cfg = walk(fetch, [0x14000], code_range=(0x14000, end))
-    const = analyze_constprop(cfg, fetch)
-    return compute_elision(cfg, const, heap_hi=heap_hi)
+    return attribution(walk(fetch, [0x14000], code_range=(0x14000, end)))
 
 
-class TestElision:
-    def test_stack_slot_proven(self):
-        res = _elision_of("move.l d0,-(sp)\n rts")
-        assert res.proven_insns == 1
-        assert res.by_rule["stack"] == 1
-
-    def test_const_outside_window_proven(self):
-        res = _elision_of("move.l d0,$13ffc\n rts")
-        assert res.proven_insns == 1
-        assert res.by_rule["const"] == 1
-
-    def test_const_inside_window_not_proven(self):
-        res = _elision_of(f"move.l d0,${L.DYNAMIC_HEAP_BASE + 0x100:x}\n rts")
-        assert res.proven_insns == 0
-        assert res.candidate_insns == 1
-
-    def test_unknown_base_not_proven(self):
-        res = _elision_of("move.l (a0),d0\n rts")
-        assert res.proven_insns == 0
-
-    def test_deep_stack_offset_not_proven(self):
-        # Beyond the slack the entry-A7 assumption no longer bounds it.
-        deep = STACK_SLACK + 4
-        res = _elision_of(f"lea -{deep}(sp),a1\n move.l d0,-{deep}(sp)\n rts")
-        assert res.by_rule["stack"] == 0
-
+class TestAttribution:
     def test_pc_window_covers_extension_words(self):
-        res = _elision_of("move.l d0,$13ffc\n rts")
+        owner = _attribution_of("move.l d0,$13ffc\n rts")
         insn_addr = 0x14000
         # move.l d0,(xxx).l = opcode + two extension words (6 bytes):
         # pc sweeps [addr+2, addr+6] during execution.
         for pc in (insn_addr + 2, insn_addr + 4, insn_addr + 6):
-            assert pc in res.safe_pcs
-        assert insn_addr not in res.safe_pcs
+            assert owner[pc] == insn_addr
+        assert insn_addr not in owner
 
     def test_attribution_maps_pc_to_insn(self):
-        res = _elision_of("move.l d0,$13ffc\n rts")
-        assert res.attribution[0x14002] == 0x14000
-        assert res.attribution[0x14006] == 0x14000
+        owner = _attribution_of("move.l d0,$13ffc\n rts")
+        assert owner[0x14002] == 0x14000
+        assert owner[0x14006] == 0x14000
+        assert owner[0x14008] == 0x14006    # the rts after it
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,6 @@ unlikely to hit by chance:
   checkpoint captured there must resume bit-identically;
 * the sanitizer riding along with the fast core (fused bodies are
   gated off while shadow checking is attached);
-* dataflow region facts: replays with and without the audit's fact set
-  must be bit-identical (facts only elide checks, never change
-  behaviour), and the facts-absent fallback is the default for bare
-  devices;
 * the vectorized counted-fill path (``move.w dX,(aY)+`` /
   ``subq.l #1,dZ`` / ``bne``) against the stepping core.
 """
@@ -218,23 +214,19 @@ def test_checkpoint_mid_superblock_resumes_bit_identically(session):
 def test_sanitizer_rides_fast_core_bit_identically(session):
     """--sanitize with the fast core: fused dispatch is gated off while
     shadow checking is attached, and every finding and statistic
-    matches the stepping core.  Checking every access instead of
-    eliding the proven-safe ones reports the same findings, and this
-    recorded session, being clean, reports none."""
+    matches the stepping core.  This recorded session, being clean,
+    reports none."""
     outputs = {}
-    for run, core, elide in (("simple", "simple", True),
-                             ("fast", "fast", True),
-                             ("full", "fast", False)):
+    for core in ("simple", "fast"):
         emulator, prof, result = replay_session(
             session.initial_state, session.log, apps=_APPS,
-            emulator_kwargs={**EMU_KW, "core": core},
-            sanitize=True, sanitize_elide=elide)
+            emulator_kwargs={**EMU_KW, "core": core}, sanitize=True)
         findings = sorted((f.code, int(f.severity), f.address, f.block)
                           for f in emulator.sanitizer.report.sorted())
-        outputs[run] = (vars(result), findings, prof.instructions,
-                        prof.counts_bytes(), trace_fingerprint(prof))
+        outputs[core] = (vars(result), findings, prof.instructions,
+                         prof.counts_bytes(), trace_fingerprint(prof),
+                         emulator.sanitizer.stats())
     assert outputs["fast"] == outputs["simple"]
-    assert outputs["full"][1] == outputs["fast"][1]
     assert outputs["fast"][1] == []
 
 
@@ -256,42 +248,6 @@ def test_trap_fast_table_dropped_when_sanitizer_attaches():
     assert core._resolve_trap_table() is None         # brackets required
     san.detach()
     assert core._resolve_trap_table() is not None     # restored
-
-
-# ----------------------------------------------------------------------
-# Dataflow facts: elision is behaviour-free, absence is the fallback
-# ----------------------------------------------------------------------
-def test_region_facts_do_not_change_replay(session, monkeypatch):
-    """Replays with the audit's fact set and with facts forced absent
-    must be bit-identical: facts only remove redundant region dispatch
-    from fused code, never observable behaviour."""
-    from repro.emulator import playback
-
-    outputs = {}
-    for label, fn in (("facts", playback._region_facts),
-                      ("absent", lambda apps, kwargs: {})):
-        monkeypatch.setattr(playback, "_region_facts", fn)
-        emulator, prof, result = replay_session(
-            session.initial_state, session.log, apps=_APPS,
-            emulator_kwargs={**EMU_KW, "core": "fast"})
-        outputs[label] = (vars(result), prof.instructions,
-                         prof.counts_bytes(), trace_fingerprint(prof),
-                         bytes(emulator.device.mem.ram.data))
-    assert outputs["facts"] == outputs["absent"]
-
-
-def test_region_facts_shape():
-    """The audit's fact set has the shape the fused code generator
-    consumes: pc -> (read_region, write_region), regions in 0..3."""
-    from repro.emulator.playback import _region_facts
-
-    facts = _region_facts(_APPS, EMU_KW)
-    assert facts, "the built-in ROM should yield at least some facts"
-    for pc, (read, write) in facts.items():
-        assert isinstance(pc, int)
-        assert read is None or read in (0, 1, 2, 3)
-        assert write is None or write in (0, 1, 2, 3)
-        assert read is not None or write is not None
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,17 @@
 """The superblock core's process-wide translation cache.
 
 A :class:`~repro.m68k.blockcore.BlockCore` binds a block from the
-cache when the code bytes its decode read still match memory, and binds
-a cached fused body when the block also has the same region facts.
-These tests pin what that must never change and what it must never
+cache when the code bytes its decode read still match memory, together
+with the fused body generated for it, if any.  These tests pin what that must never change and what it must never
 hold:
 
 * a replay with an emptied cache and two with a warm one are
   bit-identical, down to the ``--hot`` rows and the fuse hook's view;
 * RAM code whose bytes changed — in the block or only in the word that
   ended it — is decoded afresh by the next core;
-* a flash block fused under one set of region facts is not bound
-  under another;
 * the cache pins no machine: a finished replay is collectable while
   its blocks stay cached;
-* each (region, pc, bytes, facts) is decoded and code-generated at
+* each (region, pc, bytes) is decoded and code-generated at
   most once per process, an unfusable verdict included.
 """
 
@@ -26,7 +23,6 @@ import pytest
 
 from repro import replay_session, standard_apps
 from repro.device.device import PalmDevice
-from repro.emulator import playback
 from repro.emulator.profiling import Profiler
 from repro.m68k import blockcore, fuse
 from repro.workloads import UserScript, collect_session
@@ -118,8 +114,7 @@ def test_each_translation_is_made_once_per_process(session, empty_store,
 
     def counting_generate(self):
         block = self.block
-        codegens.append((block.region, block.pc, block.tpl.reads,
-                         tuple(sorted(self.facts.items()))))
+        codegens.append((block.region, block.pc, block.tpl.reads))
         return generate(self)
 
     monkeypatch.setattr(blockcore, "_decode", counting_decode)
@@ -129,22 +124,6 @@ def test_each_translation_is_made_once_per_process(session, empty_store,
     assert decodes and codegens
     assert len(set(decodes)) == len(decodes)
     assert len(set(codegens)) == len(codegens)
-
-
-def test_flash_body_is_not_bound_under_other_facts(session, monkeypatch):
-    """Elisions are generated from the region facts: a body generated
-    without facts must not be bound where facts apply, nor the other
-    way round."""
-    elisions = {}
-    for label, facts in (("absent", lambda apps, kwargs: {}),
-                         ("facts", playback._region_facts),
-                         ("absent again", lambda apps, kwargs: {})):
-        monkeypatch.setattr(playback, "_region_facts", facts)
-        provs = []
-        _replay(session, on_fuse=lambda block: provs.append(block.prov))
-        elisions[label] = sum(len(prov.elisions) for prov in provs)
-    assert elisions["facts"] > 0
-    assert elisions["absent"] == elisions["absent again"] == 0
 
 
 def test_store_pins_no_finished_replay(session, empty_store):

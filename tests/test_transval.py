@@ -1,6 +1,6 @@
 """Translation-validator tests.
 
-Three layers:
+Two layers:
 
 * property — every block the fuser emits for random word-soup and
   structured programs (the :mod:`test_fastcore` generators) validates
@@ -8,9 +8,7 @@ Three layers:
   reference semantics on every covered path, with zero error-severity
   findings;
 * seeded miscompiles — one deterministic regression per corpus class
-  asserting the validator reports the exact expected finding code;
-* elision audits — tampered region facts and unproven sanitizer pcs
-  must produce error findings, intact ones must not.
+  asserting the validator reports the exact expected finding code.
 """
 
 import struct
@@ -24,8 +22,6 @@ from repro.analysis.static.findings import (Report, Severity,
                                            new_findings_against,
                                            save_baseline)
 from repro.analysis.transval import (MISCOMPILE_CLASSES, Vector,
-                                     audit_region_elisions,
-                                     audit_sanitizer_elisions,
                                      mutate_prov, selftest,
                                      validate_block)
 from repro.device.device import PalmDevice
@@ -219,7 +215,6 @@ def test_hot_blocks_carry_fused_provenance():
     row = fused[0]
     assert row["source_hash"] == provs[0].source_hash[:12]
     assert row["fused_insns"] == provs[0].insn_count
-    assert isinstance(row["elisions"], int)
 
 
 def test_validator_flags_are_part_of_the_journal():
@@ -228,48 +223,6 @@ def test_validator_flags_are_part_of_the_journal():
     whose reference value is zero is invisible with zeroed flags)."""
     vec = Vector(d=(0,) * 8, a=(0,) * 8, x=1, n=1, z=1, v=1, c=1)
     assert (vec.x, vec.n, vec.z, vec.v, vec.c) == (1, 1, 1, 1, 1)
-
-
-# ----------------------------------------------------------------------
-# Elision audits
-# ----------------------------------------------------------------------
-class _FakeProv:
-    def __init__(self, pc, region, elisions):
-        self.pc = pc
-        self.region = region
-        self.elisions = elisions
-        self.source_hash = "f" * 64
-
-
-def test_region_elision_audit_accepts_fresh_facts():
-    prov = _FakeProv(0x10000100, 1, [(0x10000104, "read", 1)])
-    report = audit_region_elisions([prov], {0x10000104: (1, None)})
-    assert len(report) == 0
-
-
-def test_region_elision_audit_rejects_stale_fact():
-    prov = _FakeProv(0x10000100, 1, [(0x10000104, "read", 1)])
-    # Fresh derivation now says the access reads RAM (or proves
-    # nothing): either way the baked flash arm is unjustified.
-    for fresh in ({0x10000104: (0, None)}, {}):
-        report = audit_region_elisions([prov], fresh)
-        assert report.has("tv-elide-region")
-        assert report.errors
-
-
-def test_region_elision_audit_rejects_ram_resident_block():
-    prov = _FakeProv(0x2000, 0, [(0x2004, "read", 0)])
-    report = audit_region_elisions([prov], {0x2004: (0, None)})
-    assert report.has("tv-elide-region")
-
-
-def test_sanitizer_elision_audit():
-    clean = audit_sanitizer_elisions({0x100, 0x200}, {0x100, 0x200,
-                                                      0x300})
-    assert len(clean) == 0
-    tampered = audit_sanitizer_elisions({0x100, 0x200}, {0x100})
-    assert tampered.has("tv-elide-sanitizer")
-    assert [f.address for f in tampered.errors] == [0x200]
 
 
 # ----------------------------------------------------------------------
